@@ -22,7 +22,7 @@ from . import config as cfgmod
 from .experiments import (kde, kde_grid, run_price_distribution, sample_skewness, sweep,
                           write_kde_csv, write_prices_csv, write_sweep_csv)
 from .manifest import write_manifest
-from .pide import PricingKernelSolver, StateGrid
+from .pide import PideInstabilityError, PricingKernelSolver, StateGrid
 from .pricing import (Alive, Defaulted, DeterministicRecovery, IntensityLinkedRecovery,
                       price_defaultable_zcb)
 from .rates import adjudicate_vasicek_formula, constant_rate_discount, zcb_price
@@ -352,7 +352,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (cfgmod.ConfigError, ValueError, OSError) as exc:
+    except (cfgmod.ConfigError, ValueError, OSError,
+            OverflowError,                 # csp's runaway-intensity guard
+            PideInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

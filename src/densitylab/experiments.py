@@ -1,24 +1,29 @@
 """Monte Carlo experiment harness for the defaultable-bond price study.
 
 Each experiment draws one Brownian path and one compound-Poisson jump
-path, evolves the default-density curve alpha_t(theta) (and its survival
-companion) on the theta grid through the direct martingale scheme, and
-prices the pre-default bond
+path and prices the pre-default bond
 
     P(t, T) = B(t, T) (1 - (1 - R) int_t^T alpha / int_t^inf alpha)
 
-at the observation time.  Outputs are plot-ready: the price sample per
-path, Gaussian kernel density estimates with the 1.06 s k^{-1/5}
-bandwidth, and parameter sweeps (mean, standard error, flagged fraction)
-over the mean jump size, the initial intensity level, the observation
-time, and the maturity.
+at the observation time.  The direct density scheme keeps alpha_t =
+-dS_t/dtheta exactly, so the two integrals are S_t(t) - S_t(T) and
+S_t(t): each path is priced from two survival values, which
+`simulate_survival_values` evaluates in closed form (with the density on
+the window [t, T]) instead of evolving whole curves.  The curve engine
+`simulate_density_paths` draws the same noise and stays the oracle for
+this shortcut.  Outputs are plot-ready: the price sample per path,
+Gaussian kernel density estimates with the 1.06 s k^{-1/5} bandwidth,
+and parameter sweeps (mean, standard error, flagged fraction) over the
+mean jump size, the initial intensity level, the observation time, and
+the maturity.
 
-Paths with a nonpositive density integral in the denominator are rejected
-and counted; paths whose density dips negative anywhere are kept but
-flagged, so the martingale structure of the sample is never repaired
-silently.  Noise-free configurations short-circuit to the deterministic
-curve (the dynamics are the identity), which keeps the zero-noise
-baseline exact and instant.
+Paths with S_t(t) <= 0 (a nonpositive denominator) are rejected and
+counted; paths whose density alpha_t dips negative on [t, T], the only
+region the price bounds R B <= P <= B rest on, are kept but flagged, so
+the martingale structure of the sample is never repaired silently.
+Noise-free configurations short-circuit to the deterministic curve (the
+dynamics are the identity), which keeps the zero-noise baseline exact
+and instant.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .measures import ExponentialJumpMeasure, LevyMeasure, ZeroMeasure
 from .pricing import price_pre_default_independent
 from .rng import decorrelate
 from .term_structure import (CoefficientSpec, DensityCurveState, initial_density_state,
-                             simulate_density_paths, theta_max_default)
+                             simulate_survival_values, theta_max_default)
 
 SWEEP_AXES = ("varpi", "lambda", "t", "T")
 
@@ -142,7 +147,7 @@ class ExperimentConfig:
 class PriceSample:
     prices: np.ndarray
     path_ids: np.ndarray
-    flagged: np.ndarray               # negative-density dip per kept path
+    flagged: np.ndarray               # alpha_t < 0 somewhere on [t, T], per kept path
     n_rejected: int
     config: ExperimentConfig
     diagnostics: dict = field(default_factory=dict)
@@ -153,32 +158,35 @@ class PriceSample:
         return float(self.flagged.sum()) / total if total else 0.0
 
 
-def _price_from_curves(config: ExperimentConfig, grid: np.ndarray,
-                       alpha: np.ndarray, surv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pre-default price over path rows; returns (prices, valid)."""
-    disc = np.exp(-config.r * (config.T - config.t))
+def pricing_window(config: ExperimentConfig) -> np.ndarray:
+    """The delta-spaced theta nodes of [t, T]: the only maturities pricing reads."""
+    grid = config.theta_grid()
     i_t = int(np.searchsorted(grid, config.t - 1e-12))
     i_T = int(np.searchsorted(grid, config.T - 1e-12))
     if abs(grid[i_t] - config.t) > 1e-9 or abs(grid[i_T] - config.T) > 1e-9:
         raise ValueError("t and T must lie on the theta grid")
-    num = np.trapezoid(alpha[:, i_t:i_T + 1], grid[i_t:i_T + 1], axis=1)
-    den = np.trapezoid(alpha[:, i_t:], grid[i_t:], axis=1) + surv[:, -1]
-    valid = den > 0
-    prices = np.full(alpha.shape[0], np.nan)
-    prices[valid] = disc * (1.0 - (1.0 - config.R) * num[valid] / den[valid])
-    return prices, valid
+    return grid[i_t:i_T + 1]
 
 
-def _run_block(config: ExperimentConfig, start: int, stop: int) -> dict:
-    res = simulate_density_paths(config.spec(), config.measure(), config.theta_grid(),
-                                 t_end=config.t, dt=config.delta_t,
-                                 n_paths=stop - start, seed=config.seed,
-                                 jump_sign_convention=config.jump_sign_convention,
-                                 path_offset=start)
-    prices, valid = _price_from_curves(config, res["theta_grid"],
-                                       res["alpha"], res["survival"])
+def _run_block(config: ExperimentConfig, window: np.ndarray, start: int, stop: int) -> dict:
+    """Prices of paths [start, stop) from S_t(t) and S_t(T).
+
+    int_t^T alpha = S_t(t) - S_t(T) and int_t^inf alpha = S_t(t), so the
+    price needs the survival curve at the window ends only; the density
+    on the window nodes decides the flag.
+    """
+    res = simulate_survival_values(config.spec(), config.measure(), window,
+                                   t_end=config.t, dt=config.delta_t,
+                                   n_paths=stop - start, seed=config.seed,
+                                   jump_sign_convention=config.jump_sign_convention,
+                                   path_offset=start)
+    s_t, s_T = res["survival"][:, 0], res["survival"][:, -1]
+    valid = s_t > 0
+    prices = np.full(stop - start, np.nan)
+    disc = np.exp(-config.r * (config.T - config.t))
+    prices[valid] = disc * (1.0 - (1.0 - config.R) * (s_t[valid] - s_T[valid]) / s_t[valid])
     return {"start": start, "prices": prices, "valid": valid,
-            "neg_counts": res["negative_alpha_counts"]}
+            "negative": (res["alpha"] < 0).any(axis=1)}
 
 
 def run_price_distribution(config: ExperimentConfig) -> PriceSample:
@@ -194,24 +202,26 @@ def run_price_distribution(config: ExperimentConfig) -> PriceSample:
                            n_rejected=0, config=config,
                            diagnostics={"deterministic": True})
 
+    window = pricing_window(config)
     block = max(512, config.n_paths // max(config.workers, 1) // 4)
     blocks = [(s, min(s + block, config.n_paths))
               for s in range(0, config.n_paths, block)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as ex:
-            results = list(ex.map(_run_block_star, [(config, s, e) for s, e in blocks]))
+            results = list(ex.map(_run_block_star,
+                                  [(config, window, s, e) for s, e in blocks]))
     else:
-        results = [_run_block(config, s, e) for s, e in blocks]
+        results = [_run_block(config, window, s, e) for s, e in blocks]
     results.sort(key=lambda d: d["start"])
 
     prices = np.concatenate([d["prices"] for d in results])
     valid = np.concatenate([d["valid"] for d in results])
-    neg = np.concatenate([d["neg_counts"] for d in results])
+    neg = np.concatenate([d["negative"] for d in results])
     ids = np.arange(config.n_paths)
     return PriceSample(prices=prices[valid], path_ids=ids[valid],
-                       flagged=neg[valid] > 0, n_rejected=int((~valid).sum()),
+                       flagged=neg[valid], n_rejected=int((~valid).sum()),
                        config=config,
-                       diagnostics={"negative_path_fraction": float((neg > 0).mean())})
+                       diagnostics={"negative_path_fraction": float(neg.mean())})
 
 
 def _run_block_star(args):

@@ -291,29 +291,6 @@ def survival_integral(state: ForwardCurveState, a: float, b: float) -> float:
     return float(np.interp(a, grid, surv)) - float(np.interp(b, grid, surv))
 
 
-def integrate_density(state: DensityCurveState, a: float, b: float) -> float:
-    """Trapezoid integral of alpha over [a, b] on the grid."""
-    grid = np.asarray(state.theta_grid, dtype=float)
-    alpha = np.asarray(state.alpha, dtype=float)
-    if a < grid[0] - 1e-12 or b > grid[-1] + 1e-12:
-        raise ValueError("integration range outside the theta grid")
-    xs = grid[(grid > a) & (grid < b)]
-    xs = np.concatenate([[a], xs, [b]])
-    ys = np.interp(xs, grid, alpha)
-    return float(np.trapezoid(ys, xs))
-
-
-def integrate_density_tail(state: DensityCurveState, a: float) -> tuple[float, float]:
-    """int_a^inf alpha: grid trapezoid up to theta_max plus the flat tail.
-
-    Extending the terminal forward intensity flat beyond theta_max puts
-    exactly S_t(theta_max) of mass in the tail; returns (value, correction).
-    """
-    grid = np.asarray(state.theta_grid, dtype=float)
-    tail = float(np.asarray(state.survival, dtype=float)[-1])
-    return integrate_density(state, a, float(grid[-1])) + tail, tail
-
-
 # ---------------------------------------------------------------------------
 # intensity-route evolution
 # ---------------------------------------------------------------------------
@@ -563,6 +540,90 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
 
     return {"theta_grid": grid, "t": t_end, "alpha": alpha_out, "survival": surv_out,
             "negative_alpha_counts": neg_counts, "records": records}
+
+
+def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
+                             thetas: np.ndarray, t_end: float, dt: float,
+                             n_paths: int, seed: int,
+                             jump_sign_convention: str = "section7",
+                             path_offset: int = 0,
+                             chunk: int = 256) -> dict:
+    """(alpha, S) at a few maturities per path, in closed form, no curves.
+
+    The direct scheme's survival update S (1 + dM) multiplies out to
+    S_t(theta) = S_0(theta) prod_k (1 + dM_k(theta)), where dM_k is the
+    exact theta-integral of the step's dm_k:
+
+        dM_k(theta) = -sigma ((theta-t_k)^+)^2 / 2 dW_k
+                      + sign [ sum_j (1 - e^{-xi_j G_k(theta)})
+                               - dt int (1 - e^{-xi G_k(theta)}) nu(dxi) ],
+        G_k(theta) = b ((theta-t_k)^+)^2 / 2.
+
+    Differentiating the product gives the density without a grid,
+    alpha_t = -dS_t/dtheta = S_t (lambda_0 - sum_k dm_k / (1 + dM_k)).
+    The noise is `_path_noise`, the draws of `simulate_density_paths`,
+    so both engines agree path by path up to that engine's trapezoid
+    error.  Every operation is elementwise per path row, so a path's
+    values do not depend on `chunk` or `path_offset`.
+    """
+    if not spec.separable:
+        raise ValueError("vectorized engine requires separable coefficients")
+    sign = JUMP_SIGN[jump_sign_convention]
+    thetas = np.asarray(thetas, dtype=float)
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9:
+        raise ValueError("t_end must be an integer number of dt steps")
+
+    lam0 = np.asarray(spec.lambda0_fn(thetas), dtype=float)
+    pts = thetas[:, None] * np.linspace(0.0, 1.0, 257)      # S_0 = exp(-int_0^theta lambda_0)
+    surv0 = np.exp(-np.trapezoid(np.asarray(spec.lambda0_fn(pts), dtype=float), pts, axis=1))
+
+    t_nodes = np.arange(n_steps) * dt
+    theta_t = np.maximum(thetas[None, :] - t_nodes[:, None], 0.0)
+    half_sq = theta_t ** 2 / 2.0
+    sig_rows = spec.sigma_slope * theta_t                 # d/dtheta of sig_cum
+    sig_cum = spec.sigma_slope * half_sq
+    gam_rows = spec.jump_slope * theta_t                  # d/dtheta of big_g
+    big_g_rows = spec.jump_slope * half_sq
+    comp_rows = gam_rows * np.asarray(measure.xi_exp(big_g_rows), dtype=float)
+    comp_cum = np.asarray(measure.one_minus_exp(big_g_rows), dtype=float)
+
+    alpha_out = np.empty((n_paths, thetas.size))
+    surv_out = np.empty((n_paths, thetas.size))
+    sqrt_dt = np.sqrt(dt)
+    for start in range(0, n_paths, chunk):
+        stop = min(start + chunk, n_paths)
+        p = stop - start
+        normals, marks_data = _path_noise(measure, seed,
+                                          range(path_offset + start, path_offset + stop),
+                                          n_steps, dt)
+        dW = sqrt_dt * normals
+        # every realised jump of the chunk as (step, row, mark), grouped by step
+        ev_step = np.concatenate([np.repeat(np.arange(n_steps), c) for c, _, _ in marks_data])
+        ev_row = np.repeat(np.arange(p), [m.size for _, m, _ in marks_data])
+        ev_mark = np.concatenate([m for _, m, _ in marks_data])
+        order = np.argsort(ev_step, kind="stable")
+        ev_row, ev_mark = ev_row[order], ev_mark[order]
+        bounds = np.searchsorted(ev_step[order], np.arange(n_steps + 1))
+
+        surv = np.tile(surv0, (p, 1))
+        dlog_sum = np.zeros((p, thetas.size))        # d/dtheta log prod (1 + dM_k)
+        for k in range(n_steps):
+            dM = np.multiply.outer(dW[:, k], -sig_cum[k]) + (-sign * dt) * comp_cum[k]
+            dm = np.multiply.outer(dW[:, k], -sig_rows[k]) + (-sign * dt) * comp_rows[k]
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                xs = ev_mark[lo:hi]
+                expo = np.exp(-np.multiply.outer(xs, big_g_rows[k]))
+                np.add.at(dM, ev_row[lo:hi], sign * (1.0 - expo))
+                np.add.at(dm, ev_row[lo:hi], sign * gam_rows[k] * (xs[:, None] * expo))
+            growth = 1.0 + dM
+            surv *= growth
+            dlog_sum += dm / growth
+        surv_out[start:stop] = surv
+        alpha_out[start:stop] = surv * (lam0 - dlog_sum)
+
+    return {"thetas": thetas, "t": t_end, "alpha": alpha_out, "survival": surv_out}
 
 
 def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from densitylab import cli
 from densitylab import config as cfgmod
 from densitylab.cli import main, run_verification
 from densitylab.manifest import read_manifest
+from densitylab.pide import OperatorCoefficients, PricingKernelSolver
 
 
 TINY = """
@@ -213,6 +215,34 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg = write(tmp_path, "[model]\nlambda_bar = -3\n")
     assert main(["experiment", "section7", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == 1
+
+
+def test_cli_pide_instability_is_classified(tmp_path, monkeypatch, capsys):
+    # no accepted config drives the implicit solve unstable, so the kernel
+    # solver is handed the exploding jump block of the solver's own test
+    wild = lambda t: OperatorCoefficients(t, 0.0, kappa=0.0, delta_hat=0.0, a_drift=0.0,
+                                          a11=0.0, a22=0.0, a12=0.0,
+                                          jump_dx=np.array([0.0]), jump_dy=np.array([0.25]),
+                                          jump_w=np.array([5e4]))
+    monkeypatch.setattr(PricingKernelSolver, "provider", lambda self, theta: wild)
+    cfg = write(tmp_path, TINY_PIDE)
+    assert main(["pide", "--config", cfg, "--out", str(tmp_path / "pide")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instability detected")
+    assert "Traceback" not in err
+
+
+def test_cli_runaway_intensity_is_classified(tmp_path, monkeypatch, capsys):
+    # csp's guard against int lambda < -700, fed a runaway intensity curve
+    def runaway(spec, kernel, measure, grid, t_end, dt, n_paths, seed, **kw):
+        return {"lam": np.full((n_paths, grid.size), -1e3)}
+    monkeypatch.setattr(cli, "simulate_intensity_paths", runaway)
+    cfg = write(tmp_path, TINY)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                 "--route", "intensity", "--paths", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: runaway negative intensity")
+    assert "Traceback" not in err
 
 
 def test_verification_suite_passes():

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from densitylab.experiments import (ExperimentConfig, kde, kde_grid, run_price_distribution,
-                                    sample_skewness, silverman_bandwidth, sweep)
+from densitylab.experiments import (ExperimentConfig, kde, kde_grid, pricing_window,
+                                    run_price_distribution, sample_skewness,
+                                    silverman_bandwidth, sweep)
+from densitylab.pricing import price_pre_default_independent
+from densitylab.term_structure import (DensityCurveState, simulate_density_paths,
+                                       simulate_survival_values)
 
 BASELINE_PRICE = 0.946770056608465
 
@@ -55,6 +59,81 @@ def test_negative_paths_flagged_not_dropped():
     sample = run_price_distribution(cfg)
     assert sample.prices.size + sample.n_rejected == 500
     assert 0.0 <= sample.flagged_fraction <= 1.0
+
+
+# ------------------------------------------------- curve-engine oracle
+
+ORACLE_CONFIGS = {
+    "defaults": {},
+    "sigma=0.01": {"sigma": 0.01},
+    "varpi=2e-3": {"varpi": 2e-3},
+    "lambda=0.01": {"lambda_bar": 0.01, "theta_max": None},
+    "lambda=0.3": {"lambda_bar": 0.3},
+    "t=0.9,T=2": {"t": 0.9, "T": 2.0},
+}
+
+
+def _both_engines(cfg):
+    """Grid curves and closed-form window values for the same (seed, path)s."""
+    window = pricing_window(cfg)
+    curves = simulate_density_paths(cfg.spec(), cfg.measure(), cfg.theta_grid(), cfg.t,
+                                    cfg.delta_t, cfg.n_paths, cfg.seed,
+                                    jump_sign_convention=cfg.jump_sign_convention)
+    values = simulate_survival_values(cfg.spec(), cfg.measure(), window, cfg.t,
+                                      cfg.delta_t, cfg.n_paths, cfg.seed,
+                                      jump_sign_convention=cfg.jump_sign_convention)
+    i_t = int(np.searchsorted(curves["theta_grid"], window[0]))
+    on_window = slice(i_t, i_t + window.size)
+    assert np.array_equal(curves["theta_grid"][on_window], window)
+    return curves, values, on_window
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_closed_form_window_matches_curve_engine(name):
+    cfg = ExperimentConfig(n_paths=64, **ORACLE_CONFIGS[name])
+    curves, values, on_window = _both_engines(cfg)
+    surv = curves["survival"][:, on_window]
+    # S_t(t) and S_t(T) price the path; alpha on [t, T] decides its flag
+    assert np.abs(values["survival"][:, [0, -1]] - surv[:, [0, -1]]).max() <= 1e-8
+    assert np.abs(values["alpha"] - curves["alpha"][:, on_window]).max() <= 1e-8
+
+
+def test_prices_match_curve_engine_oracle():
+    # At sigma = 0.01 the gap reaches ~1.8e-6 over 2,000 paths.  All of it is
+    # the curve engine's own trapezoid error in the tail of its denominator
+    # integral (with that integral replaced by its S_t(t) node the gap falls
+    # to ~2e-8), so the 1e-6 price bound is asserted at the defaults only.
+    cfg = ExperimentConfig(n_paths=64)
+    curves, _, _ = _both_engines(cfg)
+    sample = run_price_distribution(cfg)
+    assert sample.n_rejected == 0
+    ref = [price_pre_default_independent(
+        cfg.t, cfg.T, DensityCurveState(cfg.t, curves["theta_grid"], curves["alpha"][p],
+                                        curves["survival"][p]), cfg.R, cfg.r)
+        for p in range(cfg.n_paths)]
+    assert np.abs(sample.prices - np.array(ref)).max() <= 1e-6
+
+
+def test_flag_is_negative_density_on_the_pricing_window():
+    # at lambda_bar = 0.01 about 0.1% of paths dip below zero on [t, T]; with
+    # seed 3 path 48 does, by -1.5e-3, far beyond the engines' 1e-10 gap
+    cfg = ExperimentConfig(n_paths=64, lambda_bar=0.01, seed=3)
+    curves, _, on_window = _both_engines(cfg)
+    sample = run_price_distribution(cfg)
+    negative = (curves["alpha"][:, on_window] < 0).any(axis=1)
+    assert negative.any()
+    assert np.array_equal(sample.path_ids[sample.flagged], np.flatnonzero(negative))
+    assert sample.diagnostics["negative_path_fraction"] == negative.mean()
+
+
+def test_survival_values_independent_of_chunk_and_offset():
+    cfg = ExperimentConfig(varpi=2e-3, seed=909)
+    window = pricing_window(cfg)
+    args = (cfg.spec(), cfg.measure(), window, cfg.t, cfg.delta_t)
+    whole = simulate_survival_values(*args, 400, cfg.seed, chunk=256)
+    part = simulate_survival_values(*args, 300, cfg.seed, path_offset=100, chunk=37)
+    assert np.array_equal(whole["survival"][100:], part["survival"])
+    assert np.array_equal(whole["alpha"][100:], part["alpha"])
 
 
 # ---------------------------------------------------------------------- kde
