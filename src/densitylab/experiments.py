@@ -18,9 +18,12 @@ mean jump size, the initial intensity level, the observation time, and
 the maturity.
 
 Paths with S_t(t) <= 0 (a nonpositive denominator) are rejected and
-counted; paths whose density alpha_t dips negative on [t, T], the only
-region the price bounds R B <= P <= B rest on, are kept but flagged, so
-the martingale structure of the sample is never repaired silently.
+counted.  Paths whose density alpha_t dips negative on [t, T], or whose
+S_t(T) leaves [0, S_t(t)] (the exact condition for the price bounds
+R B <= P <= B), are kept but flagged, so the martingale structure of the
+sample is never repaired silently.  S_t(T) can turn negative while the
+density on [t, T] stays positive: under the Section-3 jump sign a step
+with 1 + dM_k(T) < 0 flips it.
 Noise-free configurations short-circuit to the deterministic curve (the
 dynamics are the identity), which keeps the zero-noise baseline exact
 and instant.
@@ -147,7 +150,7 @@ class ExperimentConfig:
 class PriceSample:
     prices: np.ndarray
     path_ids: np.ndarray
-    flagged: np.ndarray               # alpha_t < 0 somewhere on [t, T], per kept path
+    flagged: np.ndarray               # alpha_t < 0 on [t, T] or S_t(T) outside [0, S_t(t)]
     n_rejected: int
     config: ExperimentConfig
     diagnostics: dict = field(default_factory=dict)
@@ -172,8 +175,9 @@ def _run_block(config: ExperimentConfig, window: np.ndarray, start: int, stop: i
     """Prices of paths [start, stop) from S_t(t) and S_t(T).
 
     int_t^T alpha = S_t(t) - S_t(T) and int_t^inf alpha = S_t(t), so the
-    price needs the survival curve at the window ends only; the density
-    on the window nodes decides the flag.
+    price needs the survival curve at the window ends only.  The flag
+    reads the density on the window nodes and S_t(T): 0 <= S_t(T) <=
+    S_t(t) is what puts the price in [R B, B].
     """
     res = simulate_survival_values(config.spec(), config.measure(), window,
                                    t_end=config.t, dt=config.delta_t,
@@ -185,8 +189,9 @@ def _run_block(config: ExperimentConfig, window: np.ndarray, start: int, stop: i
     prices = np.full(stop - start, np.nan)
     disc = np.exp(-config.r * (config.T - config.t))
     prices[valid] = disc * (1.0 - (1.0 - config.R) * (s_t[valid] - s_T[valid]) / s_t[valid])
+    in_bounds = (s_T >= 0) & (s_T <= s_t)
     return {"start": start, "prices": prices, "valid": valid,
-            "negative": (res["alpha"] < 0).any(axis=1)}
+            "negative": (res["alpha"] < 0).any(axis=1) | ~in_bounds}
 
 
 def run_price_distribution(config: ExperimentConfig) -> PriceSample:

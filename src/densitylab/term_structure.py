@@ -542,12 +542,14 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
             "negative_alpha_counts": neg_counts, "records": records}
 
 
+SURVIVAL_CHUNK = 256    # paths per chunk of `simulate_survival_values`
+
+
 def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
                              thetas: np.ndarray, t_end: float, dt: float,
                              n_paths: int, seed: int,
                              jump_sign_convention: str = "section7",
-                             path_offset: int = 0,
-                             chunk: int = 256) -> dict:
+                             path_offset: int = 0) -> dict:
     """(alpha, S) at a few maturities per path, in closed form, no curves.
 
     The direct scheme's survival update S (1 + dM) multiplies out to
@@ -563,8 +565,10 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     alpha_t = -dS_t/dtheta = S_t (lambda_0 - sum_k dm_k / (1 + dM_k)).
     The noise is `_path_noise`, the draws of `simulate_density_paths`,
     so both engines agree path by path up to that engine's trapezoid
-    error.  Every operation is elementwise per path row, so a path's
-    values do not depend on `chunk` or `path_offset`.
+    error.  Paths run in chunks of `SURVIVAL_CHUNK`, which bounds the
+    (paths x maturities) work arrays; every operation is elementwise per
+    path row, so a path's values do not depend on the chunk boundaries
+    or on `path_offset`.
     """
     if not spec.separable:
         raise ValueError("vectorized engine requires separable coefficients")
@@ -591,8 +595,8 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     alpha_out = np.empty((n_paths, thetas.size))
     surv_out = np.empty((n_paths, thetas.size))
     sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
+    for start in range(0, n_paths, SURVIVAL_CHUNK):
+        stop = min(start + SURVIVAL_CHUNK, n_paths)
         p = stop - start
         normals, marks_data = _path_noise(measure, seed,
                                           range(path_offset + start, path_offset + stop),

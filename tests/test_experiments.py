@@ -120,18 +120,43 @@ def test_flag_is_negative_density_on_the_pricing_window():
     cfg = ExperimentConfig(n_paths=64, lambda_bar=0.01, seed=3)
     curves, _, on_window = _both_engines(cfg)
     sample = run_price_distribution(cfg)
-    negative = (curves["alpha"][:, on_window] < 0).any(axis=1)
+    surv = curves["survival"][:, on_window]
+    negative = ((curves["alpha"][:, on_window] < 0).any(axis=1)
+                | (surv[:, -1] < 0) | (surv[:, -1] > surv[:, 0]))
     assert negative.any()
     assert np.array_equal(sample.path_ids[sample.flagged], np.flatnonzero(negative))
     assert sample.diagnostics["negative_path_fraction"] == negative.mean()
 
 
+def test_unflagged_prices_bounded_under_large_section3_jumps():
+    # Under the Section-3 sign two marks with xi G_k(T) > ln 2 in one step
+    # give 1 + dM_k(T) < 0, so S_t(T) < 0 and P < R B, while G_k(t) ~ 0
+    # keeps S_t(t) and the density on [t, T] positive: the density alone
+    # would leave such a path unflagged.
+    cfg = ExperimentConfig(n_paths=400, varpi=1.0, jump_sign_convention="section3", seed=5)
+    sample = run_price_distribution(cfg)
+    values = simulate_survival_values(cfg.spec(), cfg.measure(), pricing_window(cfg), cfg.t,
+                                      cfg.delta_t, cfg.n_paths, cfg.seed,
+                                      jump_sign_convention=cfg.jump_sign_convention)
+    density_ok = ~(values["alpha"][sample.path_ids] < 0).any(axis=1)
+    disc = np.exp(-cfg.r * (cfg.T - cfg.t))
+    below = sample.prices < cfg.R * disc
+    assert (below & density_ok).any()
+    assert np.all(sample.flagged[below])
+    clean = sample.prices[~sample.flagged]
+    assert clean.size > 0
+    assert np.all(clean >= cfg.R * disc - 1e-12)
+    assert np.all(clean <= disc + 1e-12)
+
+
 def test_survival_values_independent_of_chunk_and_offset():
+    # 400 paths from 0 and 300 from offset 100 split at different chunk
+    # boundaries (path 256 against path 356)
     cfg = ExperimentConfig(varpi=2e-3, seed=909)
     window = pricing_window(cfg)
     args = (cfg.spec(), cfg.measure(), window, cfg.t, cfg.delta_t)
-    whole = simulate_survival_values(*args, 400, cfg.seed, chunk=256)
-    part = simulate_survival_values(*args, 300, cfg.seed, path_offset=100, chunk=37)
+    whole = simulate_survival_values(*args, 400, cfg.seed)
+    part = simulate_survival_values(*args, 300, cfg.seed, path_offset=100)
     assert np.array_equal(whole["survival"][100:], part["survival"])
     assert np.array_equal(whole["alpha"][100:], part["alpha"])
 
