@@ -58,6 +58,8 @@ def _finish(args, cfg: cfgmod.Config, outputs: list[str]) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    if args.route == "density":
+        cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg, n_paths=args.paths)
     os.makedirs(args.out, exist_ok=True)
     grid = ec.theta_grid()
@@ -70,7 +72,8 @@ def cmd_simulate(args) -> int:
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(surv > 0, alpha / np.maximum(surv, 1e-300), np.nan)
     else:
-        res = simulate_intensity_paths(ec.spec(), cfgmod.build_kernel(cfg), ec.measure(),
+        res = simulate_intensity_paths(ec.spec(), cfgmod.build_kernel(cfg),
+                                       cfgmod.build_measure(cfg),
                                        grid, ec.t, ec.delta_t, ec.n_paths, ec.seed,
                                        clamp_lambda_at_zero=cfg.model.clamp_lambda_at_zero)
         lam = res["lam"]
@@ -115,6 +118,7 @@ def _discount_from(cfg: cfgmod.Config, t: float, T: float) -> float:
 
 def cmd_price(args) -> int:
     cfg = _load(args)
+    cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, "prices.csv")
@@ -177,6 +181,7 @@ def cmd_pide(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load(args)
+    cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     outputs = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .experiments import ExperimentConfig
-from .kernels import DiracKernel, FractionalKernel, RieszKernel
+from .kernels import DiracKernel
 from .measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
 from .rates import VasicekSpec
 from .term_structure import CoefficientSpec, theta_max_default
@@ -80,11 +80,7 @@ def _ridge(s) -> Any:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    type: str = "dirac"
     c0: float = 1.0
-    alpha: float = 0.5
-    h: float = 0.75
-    quadrature_nodes: int = 32
 
 
 @dataclass(frozen=True)
@@ -164,11 +160,7 @@ class Config:
 
 _SCHEMA: dict[str, dict[str, Any]] = {
     "kernel": {
-        "type": _choice("dirac", "riesz", "fractional", "tabulated"),
         "c0": lambda s: _positive(float(s)),
-        "alpha": float,
-        "h": float,
-        "quadrature_nodes": lambda s: int(_positive(int(s))),
     },
     "levy_measure": {
         "type": _choice("exponential", "point_mass", "none"),
@@ -305,16 +297,26 @@ def serialize(cfg: Config) -> str:
 # object builders
 # ---------------------------------------------------------------------------
 
-def build_kernel(cfg: Config):
-    k = cfg.kernel
-    if k.type == "dirac":
-        return DiracKernel(c0=k.c0, d=0)
-    if k.type == "riesz":
-        return RieszKernel(alpha=k.alpha)
-    if k.type == "fractional":
-        return FractionalKernel(h=k.h)
-    raise ConfigError("tabulated kernels must be constructed programmatically "
-                      "(no tabulation data in the flat config)")
+def build_kernel(cfg: Config) -> DiracKernel:
+    return DiracKernel(c0=cfg.kernel.c0)
+
+
+def require_density_route(cfg: Config) -> None:
+    """Reject inputs that the density route would ignore.
+
+    `experiment`, `price` and `simulate --route density` simulate the
+    direct density scheme with a unit-variance Brownian driver and
+    exponential jump marks (`ExperimentConfig.measure`); only `pide` and
+    `simulate --route intensity` read `[kernel] c0` and a point mass.
+    """
+    if cfg.kernel.c0 != 1.0:
+        raise ConfigError(f"[kernel] c0 = {cfg.kernel.c0!r} is not used by the density "
+                          "route, which simulates c0 = 1; only pide and "
+                          "simulate --route intensity read it")
+    if cfg.levy_measure.type == "point_mass":
+        raise ConfigError("[levy_measure] type = point_mass is not used by the density "
+                          "route, which simulates exponential marks; only pide and "
+                          "simulate --route intensity read it")
 
 
 def build_measure(cfg: Config):

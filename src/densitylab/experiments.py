@@ -44,6 +44,8 @@ from .term_structure import (CoefficientSpec, DensityCurveState, initial_density
                              simulate_survival_values, theta_max_default)
 
 SWEEP_AXES = ("varpi", "lambda", "t", "T")
+TAIL_NODES = 2000      # most theta-grid nodes across the truncation tail
+MAX_STEP_VOL = 0.5     # per-step log-survival volatility the Euler scheme carries
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,6 @@ class ExperimentConfig:
     jump_sign_convention: str = "section7"
     theta_max: float | None = None
     workers: int = 1
-    tail_nodes: int = 2000
-    max_step_vol: float = 0.5
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -98,7 +98,7 @@ class ExperimentConfig:
 
         The per-step log-survival volatility is I_sigma(t, theta) sqrt(dt)
         = sigma (theta-t)^2 / 2 sqrt(dt); beyond the horizon where it
-        reaches `max_step_vol` the updates S (1 + dM) flip sign and
+        reaches `MAX_STEP_VOL` the updates S (1 + dM) flip sign and
         explode.  Everything past the cap is carried exactly through the
         survival identity int_cap^inf alpha_t = S_t(cap), so capping loses
         nothing: at the default sigma = 0.001, dt = 0.01 the horizon is
@@ -107,7 +107,7 @@ class ExperimentConfig:
         """
         if self.sigma == 0.0:
             return self.theta_max_effective
-        horizon = self.t + np.sqrt(2.0 * self.max_step_vol
+        horizon = self.t + np.sqrt(2.0 * MAX_STEP_VOL
                                    / (abs(self.sigma) * np.sqrt(self.delta_t)))
         return min(self.theta_max_effective, float(horizon))
 
@@ -116,7 +116,7 @@ class ExperimentConfig:
         proportionally coarser across the truncation tail.
 
         The tail only feeds the denominator integral and the curve varies
-        there on the 1/lambda_bar scale, so capping it at `tail_nodes`
+        there on the 1/lambda_bar scale, so capping it at `TAIL_NODES`
         nodes costs ~5e-8 on the baseline price while cutting the curve
         size by ~5x.
         """
@@ -128,7 +128,7 @@ class ExperimentConfig:
         if dense_end >= theta_max - 1e-12:
             return dense
         coarse_h = max(self.delta,
-                       round(theta_max / self.tail_nodes / self.delta) * self.delta)
+                       round(theta_max / TAIL_NODES / self.delta) * self.delta)
         coarse = np.arange(dense[-1] + coarse_h, theta_max + 1e-12, coarse_h)
         return np.concatenate([dense, coarse])
 

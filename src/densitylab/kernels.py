@@ -1,167 +1,23 @@
-"""Correlation kernels of the Gaussian random field.
+"""Correlation kernel of the Gaussian random field.
 
-The Gaussian field carries a spatial covariance measure c: the covariance
-of two field integrals is the double integral of the integrands against
-c(xi1 - xi2).  Supported kernels:
-
-* Dirac atom at the origin (white noise in the mark variable; with d = 0
-  the field collapses to a single Brownian motion),
-* Riesz power law |xi|^(-alpha), 0 < alpha < d,
-* fractional kernel h(2h-1)|xi|^(2h-2) for 1/2 < h < 1, d = 1,
-* a tabulated symmetric density on a mark grid.
-
-Singular kernels are evaluated at max(|xi|, cutoff) so the discretized
-kernel matrix stays bounded; a relative jitter is added before Cholesky
-factorization to absorb the resulting near-degeneracy.
+The Gaussian field carries a spatial covariance measure c on the mark
+space: the covariance of two field integrals is the double integral of the
+integrands against c(xi1 - xi2).  Every model here uses the d = 0 field, a
+Dirac atom of mass c0 at the origin, under which the Gaussian field
+collapses to a single Brownian motion of variance c0 per unit time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-
-class KernelError(ValueError):
-    """Raised when a kernel matrix is not admissible (not PSD after jitter)."""
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class DiracKernel:
-    """Atom of mass c0 at the origin.  d = 0 means a scalar Brownian driver."""
+    """Atom of mass c0 at the origin: a scalar Brownian driver of variance c0."""
 
     c0: float = 1.0
-    d: int = 0
 
     def __post_init__(self):
         if self.c0 <= 0:
             raise ValueError("Dirac kernel weight c0 must be positive")
-        if self.d < 0:
-            raise ValueError("dimension d must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RieszKernel:
-    """c(xi) = |xi|^(-alpha) with 0 < alpha < d, cutoff-regularized at 0.
-
-    cutoff = None defers to half the minimal node spacing of the
-    quadrature rule the kernel is evaluated on.
-    """
-
-    alpha: float
-    cutoff: float | None = None
-    d: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.alpha < self.d:
-            raise ValueError("Riesz kernel requires 0 < alpha < d")
-        if self.cutoff is not None and self.cutoff <= 0:
-            raise ValueError("cutoff radius must be positive")
-
-    def density(self, x: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-        eff = self.cutoff if cutoff is None else cutoff
-        if eff is None:
-            raise ValueError("singular kernel needs a cutoff (none configured)")
-        r = np.maximum(np.abs(x), eff)
-        return r ** (-self.alpha)
-
-
-@dataclass(frozen=True)
-class FractionalKernel:
-    """c(xi) = h(2h-1)|xi|^(2h-2) for 1/2 < h < 1, one-dimensional marks.
-
-    cutoff = None defers to half the minimal node spacing, as for the
-    power-law kernel.
-    """
-
-    h: float
-    cutoff: float | None = None
-    d: int = 1
-
-    def __post_init__(self):
-        if not 0.5 < self.h < 1.0:
-            raise ValueError("fractional kernel requires h in (1/2, 1)")
-        if self.cutoff is not None and self.cutoff <= 0:
-            raise ValueError("cutoff radius must be positive")
-        if self.d != 1:
-            raise ValueError("fractional kernel is defined for d = 1")
-
-    def density(self, x: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-        eff = self.cutoff if cutoff is None else cutoff
-        if eff is None:
-            raise ValueError("singular kernel needs a cutoff (none configured)")
-        r = np.maximum(np.abs(x), eff)
-        return self.h * (2.0 * self.h - 1.0) * r ** (2.0 * self.h - 2.0)
-
-
-@dataclass(frozen=True)
-class TabulatedKernel:
-    """Symmetric density sampled on a mark grid, linearly interpolated."""
-
-    xi: tuple = field(default=())
-    values: tuple = field(default=())
-    d: int = 1
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if xi.ndim != 1 or xi.shape != vals.shape or xi.size < 2:
-            raise ValueError("tabulated kernel needs matching 1-d xi and value grids")
-        if np.any(np.diff(xi) <= 0):
-            raise ValueError("tabulation grid must be strictly increasing")
-        # symmetry must hold exactly on the tabulation grid
-        sym = np.interp(-xi, xi, vals, left=np.nan, right=np.nan)
-        inside = ~np.isnan(sym)
-        if not np.array_equal(vals[inside], sym[inside]):
-            raise ValueError("tabulated kernel density must satisfy c(xi) = c(-xi) exactly")
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        xi = np.asarray(self.xi, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        return np.interp(np.asarray(x, dtype=float), xi, vals, left=0.0, right=0.0)
-
-
-CorrelationKernel = DiracKernel | RieszKernel | FractionalKernel | TabulatedKernel
-
-JITTER_SCALE = 1e-10
-
-
-def kernel_matrix(kernel: CorrelationKernel, nodes: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-    """Weighted covariance matrix of the field on a quadrature node set.
-
-    For a kernel with density c the entry (i, j) is w_i w_j c(xi_i - xi_j);
-    the Dirac atom collapses the double integral to a single one, giving the
-    diagonal matrix c0 * w_i.
-    """
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    if nodes.shape != weights.shape:
-        raise ValueError("nodes and weights must have identical shape")
-    if np.any(weights <= 0):
-        raise ValueError("quadrature weights must be positive")
-    if len(np.unique(nodes)) != nodes.size:
-        raise ValueError("quadrature nodes must be distinct")
-
-    if isinstance(kernel, DiracKernel):
-        return np.diag(kernel.c0 * weights)
-    diff = nodes[:, None] - nodes[None, :]
-    if isinstance(kernel, (RieszKernel, FractionalKernel)) and kernel.cutoff is None:
-        spacing = float(np.min(np.diff(np.sort(nodes)))) if nodes.size > 1 else 1.0
-        return weights[:, None] * weights[None, :] * kernel.density(diff, cutoff=0.5 * spacing)
-    return weights[:, None] * weights[None, :] * kernel.density(diff)
-
-
-def cholesky_with_jitter(mat: np.ndarray, jitter_scale: float = JITTER_SCALE) -> np.ndarray:
-    """Lower Cholesky factor after adding relative jitter to the diagonal.
-
-    Raises KernelError if the jittered matrix still fails to factor.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return mat.copy()
-    jitter = jitter_scale * float(np.max(np.diag(mat)))
-    try:
-        return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise KernelError("kernel not admissible: matrix not PSD after jitter") from exc

@@ -164,8 +164,6 @@ def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
     vanish (phi0 must be zero, since the printed operator cannot express
     independent jump fields).
     """
-    if not (isinstance(kernel, DiracKernel) and kernel.d == 0):
-        raise ValueError("operator coefficients implemented for the d = 0 Dirac field")
     if jump_compensator not in ("as_printed", "girsanov"):
         raise ValueError("jump_compensator must be 'as_printed' or 'girsanov'")
     if not rates_correlated and rate_spec.phi0 != 0.0:
@@ -575,12 +573,19 @@ def default_grid_for(rate_spec: VasicekSpec, lam0: float, T: float,
 # Monte Carlo oracle under the survival-reweighted measure
 # ---------------------------------------------------------------------------
 
+# Paths per Philox stream of `simulate_kernel_expectation`.  Each block of
+# paths draws from the stream keyed (seed, index of its first path), so the
+# estimate is a function of (seed, n_paths) only, and changing this value
+# changes the estimate's bits.
+KERNEL_MC_CHUNK = 50_000
+
+
 def simulate_kernel_expectation(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
                                 kernel: DiracKernel, measure: LevyMeasure,
                                 theta: float, t: float, T: float,
                                 r0: float, lam0: float,
-                                n_paths: int, seed: int, n_steps: int = 200,
-                                chunk: int = 50_000) -> tuple[float, float]:
+                                n_paths: int, seed: int,
+                                n_steps: int = 200) -> tuple[float, float]:
     """Monte Carlo estimate of E[lambda_T(theta) e^{-int_t^T r}] under the
     survival-reweighted dynamics; returns (mean, se).
 
@@ -615,7 +620,7 @@ def simulate_kernel_expectation(model_spec: CoefficientSpec, rate_spec: VasicekS
     total_sq = 0.0
     done = 0
     while done < n_paths:
-        p = min(chunk, n_paths - done)
+        p = min(KERNEL_MC_CHUNK, n_paths - done)
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed, done], dtype=np.uint64)))
         r = np.full(p, float(r0))

@@ -16,6 +16,9 @@ a martingale in t, which pins the drift to
                         nu(dxi),
 
 with I_sigma, I_gamma the running theta-integrals of the coefficients.
+Every engine here drives the Gaussian part with the d = 0 Dirac field
+(`kernels.DiracKernel`), a scalar Brownian motion of variance c0, so the
+double integral reduces to c0 sigma_t(theta) I_sigma(t, theta).
 The conditional density alpha_t(theta) = S_t(theta) lambda_t(theta) can
 also be evolved directly through the pair of martingales
 
@@ -31,9 +34,9 @@ numerical experiments; `section3` is the convention consistent with an
 upward intensity jump depressing survival.
 
 Separable coefficients sigma_t(theta) = sigma (theta - t)^+ and
-gamma_t(theta, xi) = b (theta - t)^+ xi get closed-form integrals and
-vectorized many-path engines; generic coefficients go through quadrature
-and the single-path routines.
+gamma_t(theta, xi) = b (theta - t)^+ xi get closed-form integrals; the
+many-path engines below require them.  Generic coefficients get the
+integrals and the drift by quadrature only.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .field import FieldIncrementPlan, gaussian_increment_curve
-from .kernels import CorrelationKernel, DiracKernel
-from .measures import LevyMeasure, ZeroMeasure, sample_jumps
+from .kernels import DiracKernel
+from .measures import LevyMeasure, ZeroMeasure
 from .rng import PathStreams
 
 JUMP_SIGN = {"section7": +1.0, "section3": -1.0}
@@ -133,34 +135,19 @@ def cumulative_integrals(spec: CoefficientSpec, t: float, theta, xi,
 # martingale-condition drift
 # ---------------------------------------------------------------------------
 
-def mc_drift(spec: CoefficientSpec, kernel: CorrelationKernel, measure: LevyMeasure,
-             t: float, theta, mark_nodes=None, mark_weights=None):
+def mc_drift(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
+             t: float, theta):
     """Drift mu_t(theta) enforced by the martingale condition.
 
-    Gaussian part: kernel-weighted double integral of sigma against
-    I_sigma (for the d = 0 Dirac kernel simply c0 sigma_t(theta)
-    I_sigma(t, theta)).  Jump part: integral of gamma (1 - e^{-I_gamma})
-    against nu, closed form for separable gamma.
+    Gaussian part: c0 sigma_t(theta) I_sigma(t, theta), the Dirac field's
+    collapse of the kernel-weighted double integral.  Jump part: integral
+    of gamma (1 - e^{-I_gamma}) against nu, closed form for separable gamma.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
 
-    if isinstance(kernel, DiracKernel) and kernel.d == 0:
-        sig = np.asarray(spec.sigma_fn(t, theta_arr, 0.0), dtype=float)
-        i_sig, _ = cumulative_integrals(spec, t, theta_arr, 0.0)
-        gauss = kernel.c0 * sig * np.asarray(i_sig, dtype=float)
-    else:
-        if mark_nodes is None or mark_weights is None:
-            raise ValueError("mark-space quadrature required for d >= 1 kernels")
-        nodes = np.asarray(mark_nodes, dtype=float)
-        wts = np.asarray(mark_weights, dtype=float)
-        if isinstance(kernel, DiracKernel):
-            cmat = np.diag(kernel.c0 * wts)
-        else:
-            cmat = wts[:, None] * wts[None, :] * kernel.density(nodes[:, None] - nodes[None, :])
-        sig = np.asarray(spec.sigma_fn(t, theta_arr[:, None], nodes[None, :]), dtype=float)
-        sig = np.broadcast_to(sig, (theta_arr.size, nodes.size))
-        i_sig, _ = cumulative_integrals(spec, t, theta_arr[:, None], nodes[None, :])
-        gauss = np.einsum("ti,ij,tj->t", sig, cmat, np.asarray(i_sig, dtype=float))
+    sig = np.asarray(spec.sigma_fn(t, theta_arr, 0.0), dtype=float)
+    i_sig, _ = cumulative_integrals(spec, t, theta_arr, 0.0)
+    gauss = kernel.c0 * sig * np.asarray(i_sig, dtype=float)
 
     if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
         jump = np.zeros_like(theta_arr)
@@ -179,10 +166,10 @@ def mc_drift(spec: CoefficientSpec, kernel: CorrelationKernel, measure: LevyMeas
     return out if np.ndim(theta) else float(out[0])
 
 
-def drift_table(spec: CoefficientSpec, kernel: CorrelationKernel, measure: LevyMeasure,
-                t_grid: np.ndarray, theta_grid: np.ndarray, **kw) -> np.ndarray:
+def drift_table(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
+                t_grid: np.ndarray, theta_grid: np.ndarray) -> np.ndarray:
     """mu on a (t, theta) product grid, computed once and shared by all paths."""
-    return np.stack([np.atleast_1d(mc_drift(spec, kernel, measure, float(t), theta_grid, **kw))
+    return np.stack([np.atleast_1d(mc_drift(spec, kernel, measure, float(t), theta_grid))
                      for t in np.asarray(t_grid, dtype=float)])
 
 
@@ -197,9 +184,6 @@ class ForwardCurveState:
     t: float
     theta_grid: np.ndarray
     lam: np.ndarray
-    seed: int = 0
-    path: int = 0
-    negative_count: int = 0
 
     def __post_init__(self):
         grid = np.asarray(self.theta_grid, dtype=float)
@@ -219,9 +203,6 @@ class DensityCurveState:
     theta_grid: np.ndarray
     alpha: np.ndarray
     survival: np.ndarray
-    seed: int = 0
-    path: int = 0
-    negative_alpha_count: int = 0
 
 
 def theta_max_default(lambda_bar: float) -> float:
@@ -231,19 +212,15 @@ def theta_max_default(lambda_bar: float) -> float:
     return 10.0 / lambda_bar
 
 
-def initial_forward_state(spec: CoefficientSpec, theta_grid: np.ndarray,
-                          seed: int = 0, path: int = 0) -> ForwardCurveState:
+def initial_forward_state(spec: CoefficientSpec, theta_grid: np.ndarray) -> ForwardCurveState:
     grid = np.asarray(theta_grid, dtype=float)
-    return ForwardCurveState(0.0, grid, np.asarray(spec.lambda0_fn(grid), dtype=float),
-                             seed=seed, path=path)
+    return ForwardCurveState(0.0, grid, np.asarray(spec.lambda0_fn(grid), dtype=float))
 
 
-def initial_density_state(spec: CoefficientSpec, theta_grid: np.ndarray,
-                          seed: int = 0, path: int = 0) -> DensityCurveState:
-    fwd = initial_forward_state(spec, theta_grid, seed, path)
+def initial_density_state(spec: CoefficientSpec, theta_grid: np.ndarray) -> DensityCurveState:
+    fwd = initial_forward_state(spec, theta_grid)
     surv = csp(fwd)
-    return DensityCurveState(0.0, fwd.theta_grid, surv * fwd.lam, surv,
-                             seed=seed, path=path)
+    return DensityCurveState(0.0, fwd.theta_grid, surv * fwd.lam, surv)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +256,7 @@ def density(state: ForwardCurveState, survival: np.ndarray | None = None) -> np.
 
 def density_state_from_forward(state: ForwardCurveState) -> DensityCurveState:
     surv = csp(state)
-    return DensityCurveState(state.t, state.theta_grid, surv * state.lam, surv,
-                             seed=state.seed, path=state.path,
-                             negative_alpha_count=state.negative_count)
+    return DensityCurveState(state.t, state.theta_grid, surv * state.lam, surv)
 
 
 def survival_integral(state: ForwardCurveState, a: float, b: float) -> float:
@@ -292,63 +267,8 @@ def survival_integral(state: ForwardCurveState, a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# intensity-route evolution
+# immersion and the Azema survival process
 # ---------------------------------------------------------------------------
-
-def _jump_compensator_curve(spec: CoefficientSpec, measure: LevyMeasure, t: float,
-                            grid: np.ndarray) -> np.ndarray:
-    """int gamma_t(theta, xi) nu(dxi) on the grid (drift of the raw jump sum)."""
-    if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
-        return np.zeros_like(grid)
-    if spec.separable:
-        return spec.jump_slope * np.maximum(grid - t, 0.0) * measure.mark_moment(1)
-    q_nodes, q_wts = measure.quadrature()
-    gam = np.asarray(spec.gamma_fn(t, grid[:, None], q_nodes[None, :]), dtype=float)
-    return np.sum(q_wts[None, :] * gam, axis=1)
-
-
-def evolve_intensity(state: ForwardCurveState, spec: CoefficientSpec,
-                     plan: FieldIncrementPlan, measure: LevyMeasure,
-                     dt: float, streams: PathStreams,
-                     drift_row: np.ndarray | None = None,
-                     clamp_lambda_at_zero: bool = False) -> ForwardCurveState:
-    """One Euler step of the forward intensity curve.
-
-    A single field draw (one z vector, one jump batch) drives every theta.
-    Negative intensities are counted, not repaired, unless clamping is
-    explicitly requested; clamping biases the martingale tests.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = np.asarray(state.theta_grid, dtype=float)
-    t = state.t
-    if drift_row is None:
-        mu = np.atleast_1d(mc_drift(spec, plan.kernel, measure, t, grid,
-                                    mark_nodes=plan.xi_nodes, mark_weights=plan.xi_weights)
-                           if getattr(plan.kernel, "d", 0) >= 1 else
-                           mc_drift(spec, plan.kernel, measure, t, grid))
-    else:
-        mu = np.asarray(drift_row, dtype=float)
-
-    h = np.asarray(spec.sigma_fn(t, grid[:, None], plan.xi_nodes[None, :]), dtype=float)
-    h = np.broadcast_to(h, (grid.size, plan.n_nodes))
-    z = streams.gaussian.standard_normal(plan.n_nodes)
-    gauss = gaussian_increment_curve(plan, h, z)
-
-    _, marks = sample_jumps(measure, t, dt, streams)
-    jump = np.zeros_like(grid)
-    if marks.size:
-        jump = np.asarray(spec.gamma_fn(t, grid[:, None], marks[None, :]),
-                          dtype=float).sum(axis=1)
-    jump = jump - dt * _jump_compensator_curve(spec, measure, t, grid)
-
-    lam = state.lam + mu * dt + gauss + jump
-    neg = int(np.count_nonzero(lam < 0))
-    if clamp_lambda_at_zero:
-        lam = np.maximum(lam, 0.0)
-    return ForwardCurveState(t + dt, grid, lam, seed=state.seed, path=state.path,
-                             negative_count=state.negative_count + neg)
-
 
 def immersion_holds(spec: CoefficientSpec, tolerance: float = 1e-12,
                     t_samples: np.ndarray | None = None,
@@ -376,7 +296,7 @@ def azema_survival(state: ForwardCurveState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# density-route evolution (the direct alpha scheme of the experiments)
+# one step of the direct alpha scheme (the per-step reference)
 # ---------------------------------------------------------------------------
 
 def _density_step_terms(spec: CoefficientSpec, measure: LevyMeasure, t: float,
@@ -388,6 +308,9 @@ def _density_step_terms(spec: CoefficientSpec, measure: LevyMeasure, t: float,
                 + sign [ sum_k b (theta-t)^+ xi_k e^{-xi_k G(theta)}
                          - dt int b (theta-t)^+ xi e^{-xi G(theta)} nu(dxi) ],
     G(theta) = b ((theta-t)^+)^2 / 2,   M = int_0^theta m du (trapezoid).
+
+    One path, one step, straight from the formulas: the reference that the
+    curve engine `simulate_density_paths` is checked against.
     """
     if not spec.separable:
         raise ValueError("direct density evolution requires separable coefficients")
@@ -407,33 +330,13 @@ def _density_step_terms(spec: CoefficientSpec, measure: LevyMeasure, t: float,
     return dm, dM
 
 
-def evolve_density_direct(state: DensityCurveState, spec: CoefficientSpec,
-                          measure: LevyMeasure, dt: float, streams: PathStreams,
-                          jump_sign_convention: str = "section7") -> DensityCurveState:
-    """One Euler step of (alpha, S) through the martingale pair (m, M).
-
-    alpha += alpha dM - S dm and S += S dM with left-point (predictable)
-    curve values; m and M are exactly compensated, so the step is
-    mean-preserving at every theta.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    sign = JUMP_SIGN[jump_sign_convention]
-    grid = np.asarray(state.theta_grid, dtype=float)
-    dW = float(np.sqrt(dt)) * float(streams.gaussian.standard_normal())
-    _, marks = sample_jumps(measure, state.t, dt, streams)
-    dm, dM = _density_step_terms(spec, measure, state.t, grid, dt, sign, dW, marks)
-    alpha = state.alpha + state.alpha * dM - state.survival * dm
-    surv = state.survival + state.survival * dM
-    neg = int(np.count_nonzero(alpha < 0))
-    return DensityCurveState(state.t + dt, grid, alpha, surv,
-                             seed=state.seed, path=state.path,
-                             negative_alpha_count=state.negative_alpha_count + neg)
-
-
 # ---------------------------------------------------------------------------
 # vectorized many-path engines (separable coefficients, d = 0 Gaussian part)
 # ---------------------------------------------------------------------------
+
+PATH_CHUNK = 256         # paths per chunk of the two density-route engines
+INTENSITY_CHUNK = 512    # paths per chunk of `simulate_intensity_paths`
+
 
 def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
                 dt: float) -> tuple[np.ndarray, list[tuple]]:
@@ -462,13 +365,13 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
                            n_paths: int, seed: int,
                            jump_sign_convention: str = "section7",
                            path_offset: int = 0,
-                           chunk: int = 256,
                            record_times: tuple[float, ...] = ()) -> dict:
     """Evolve (alpha, S) curves for many paths; returns the final curves.
 
-    Chunked over paths: per step the Gaussian and compensator parts are
-    shared theta-vectors, only realized jumps need per-event work.  Rows
-    are ordered by path index, so output is independent of chunking.
+    Chunked over paths (`PATH_CHUNK`): per step the Gaussian and
+    compensator parts are shared theta-vectors, only realized jumps need
+    per-event work.  Rows are ordered by path index, so output is
+    independent of chunking.
     """
     if not spec.separable:
         raise ValueError("vectorized engine requires separable coefficients")
@@ -506,8 +409,8 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     neg_counts = np.zeros(n_paths, dtype=np.int64)
 
     sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
+    for start in range(0, n_paths, PATH_CHUNK):
+        stop = min(start + PATH_CHUNK, n_paths)
         rows = range(path_offset + start, path_offset + stop)
         normals, marks_data = _path_noise(measure, seed, rows, n_steps, dt)
         p = stop - start
@@ -542,9 +445,6 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
             "negative_alpha_counts": neg_counts, "records": records}
 
 
-SURVIVAL_CHUNK = 256    # paths per chunk of `simulate_survival_values`
-
-
 def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
                              thetas: np.ndarray, t_end: float, dt: float,
                              n_paths: int, seed: int,
@@ -565,7 +465,7 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     alpha_t = -dS_t/dtheta = S_t (lambda_0 - sum_k dm_k / (1 + dM_k)).
     The noise is `_path_noise`, the draws of `simulate_density_paths`,
     so both engines agree path by path up to that engine's trapezoid
-    error.  Paths run in chunks of `SURVIVAL_CHUNK`, which bounds the
+    error.  Paths run in chunks of `PATH_CHUNK`, which bounds the
     (paths x maturities) work arrays; every operation is elementwise per
     path row, so a path's values do not depend on the chunk boundaries
     or on `path_offset`.
@@ -595,8 +495,8 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     alpha_out = np.empty((n_paths, thetas.size))
     surv_out = np.empty((n_paths, thetas.size))
     sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, SURVIVAL_CHUNK):
-        stop = min(start + SURVIVAL_CHUNK, n_paths)
+    for start in range(0, n_paths, PATH_CHUNK):
+        stop = min(start + PATH_CHUNK, n_paths)
         p = stop - start
         normals, marks_data = _path_noise(measure, seed,
                                           range(path_offset + start, path_offset + stop),
@@ -635,7 +535,6 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
                              t_end: float, dt: float, n_paths: int, seed: int,
                              drift_multiplier: float = 1.0,
                              clamp_lambda_at_zero: bool = False,
-                             chunk: int = 512,
                              record_times: tuple[float, ...] = (),
                              probe_thetas: tuple[float, ...] = ()) -> dict:
     """Evolve lambda curves for many paths under the d = 0 Dirac field.
@@ -650,8 +549,6 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
 
     a zero-mean control variate for S_t(theta) - S_0(theta).
     """
-    if not (isinstance(kernel, DiracKernel) and kernel.d == 0):
-        raise ValueError("vectorized intensity engine supports the d = 0 Dirac kernel")
     if not spec.separable:
         raise ValueError("vectorized engine requires separable coefficients")
     grid = np.asarray(theta_grid, dtype=float)
@@ -689,8 +586,8 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
     x_out = np.zeros((n_paths, probes.size)) if probes.size else None
 
     sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
+    for start in range(0, n_paths, INTENSITY_CHUNK):
+        stop = min(start + INTENSITY_CHUNK, n_paths)
         normals, marks_data = _path_noise(measure, seed, range(start, stop), n_steps, dt)
         p = stop - start
         lam = np.tile(lam0, (p, 1))

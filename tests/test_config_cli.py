@@ -47,6 +47,9 @@ seed = 7
 """
 
 
+SECTION7_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "section7.cfg")
+
+
 def write(tmp_path, text, name="lab.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -89,6 +92,16 @@ def test_unknown_key_named(tmp_path):
 def test_unknown_section_rejected(tmp_path):
     path = write(tmp_path, "[modle]\nsigma = 0.01\n")
     with pytest.raises(cfgmod.ConfigError, match="unknown section"):
+        cfgmod.parse_config(path)
+
+
+def test_section7_cfg_spells_out_the_defaults():
+    assert cfgmod.parse_config(SECTION7_CFG) == cfgmod.parse_config(None)
+
+
+def test_kernel_type_rejected_by_name(tmp_path):
+    path = write(tmp_path, "[kernel]\ntype = riesz\n")
+    with pytest.raises(cfgmod.ConfigError, match="\\[kernel\\] unknown key 'type'"):
         cfgmod.parse_config(path)
 
 
@@ -215,6 +228,34 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg = write(tmp_path, "[model]\nlambda_bar = -3\n")
     assert main(["experiment", "section7", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("argv,section,message", [
+    (["experiment", "section7"], "[kernel]\nc0 = 4.0\n", "error: [kernel] c0 = 4.0"),
+    (["price"], "[levy_measure]\ntype = point_mass\n",
+     "error: [levy_measure] type = point_mass"),
+    (["simulate", "--route", "density"], "[kernel]\nc0 = 4.0\n", "error: [kernel] c0 = 4.0"),
+], ids=["experiment-c0", "price-point_mass", "simulate_density-c0"])
+def test_cli_density_route_rejects_ignored_inputs(tmp_path, capsys, argv, section, message):
+    cfg = write(tmp_path, TINY + section)
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not os.path.exists(out)
+
+
+def test_cli_intensity_route_reads_c0_and_point_mass(tmp_path):
+    base = "[model]\nsigma = 0.001\n\n[experiment]\nseed = 11\n"
+    curves = {}
+    for name, extra in (("default", ""), ("c0", "[kernel]\nc0 = 4.0\n"),
+                        ("point_mass", "[levy_measure]\ntype = point_mass\n")):
+        cfg = write(tmp_path, base + extra, f"{name}.cfg")
+        out = str(tmp_path / name)
+        assert main(["simulate", "--route", "intensity", "--config", cfg, "--out", out,
+                     "--paths", "2"]) == 0
+        curves[name] = open(os.path.join(out, "curves.csv"), "rb").read()
+    assert curves["c0"] != curves["default"]
+    assert curves["point_mass"] != curves["default"]
 
 
 def test_cli_pide_instability_is_classified(tmp_path, monkeypatch, capsys):

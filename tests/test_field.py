@@ -1,107 +1,11 @@
-"""Kernels, Levy measures, and stochastic integrals against the field."""
+"""Levy measures, jump sampling and the per-path noise streams."""
 
 import numpy as np
 import pytest
 
-from densitylab.field import build_increment_plan, gaussian_increment, gaussian_increment_curve
-from densitylab.kernels import (DiracKernel, FractionalKernel, KernelError, RieszKernel,
-                                TabulatedKernel, cholesky_with_jitter, kernel_matrix)
 from densitylab.measures import (ExponentialJumpMeasure, PointMassMeasure, TabulatedMeasure,
                                  ZeroMeasure, compensated_integral, sample_jumps)
-from densitylab.rng import PathStreams, stream
-
-
-# ---------------------------------------------------------------- kernels
-
-def test_dirac_kernel_matrix_is_white_noise():
-    mat = kernel_matrix(DiracKernel(c0=1.0), np.array([0.0]), np.array([1.0]))
-    assert mat.shape == (1, 1)
-    assert mat[0, 0] == 1.0
-
-
-def test_riesz_kernel_matrix_symmetric_psd():
-    kern = RieszKernel(alpha=0.5, cutoff=0.05, d=1)
-    nodes = np.array([-1.0, 0.0, 1.0])
-    weights = np.full(3, 2.0 / 3.0)
-    mat = kernel_matrix(kern, nodes, weights)
-    assert np.array_equal(mat, mat.T)
-    jitter = 1e-10 * mat.diagonal().max()
-    eig = np.linalg.eigvalsh(mat + jitter * np.eye(3))
-    assert eig.min() >= -1e-10
-
-
-def test_tabulated_zero_kernel_gives_zero_matrix():
-    kern = TabulatedKernel(xi=(-1.0, 0.0, 1.0), values=(0.0, 0.0, 0.0))
-    mat = kernel_matrix(kern, np.array([-0.5, 0.5]), np.array([1.0, 1.0]))
-    assert np.all(mat == 0.0)
-
-
-def test_tabulated_kernel_rejects_asymmetric_density():
-    with pytest.raises(ValueError, match="c\\(xi\\) = c\\(-xi\\)"):
-        TabulatedKernel(xi=(-1.0, 0.0, 1.0), values=(0.1, 1.0, 0.2))
-
-
-def test_fractional_kernel_density_value():
-    kern = FractionalKernel(h=0.75, cutoff=1e-4)
-    x = np.array([2.0])
-    expected = 0.75 * 0.5 * 2.0 ** (2 * 0.75 - 2.0)
-    assert np.allclose(kern.density(x), expected)
-
-
-def test_cholesky_jitter_rejects_indefinite():
-    with pytest.raises(KernelError, match="not admissible"):
-        cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-# ------------------------------------------------------ gaussian increments
-
-def test_gaussian_increment_zero_integrand():
-    plan = build_increment_plan(DiracKernel(c0=1.0), dt=0.01)
-    rng = stream(1, 0, 0)
-    assert gaussian_increment(plan, lambda x: 0.0 * x, rng) == 0.0
-
-
-def test_gaussian_increment_variance_matches_dt():
-    # Dirac kernel, d = 0, h = 1: increments are N(0, dt).
-    plan = build_increment_plan(DiracKernel(c0=1.0), dt=0.01)
-    rng = stream(7, 0, 0)
-    n = 100_000
-    z = rng.standard_normal(n)
-    samples = np.sqrt(plan.time_step) * plan.kernel_cholesky[0, 0] * z
-    var = samples.var(ddof=1)
-    se = var * np.sqrt(2.0 / (n - 1))
-    assert abs(var - 0.01) < 3 * se
-
-
-def test_gaussian_increment_scaling_linearity():
-    plan = build_increment_plan(DiracKernel(c0=1.0), dt=0.25)
-    s1 = gaussian_increment(plan, lambda x: np.ones_like(x), stream(3, 5, 0))
-    s2 = gaussian_increment(plan, lambda x: 2.0 * np.ones_like(x), stream(3, 5, 0))
-    assert s2 == 2.0 * s1  # identical stream, 4x the per-draw variance
-
-
-def test_gaussian_increment_isometry_riesz():
-    kern = RieszKernel(alpha=0.5, cutoff=0.05, d=1)
-    nodes = np.linspace(-1.0, 1.0, 9)
-    weights = np.full(9, 0.25)
-    plan = build_increment_plan(kern, dt=0.04, nodes=nodes, weights=weights)
-    h = np.exp(-nodes ** 2)
-    quad_form = h @ kernel_matrix(kern, nodes, weights) @ h
-    n = 100_000
-    z = stream(11, 0, 0).standard_normal((n, 9))
-    samples = np.sqrt(plan.time_step) * z @ (plan.kernel_cholesky.T @ h)
-    var = samples.var(ddof=1)
-    target = plan.time_step * quad_form
-    se = var * np.sqrt(2.0 / (n - 1))
-    assert abs(var - target) < 3 * se
-
-
-def test_gaussian_increment_curve_shares_one_draw():
-    plan = build_increment_plan(DiracKernel(c0=1.0), dt=0.01)
-    z = np.array([1.3])
-    out = gaussian_increment_curve(plan, np.array([[1.0], [2.0], [0.0]]), z)
-    assert out[1] == 2.0 * out[0]
-    assert out[2] == 0.0
+from densitylab.rng import PathStreams
 
 
 # ----------------------------------------------------------------- jumps
@@ -210,13 +114,3 @@ def test_channels_are_distinct():
     b = s.poisson_marks.standard_normal(4)
     assert not np.array_equal(a, b)
 
-
-def test_riesz_default_cutoff_is_half_node_spacing():
-    kern = RieszKernel(alpha=0.5, d=1)          # cutoff deferred to the rule
-    nodes = np.array([-0.5, 0.0, 0.5])
-    weights = np.ones(3)
-    mat = kernel_matrix(kern, nodes, weights)
-    assert mat[0, 0] == pytest.approx(0.25 ** -0.5)   # c(0) at cutoff h/2 = 0.25
-    assert mat[0, 1] == pytest.approx(0.5 ** -0.5)
-    with pytest.raises(ValueError, match="cutoff"):
-        kern.density(np.array([0.0]))

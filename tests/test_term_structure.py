@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from densitylab.field import build_increment_plan
 from densitylab.kernels import DiracKernel
 from densitylab.measures import ExponentialJumpMeasure, ZeroMeasure
 from densitylab.rng import PathStreams
@@ -79,33 +79,37 @@ def test_mc_drift_jump_part_closed_form_vs_quadrature():
 
 # ------------------------------------------------------------ intensity route
 
-def test_evolve_intensity_no_noise_is_identity():
+def test_intensity_paths_no_noise_is_identity():
     spec = ts.CoefficientSpec.section7(sigma=0.0, b=0.0, lambda_bar=0.1)
     grid = np.linspace(0.0, 2.0, 21)
-    state = ts.initial_forward_state(spec, grid)
-    plan = build_increment_plan(DiracKernel(), dt=0.01)
-    out = ts.evolve_intensity(state, spec, plan, ZeroMeasure(), 0.01, PathStreams(0, 0))
-    assert np.array_equal(out.lam, state.lam)
-    assert out.t == pytest.approx(0.01)
+    res = ts.simulate_intensity_paths(spec, DiracKernel(), ZeroMeasure(), grid,
+                                      t_end=0.01, dt=0.01, n_paths=2, seed=0)
+    lam0 = ts.initial_forward_state(spec, grid).lam
+    assert all(np.array_equal(row, lam0) for row in res["lam"])
+    assert res["t"] == pytest.approx(0.01)
 
 
-def test_evolve_intensity_single_jump_increment(monkeypatch):
+def test_intensity_paths_single_jump_increment(monkeypatch):
     # one injected jump at mark xi0: dlambda = gamma(theta, xi0) - dt * int gamma nu
     xi0, dt = 2.5e-3, 0.01
     spec = ts.CoefficientSpec.section7(sigma=0.0, b=1.0, lambda_bar=0.1)
     grid = np.linspace(0.0, 2.0, 21)
-    state = ts.initial_forward_state(spec, grid)
-    plan = build_increment_plan(DiracKernel(), dt=dt)
-    monkeypatch.setattr(ts, "sample_jumps",
-                        lambda measure, t, d, streams: (np.array([0.005]), np.array([xi0])))
-    out = ts.evolve_intensity(state, spec, plan, EXP_MEASURE, dt, PathStreams(0, 0),
-                              drift_row=np.zeros_like(grid))
+
+    def one_jump(measure, seed, paths, n_steps, d):
+        counts = np.zeros(n_steps, dtype=np.int64)
+        counts[0] = 1
+        marks = (counts, np.array([xi0]), np.concatenate([[0], np.cumsum(counts)]))
+        return np.zeros((len(paths), n_steps)), [marks] * len(paths)
+
+    monkeypatch.setattr(ts, "_path_noise", one_jump)
+    res = ts.simulate_intensity_paths(spec, DiracKernel(), EXP_MEASURE, grid, t_end=dt, dt=dt,
+                                      n_paths=1, seed=0, drift_multiplier=0.0)
     expected = 1.0 * np.maximum(grid - 0.0, 0.0) * xi0 \
         - dt * 1.0 * np.maximum(grid - 0.0, 0.0) * EXP_MEASURE.mark_moment(1)
-    assert np.allclose(out.lam - state.lam, expected, atol=1e-15)
+    assert np.allclose(res["lam"][0] - spec.lambda0_fn(grid), expected, atol=1e-15)
 
 
-def test_evolve_intensity_mean_increment_matches_drift():
+def test_intensity_paths_mean_increment_matches_drift():
     # E[lambda_dt - lambda_0] over 1e4 paths within 3 SE of mu dt
     spec = ts.CoefficientSpec.section7(sigma=0.01, b=1.0, lambda_bar=0.1)
     grid = np.linspace(0.0, 2.0, 41)
@@ -119,17 +123,32 @@ def test_evolve_intensity_mean_increment_matches_drift():
         assert abs(incr[:, j].mean() - mu[j] * dt) < 3 * se + 1e-15
 
 
+def test_intensity_paths_gaussian_variance_carries_c0():
+    # one step, no jumps: lambda_dt - lambda_0 = mu dt + sqrt(c0) sigma theta dW,
+    # so the sample variance sits in the 1e-4 chi-square band of c0 sigma^2 theta^2 dt
+    c0, sigma, dt, n = 4.0, 0.01, 0.01, 10_000
+    spec = ts.CoefficientSpec.section7(sigma=sigma, b=1.0, lambda_bar=0.1)
+    grid = np.linspace(0.0, 2.0, 21)
+    res = ts.simulate_intensity_paths(spec, DiracKernel(c0=c0), ZeroMeasure(), grid,
+                                      t_end=dt, dt=dt, n_paths=n, seed=7)
+    incr = res["lam"] - spec.lambda0_fn(grid)[None, :]
+    lo, hi = chi2.ppf([1e-4, 1.0 - 1e-4], n - 1) / (n - 1)
+    for j in (10, 20):
+        target = c0 * sigma ** 2 * grid[j] ** 2 * dt
+        assert lo * target < incr[:, j].var(ddof=1) < hi * target
+
+
 def test_negative_intensity_counted_not_clamped():
-    spec = constant_sigma_spec(5.0, lambda_bar=0.001)
+    spec = ts.CoefficientSpec.section7(sigma=5.0, b=0.0, lambda_bar=0.001)
     grid = np.linspace(0.0, 1.0, 11)
-    state = ts.initial_forward_state(spec, grid)
-    plan = build_increment_plan(DiracKernel(), dt=1.0)
-    out = ts.evolve_intensity(state, spec, plan, ZeroMeasure(), 1.0, PathStreams(3, 1))
-    if out.lam.min() < 0:
-        assert out.negative_count > 0
-    clamped = ts.evolve_intensity(state, spec, plan, ZeroMeasure(), 1.0, PathStreams(3, 1),
-                                  clamp_lambda_at_zero=True)
-    assert clamped.lam.min() >= 0.0
+    kw = dict(t_end=1.0, dt=1.0, n_paths=64, seed=3)
+    out = ts.simulate_intensity_paths(spec, DiracKernel(), ZeroMeasure(), grid, **kw)
+    assert out["lam"].min() < 0
+    assert np.array_equal(out["negative_counts"], np.count_nonzero(out["lam"] < 0, axis=1))
+    clamped = ts.simulate_intensity_paths(spec, DiracKernel(), ZeroMeasure(), grid,
+                                          clamp_lambda_at_zero=True, **kw)
+    assert clamped["lam"].min() >= 0.0
+    assert np.array_equal(clamped["negative_counts"], out["negative_counts"])
 
 
 # -------------------------------------------------------- survival / density
@@ -171,37 +190,36 @@ def test_density_tail_identity_constant_intensity():
 def test_relation_invariance_alpha_equals_s_lambda():
     spec = ts.CoefficientSpec.section7(sigma=0.01, b=1.0, lambda_bar=0.1)
     grid = np.linspace(0.0, 2.0, 201)
-    state = ts.initial_forward_state(spec, grid, seed=7, path=3)
-    plan = build_increment_plan(DiracKernel(), dt=0.01)
-    streams = PathStreams(7, 3)
-    for _ in range(20):
-        state = ts.evolve_intensity(state, spec, plan, EXP_MEASURE, 0.01, streams)
-    dstate = ts.density_state_from_forward(state)
-    assert np.array_equal(dstate.alpha, ts.csp(state) * state.lam)
+    res = ts.simulate_intensity_paths(spec, DiracKernel(), EXP_MEASURE, grid,
+                                      t_end=0.2, dt=0.01, n_paths=4, seed=7)
+    for lam in res["lam"]:
+        state = ts.ForwardCurveState(0.2, grid, lam)
+        dstate = ts.density_state_from_forward(state)
+        assert np.array_equal(dstate.alpha, ts.csp(state) * state.lam)
 
 
 def test_survival_monotone_when_lambda_nonnegative():
     spec = ts.CoefficientSpec.section7(sigma=0.005, b=1.0, lambda_bar=0.1)
     grid = np.linspace(0.0, 3.0, 301)
-    state = ts.initial_forward_state(spec, grid, seed=11, path=0)
-    plan = build_increment_plan(DiracKernel(), dt=0.01)
-    streams = PathStreams(11, 0)
-    for _ in range(50):
-        state = ts.evolve_intensity(state, spec, plan, EXP_MEASURE, 0.01, streams)
-    if state.lam.min() >= 0:
-        surv = ts.csp(state)
+    res = ts.simulate_intensity_paths(spec, DiracKernel(), EXP_MEASURE, grid,
+                                      t_end=0.5, dt=0.01, n_paths=16, seed=11)
+    nonnegative = [lam for lam in res["lam"] if lam.min() >= 0]
+    assert nonnegative
+    for lam in nonnegative:
+        surv = ts.csp(ts.ForwardCurveState(0.5, grid, lam))
         assert np.all(np.diff(surv) <= 1e-15)
 
 
 # ------------------------------------------------------------- density route
 
-def test_evolve_density_direct_no_noise_identity():
+def test_density_paths_no_noise_identity():
     spec = ts.CoefficientSpec.section7(sigma=0.0, b=0.0, lambda_bar=0.1)
     grid = np.linspace(0.0, 5.0, 501)
     state = ts.initial_density_state(spec, grid)
-    out = ts.evolve_density_direct(state, spec, ZeroMeasure(), 0.01, PathStreams(0, 0))
-    assert np.array_equal(out.alpha, state.alpha)
-    assert np.array_equal(out.survival, state.survival)
+    res = ts.simulate_density_paths(spec, ZeroMeasure(), grid, t_end=0.01, dt=0.01,
+                                    n_paths=2, seed=0)
+    assert all(np.array_equal(a, state.alpha) for a in res["alpha"])
+    assert all(np.array_equal(s, state.survival) for s in res["survival"])
 
 
 @pytest.mark.parametrize("convention", ["section7", "section3"])
@@ -225,7 +243,7 @@ def test_density_vectorized_matches_single_path():
     res = ts.simulate_density_paths(spec, EXP_MEASURE, grid, t_end=n_steps * dt, dt=dt,
                                     n_paths=3, seed=seed)
     for p in range(3):
-        state = ts.initial_density_state(spec, grid, seed=seed, path=p)
+        state = ts.initial_density_state(spec, grid)
         streams = PathStreams(seed, p)
         normals = streams.gaussian.standard_normal(n_steps)
         counts = streams.poisson_count.poisson(EXP_MEASURE.total_mass * dt, size=n_steps)
@@ -346,19 +364,15 @@ def test_immersion_freeze_pathwise():
     # with section-7 coefficients, lambda_t(theta) is bitwise frozen for t >= theta
     spec = ts.CoefficientSpec.section7(sigma=0.01, b=1.0, lambda_bar=0.1)
     grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
-    plan = build_increment_plan(DiracKernel(), dt=0.01)
-    state = ts.initial_forward_state(spec, grid, seed=17, path=0)
-    streams = PathStreams(17, 0)
-    drift = ts.drift_table(spec, DiracKernel(), EXP_MEASURE, np.arange(60) * 0.01, grid)
-    snapshots = {}
-    for k in range(60):
-        state = ts.evolve_intensity(state, spec, plan, EXP_MEASURE, 0.01, streams,
-                                    drift_row=drift[k])
-        snapshots[round(state.t, 6)] = state.lam.copy()
+    res = ts.simulate_intensity_paths(spec, DiracKernel(), EXP_MEASURE, grid,
+                                      t_end=0.6, dt=0.01, n_paths=4, seed=17,
+                                      record_times=(0.3, 0.31, 0.45, 0.6))
+    snapshots = {rt: rec["lam"] for rt, rec in res["records"].items()}
     j = np.searchsorted(grid, 0.3)  # theta = 0.3
-    frozen = snapshots[0.3][j]
+    frozen = snapshots[0.3][:, j]
+    assert np.all(frozen != spec.lambda0_fn(grid)[j])
     for t_later in (0.31, 0.45, 0.6):
-        assert snapshots[t_later][j] == frozen
+        assert np.array_equal(snapshots[t_later][:, j], frozen)
 
 
 def test_theta_max_rule():
