@@ -34,16 +34,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="configuration file (defaults when omitted)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    p.add_argument("--workers", type=int, default=None, help="parallel path workers")
-    p.add_argument("--format", default="csv", choices=["csv"], help="output format")
 
 
 def _load(args) -> cfgmod.Config:
     cfg = cfgmod.parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
-    if getattr(args, "workers", None):
-        cfg = replace(cfg, experiment=replace(cfg.experiment, workers=args.workers))
     return cfg
 
 
@@ -60,6 +56,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     if args.route == "density":
         cfgmod.require_density_route(cfg)
+    cfgmod.require_closed_form_measure(cfg)
     ec = cfgmod.experiment_config(cfg, n_paths=args.paths)
     os.makedirs(args.out, exist_ok=True)
     grid = ec.theta_grid()
@@ -119,6 +116,10 @@ def _discount_from(cfg: cfgmod.Config, t: float, T: float) -> float:
 def cmd_price(args) -> int:
     cfg = _load(args)
     cfgmod.require_density_route(cfg)
+    needs_solver = (cfg.pricing.regime == "correlated"
+                    or cfg.pricing.recovery_type != "deterministic")
+    if not needs_solver:
+        cfgmod.require_closed_form_measure(cfg)
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, "prices.csv")
@@ -128,13 +129,11 @@ def cmd_price(args) -> int:
     discount = _discount_from(cfg, t, T)
 
     rows = []
-    if cfg.pricing.regime == "independent" and isinstance(recovery, DeterministicRecovery) \
-            and isinstance(status, Alive):
+    if not needs_solver and isinstance(status, Alive):
         sample = run_price_distribution(ec)
         rows = [(int(pid), float(p)) for pid, p in zip(sample.path_ids, sample.prices)]
     else:
-        solver = _solver_from(cfg) if (cfg.pricing.regime == "correlated"
-                                       or not isinstance(recovery, DeterministicRecovery)) else None
+        solver = _solver_from(cfg) if needs_solver else None
         res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), t,
                                      ec.delta_t, ec.n_paths, ec.seed,
                                      jump_sign_convention=ec.jump_sign_convention)
@@ -182,6 +181,7 @@ def cmd_pide(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _load(args)
     cfgmod.require_density_route(cfg)
+    cfgmod.require_closed_form_measure(cfg)
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -293,6 +293,8 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
+    cfgmod.require_density_route(cfg)
+    cfgmod.require_closed_form_measure(cfg)
     os.makedirs(args.out, exist_ok=True)
     checks = run_verification(cfg)
     report_file = os.path.join(args.out, "verify_report.txt")

@@ -144,7 +144,6 @@ class ExperimentSection:
     T: float = 1.0
     n_paths: int = 10_000
     seed: int = 12345
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,6 @@ _SCHEMA: dict[str, dict[str, Any]] = {
         "T": lambda s: _positive(float(s)),
         "n_paths": lambda s: int(_positive(int(s))),
         "seed": int,
-        "workers": lambda s: int(_positive(int(s))),
     },
 }
 
@@ -304,19 +302,36 @@ def build_kernel(cfg: Config) -> DiracKernel:
 def require_density_route(cfg: Config) -> None:
     """Reject inputs that the density route would ignore.
 
-    `experiment`, `price` and `simulate --route density` simulate the
-    direct density scheme with a unit-variance Brownian driver and
-    exponential jump marks (`ExperimentConfig.measure`); only `pide` and
-    `simulate --route intensity` read `[kernel] c0` and a point mass.
+    `experiment`, `price`, `verify` and `simulate --route density`
+    simulate the direct density scheme with a unit-variance Brownian
+    driver and exponential jump marks (`ExperimentConfig.measure`); only
+    `pide` and `simulate --route intensity` read `[kernel] c0` and a
+    point mass.
     """
     if cfg.kernel.c0 != 1.0:
         raise ConfigError(f"[kernel] c0 = {cfg.kernel.c0!r} is not used by the density "
-                          "route, which simulates c0 = 1; only pide and "
+                          "route (experiment, price, verify, simulate --route density), "
+                          "which simulates c0 = 1; only pide and "
                           "simulate --route intensity read it")
     if cfg.levy_measure.type == "point_mass":
         raise ConfigError("[levy_measure] type = point_mass is not used by the density "
-                          "route, which simulates exponential marks; only pide and "
+                          "route (experiment, price, verify, simulate --route density), "
+                          "which simulates exponential marks; only pide and "
                           "simulate --route intensity read it")
+
+
+def require_closed_form_measure(cfg: Config) -> None:
+    """Reject a jump quadrature that a Monte Carlo route would ignore.
+
+    `[levy_measure] quadrature_nodes` sets the PIDE's jump quadrature;
+    the density and intensity routes use the measure's closed forms.
+    """
+    nodes = cfg.levy_measure.quadrature_nodes
+    if nodes != MeasureConfig.quadrature_nodes:
+        raise ConfigError(f"[levy_measure] quadrature_nodes = {nodes} is read only by the "
+                          "PIDE jump quadrature (pide, and price when it solves the "
+                          "pricing-kernel equation); the Monte Carlo routes use "
+                          "closed forms")
 
 
 def build_measure(cfg: Config):
@@ -359,7 +374,6 @@ def experiment_config(cfg: Config, **overrides) -> ExperimentConfig:
         jump_sign_convention=cfg.model.jump_sign_convention,
         theta_max=None if cfg.model.theta_max_rule == "10_over_lambda"
         else float(cfg.model.theta_max_rule),
-        workers=cfg.experiment.workers,
     )
     base.update(overrides)
     return ExperimentConfig(**base)

@@ -24,24 +24,21 @@ R B <= P <= B), are kept but flagged, so the martingale structure of the
 sample is never repaired silently.  S_t(T) can turn negative while the
 density on [t, T] stays positive: under the Section-3 jump sign a step
 with 1 + dM_k(T) < 0 flips it.
-Noise-free configurations short-circuit to the deterministic curve (the
-dynamics are the identity), which keeps the zero-noise baseline exact
-and instant.
+Noise-free configurations price one path and repeat it (the dynamics
+are the identity), so the zero-noise baseline is the closed form and
+instant.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .measures import ExponentialJumpMeasure, LevyMeasure, ZeroMeasure
-from .pricing import price_pre_default_independent
 from .rng import decorrelate
-from .term_structure import (CoefficientSpec, DensityCurveState, initial_density_state,
-                             simulate_survival_values, theta_max_default)
+from .term_structure import CoefficientSpec, simulate_survival_values, theta_max_default
 
 SWEEP_AXES = ("varpi", "lambda", "t", "T")
 TAIL_NODES = 2000      # most theta-grid nodes across the truncation tail
@@ -67,7 +64,6 @@ class ExperimentConfig:
     seed: int = 12345
     jump_sign_convention: str = "section7"
     theta_max: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -171,66 +167,34 @@ def pricing_window(config: ExperimentConfig) -> np.ndarray:
     return grid[i_t:i_T + 1]
 
 
-def _run_block(config: ExperimentConfig, window: np.ndarray, start: int, stop: int) -> dict:
-    """Prices of paths [start, stop) from S_t(t) and S_t(T).
+def run_price_distribution(config: ExperimentConfig) -> PriceSample:
+    """One price per experiment path, from S_t(t) and S_t(T).
 
     int_t^T alpha = S_t(t) - S_t(T) and int_t^inf alpha = S_t(t), so the
     price needs the survival curve at the window ends only.  The flag
     reads the density on the window nodes and S_t(T): 0 <= S_t(T) <=
-    S_t(t) is what puts the price in [R B, B].
+    S_t(t) is what puts the price in [R B, B].  Without noise the
+    dynamics are the identity, so one path prices them all.
     """
-    res = simulate_survival_values(config.spec(), config.measure(), window,
-                                   t_end=config.t, dt=config.delta_t,
-                                   n_paths=stop - start, seed=config.seed,
-                                   jump_sign_convention=config.jump_sign_convention,
-                                   path_offset=start)
+    n_sim = 1 if config.noise_free else config.n_paths
+    res = simulate_survival_values(config.spec(), config.measure(), pricing_window(config),
+                                   t_end=config.t, dt=config.delta_t, n_paths=n_sim,
+                                   seed=config.seed,
+                                   jump_sign_convention=config.jump_sign_convention)
     s_t, s_T = res["survival"][:, 0], res["survival"][:, -1]
     valid = s_t > 0
-    prices = np.full(stop - start, np.nan)
+    prices = np.full(n_sim, np.nan)
     disc = np.exp(-config.r * (config.T - config.t))
     prices[valid] = disc * (1.0 - (1.0 - config.R) * (s_t[valid] - s_T[valid]) / s_t[valid])
     in_bounds = (s_T >= 0) & (s_T <= s_t)
-    return {"start": start, "prices": prices, "valid": valid,
-            "negative": (res["alpha"] < 0).any(axis=1) | ~in_bounds}
-
-
-def run_price_distribution(config: ExperimentConfig) -> PriceSample:
-    """One price per experiment path; identical for any worker count."""
+    neg = (res["alpha"] < 0).any(axis=1) | ~in_bounds
     if config.noise_free:
-        state = initial_density_state(config.spec(), config.theta_grid())
-        state = DensityCurveState(config.t, state.theta_grid, state.alpha, state.survival)
-        price = price_pre_default_independent(config.t, config.T, state,
-                                              config.R, config.r)
-        return PriceSample(prices=np.full(config.n_paths, price),
-                           path_ids=np.arange(config.n_paths),
-                           flagged=np.zeros(config.n_paths, dtype=bool),
-                           n_rejected=0, config=config,
-                           diagnostics={"deterministic": True})
-
-    window = pricing_window(config)
-    block = max(512, config.n_paths // max(config.workers, 1) // 4)
-    blocks = [(s, min(s + block, config.n_paths))
-              for s in range(0, config.n_paths, block)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as ex:
-            results = list(ex.map(_run_block_star,
-                                  [(config, window, s, e) for s, e in blocks]))
-    else:
-        results = [_run_block(config, window, s, e) for s, e in blocks]
-    results.sort(key=lambda d: d["start"])
-
-    prices = np.concatenate([d["prices"] for d in results])
-    valid = np.concatenate([d["valid"] for d in results])
-    neg = np.concatenate([d["negative"] for d in results])
+        prices, valid, neg = (np.repeat(a, config.n_paths) for a in (prices, valid, neg))
     ids = np.arange(config.n_paths)
     return PriceSample(prices=prices[valid], path_ids=ids[valid],
                        flagged=neg[valid], n_rejected=int((~valid).sum()),
                        config=config,
                        diagnostics={"negative_path_fraction": float(neg.mean())})
-
-
-def _run_block_star(args):
-    return _run_block(*args)
 
 
 # ---------------------------------------------------------------------------

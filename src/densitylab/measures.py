@@ -223,14 +223,3 @@ def sample_jumps(measure: LevyMeasure, t: float, dt: float,
     times = t + dt * streams.poisson_times.random(n)
     return times, marks
 
-
-def compensated_integral(marks: np.ndarray, g: Callable[[np.ndarray], np.ndarray],
-                         measure: LevyMeasure, dt: float) -> float:
-    """Stochastic integral of g against the compensated jump measure.
-
-    Sum of g over the realized marks minus dt * integral g dnu, the
-    compensator being exact (closed form where available, quadrature else).
-    """
-    marks = np.asarray(marks, dtype=float)
-    jump_sum = float(np.sum(g(marks))) if marks.size else 0.0
-    return jump_sum - dt * measure.integral(g)

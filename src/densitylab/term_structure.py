@@ -254,18 +254,6 @@ def density(state: ForwardCurveState, survival: np.ndarray | None = None) -> np.
     return surv * np.asarray(state.lam, dtype=float)
 
 
-def density_state_from_forward(state: ForwardCurveState) -> DensityCurveState:
-    surv = csp(state)
-    return DensityCurveState(state.t, state.theta_grid, surv * state.lam, surv)
-
-
-def survival_integral(state: ForwardCurveState, a: float, b: float) -> float:
-    """int_a^b alpha_t dtheta = S_t(a) - S_t(b), exact against the trapezoid S."""
-    surv = csp(state)
-    grid = np.asarray(state.theta_grid, dtype=float)
-    return float(np.interp(a, grid, surv)) - float(np.interp(b, grid, surv))
-
-
 # ---------------------------------------------------------------------------
 # immersion and the Azema survival process
 # ---------------------------------------------------------------------------

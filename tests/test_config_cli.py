@@ -153,15 +153,18 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert [o["sha256"] for o in m1["outputs"]] == [o["sha256"] for o in m2["outputs"]]
 
 
-def test_cli_worker_count_does_not_change_bytes(tmp_path):
-    text = TINY.replace("sigma = 0.0", "sigma = 0.001").replace("n_paths = 50", "n_paths = 600")
-    cfg = write(tmp_path, text)
-    out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
-    assert main(["experiment", "section7", "--config", cfg, "--out", out1]) == 0
-    assert main(["experiment", "section7", "--config", cfg, "--out", out2,
-                 "--workers", "3"]) == 0
-    assert open(os.path.join(out1, "prices.csv"), "rb").read() == \
-        open(os.path.join(out2, "prices.csv"), "rb").read()
+def test_cli_workers_knob_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, TINY)
+    for flag in ("--workers", "--format"):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "section7", "--config", cfg, "--out", str(tmp_path / "a"),
+                  flag, "2"])
+        assert exc.value.code == 2
+    cfg = write(tmp_path, TINY + "workers = 2\n", "workers.cfg")
+    out = str(tmp_path / "b")
+    assert main(["experiment", "section7", "--config", cfg, "--out", out]) == 1
+    assert "[experiment] unknown key 'workers'" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_sweep_csv(tmp_path):
@@ -235,13 +238,40 @@ def test_cli_bad_config_exit_code(tmp_path):
     (["price"], "[levy_measure]\ntype = point_mass\n",
      "error: [levy_measure] type = point_mass"),
     (["simulate", "--route", "density"], "[kernel]\nc0 = 4.0\n", "error: [kernel] c0 = 4.0"),
-], ids=["experiment-c0", "price-point_mass", "simulate_density-c0"])
+    (["verify"], "[kernel]\nc0 = 4.0\n", "error: [kernel] c0 = 4.0"),
+], ids=["experiment-c0", "price-point_mass", "simulate_density-c0", "verify-c0"])
 def test_cli_density_route_rejects_ignored_inputs(tmp_path, capsys, argv, section, message):
     cfg = write(tmp_path, TINY + section)
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(message)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "section7"], ["simulate", "--route", "density"],
+    ["simulate", "--route", "intensity"], ["verify"], ["price"],
+    ["price", "--status", "defaulted"],
+], ids=["experiment", "simulate_density", "simulate_intensity", "verify", "price",
+        "price_defaulted"])
+def test_cli_quadrature_nodes_rejected_where_unread(tmp_path, capsys, argv):
+    cfg = write(tmp_path, TINY + "[levy_measure]\nquadrature_nodes = 4\n")
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: [levy_measure] quadrature_nodes = 4")
+    assert not os.path.exists(out)
+
+
+def test_cli_pide_reads_quadrature_nodes(tmp_path):
+    grids = {}
+    for nodes in (4, 32):
+        text = TINY_PIDE.replace("b = 0.0", "b = 1.0").replace(
+            "type = none", f"varpi = 0.01\nquadrature_nodes = {nodes}")
+        cfg = write(tmp_path, text, f"q{nodes}.cfg")
+        out = str(tmp_path / f"q{nodes}")
+        assert main(["pide", "--config", cfg, "--out", out]) == 0
+        grids[nodes] = open(os.path.join(out, "kernel_grid.csv"), "rb").read()
+    assert grids[4] != grids[32]
 
 
 def test_cli_intensity_route_reads_c0_and_point_mass(tmp_path):

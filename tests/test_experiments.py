@@ -22,12 +22,27 @@ def test_deterministic_baseline_prices_identical():
     assert sample.n_rejected == 0 and sample.flagged_fraction == 0.0
 
 
-def test_seed_determinism_across_worker_counts():
-    base = dict(n_paths=600, varpi=2e-3, seed=909)
-    one = run_price_distribution(ExperimentConfig(**base, workers=1))
-    three = run_price_distribution(ExperimentConfig(**base, workers=3))
-    assert np.array_equal(one.prices, three.prices)
-    assert np.array_equal(one.flagged, three.flagged)
+@pytest.mark.parametrize("cell", [dict(sigma=0.0, b=0.0), dict(sigma=0.0, varpi=0.0),
+                                  dict(t=0.0)], ids=["sigma=b=0", "sigma=varpi=0", "t=0"])
+def test_noise_free_cells_price_to_closed_form(cell):
+    cfg = ExperimentConfig(n_paths=300, **cell)
+    sample = run_price_distribution(cfg)
+    lam, t, T = cfg.lambda_bar, cfg.t, cfg.T
+    closed = np.exp(-cfg.r * (T - t)) * (1 - (1 - cfg.R) * (np.exp(-lam * t) - np.exp(-lam * T))
+                                         / np.exp(-lam * t))
+    assert np.array_equal(sample.path_ids, np.arange(300))
+    assert np.abs(sample.prices - closed).max() <= 1e-15
+    assert sample.n_rejected == 0 and not sample.flagged.any()
+
+
+def test_seed_determinism_across_sample_sizes():
+    # chunk boundaries move (last chunk 512-600 vs 512-768); path bits do not
+    small = run_price_distribution(ExperimentConfig(n_paths=600, varpi=2e-3, seed=909))
+    large = run_price_distribution(ExperimentConfig(n_paths=1000, varpi=2e-3, seed=909))
+    head = large.path_ids < 600
+    assert np.array_equal(small.path_ids, large.path_ids[head])
+    assert np.array_equal(small.prices, large.prices[head])
+    assert np.array_equal(small.flagged, large.flagged[head])
 
 
 def test_rerun_bit_identical():

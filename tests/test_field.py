@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from densitylab.measures import (ExponentialJumpMeasure, PointMassMeasure, TabulatedMeasure,
-                                 ZeroMeasure, compensated_integral, sample_jumps)
+                                 ZeroMeasure, sample_jumps)
 from densitylab.rng import PathStreams
 
 
@@ -35,18 +35,6 @@ def test_sample_jumps_mark_mean_and_window():
     assert np.all((times > 1.0) & (times <= 1.05))
 
 
-def test_compensated_integral_pure_compensator():
-    meas = ExponentialJumpMeasure(zeta=10.0, varpi=1e-3)
-    out = compensated_integral(np.zeros(0), lambda x: np.ones_like(x), meas, dt=0.01)
-    assert out == pytest.approx(-0.1, abs=1e-12)
-
-
-def test_compensated_integral_zero_integrand():
-    meas = ExponentialJumpMeasure(zeta=10.0, varpi=1e-3)
-    marks = np.array([1e-3, 2e-3])
-    assert compensated_integral(marks, lambda x: 0.0 * x, meas, dt=0.01) == 0.0
-
-
 @pytest.mark.parametrize("g,name", [(lambda x: np.ones_like(x), "1"),
                                     (lambda x: x, "xi"),
                                     (lambda x: x ** 2, "xi^2")])
@@ -61,11 +49,6 @@ def test_compensated_integral_martingale_mean(g, name):
     sums = np.bincount(idx, weights=g(marks), minlength=n)
     comp = dt * meas.integral(g)
     vals = sums - comp
-    # spot-check equivalence with the scalar operation on the first windows
-    off = np.concatenate([[0], np.cumsum(counts)])
-    for i in range(5):
-        assert vals[i] == pytest.approx(
-            compensated_integral(marks[off[i]:off[i + 1]], g, meas, dt), rel=1e-12, abs=1e-15)
     se = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean()) < 3 * se
 

@@ -183,7 +183,8 @@ def test_density_tail_identity_constant_intensity():
     # int_0^theta_max alpha + e^{-lam theta_max} = 1 via survival differences
     grid = np.linspace(0.0, 100.0, 10_001)
     state = ts.initial_forward_state(SEC7, grid)
-    integral = ts.survival_integral(state, 0.0, 100.0)
+    surv = ts.csp(state)
+    integral = surv[0] - surv[-1]
     assert integral + np.exp(-0.1 * 100.0) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -194,8 +195,7 @@ def test_relation_invariance_alpha_equals_s_lambda():
                                       t_end=0.2, dt=0.01, n_paths=4, seed=7)
     for lam in res["lam"]:
         state = ts.ForwardCurveState(0.2, grid, lam)
-        dstate = ts.density_state_from_forward(state)
-        assert np.array_equal(dstate.alpha, ts.csp(state) * state.lam)
+        assert np.array_equal(ts.density(state), ts.csp(state) * state.lam)
 
 
 def test_survival_monotone_when_lambda_nonnegative():
