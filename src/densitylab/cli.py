@@ -258,12 +258,12 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
     res = simulate_density_paths(ec2.spec(), ec2.measure(),
                                  np.arange(0.0, 5.0 + 1e-12, 0.01), 0.5, 0.01,
                                  quick_paths, ec2.seed)
-    grid = res["theta_grid"]
+    lam_bar = ec2.lambda_bar
     ok, detail = True, []
     for theta in (0.6, 1.0, 5.0):
         j = int(round(theta / 0.01))
         vals = res["alpha"][:, j]
-        target = 0.1 * np.exp(-0.1 * theta)
+        target = lam_bar * np.exp(-lam_bar * theta)
         z = (vals.mean() - target) / (vals.std(ddof=1) / np.sqrt(vals.size))
         ok &= abs(z) < 3
         detail.append(f"theta={theta}: z={z:+.2f}")
@@ -281,7 +281,7 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
         j = int(round(theta / 0.01))
         integ = np.trapezoid(res2["lam"][:, :j + 1], res2["theta_grid"][:j + 1], axis=1)
         s = np.exp(-integ)
-        s0 = np.exp(-0.1 * theta)
+        s0 = np.exp(-lam_bar * theta)
         resid = s - s0 * (1.0 + res2["probe_martingale"][:, pi])
         z = resid.mean() / (resid.std(ddof=1) / np.sqrt(resid.size))
         ok &= abs(z) < 3

@@ -333,6 +333,15 @@ def test_cli_verify_report(tmp_path):
     assert "FAIL" not in report
 
 
+def test_cli_verify_targets_follow_lambda_bar(tmp_path):
+    cfg = write(tmp_path, "[model]\nlambda_bar = 0.2\n")
+    out = str(tmp_path / "verify")
+    assert main(["verify", "--strict", "--config", cfg, "--out", out]) == 0
+    report = open(os.path.join(out, "verify_report.txt")).read()
+    assert "density_martingale" in report and "survival_martingale" in report
+    assert "FAIL" not in report
+
+
 def test_cli_simulate_curves(tmp_path):
     cfg = write(tmp_path, TINY.replace("sigma = 0.0", "sigma = 0.001"))
     out = str(tmp_path / "sim")

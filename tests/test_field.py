@@ -1,5 +1,7 @@
 """Levy measures, jump sampling and the per-path noise streams."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def test_compensated_integral_martingale_mean(g, name):
     # sample mean over >= 1e5 independent windows within 3 SE of zero
     meas = ExponentialJumpMeasure(zeta=10.0, varpi=1e-3)
     n, dt = 100_000, 0.01
-    streams = PathStreams(int(1e6) + hash(name) % 1000, 0)
+    streams = PathStreams(int(1e6) + zlib.crc32(name.encode()) % 1000, 0)
     counts = streams.poisson_count.poisson(meas.total_mass * dt, size=n)
     marks = meas.sample_marks(int(counts.sum()), streams.poisson_marks)
     idx = np.repeat(np.arange(n), counts)

@@ -155,8 +155,8 @@ def test_solve_cauchy_instability_raises():
 
 
 def test_maximum_principle_nonnegative_bounded():
-    # psi >= 0 and x >= 0: implicit-Euler solution stays within [0, sup psi].
-    # The strict discrete bound holds for the M-matrix configuration (no
+    # psi >= 0 and x >= 0: the theta = 1 solution stays within [0, sup psi].
+    # The strict bound is checked for the M-matrix configuration (no
     # cross-derivative term); the rank-one correlated block is checked
     # separately for small bounded undershoot.
     rs = VasicekSpec(kappa=1.5, delta=0.05, r0=0.05, rho0=0.05)
@@ -191,6 +191,50 @@ def test_picard_mode_cross_validates_imex():
     interior = (slice(8, 32), slice(8, 32))
     gap = np.abs(imex.values[interior] - picard.values[interior]).max()
     assert gap < 5e-5
+
+
+def _correlated_jump_provider(varpi: float) -> CoefficientProvider:
+    rs = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01, phi0=0.5)
+    return CoefficientProvider(SEC7, rs, KERNEL, ExponentialJumpMeasure(zeta=10.0, varpi=varpi),
+                               theta=2.0)
+
+
+def test_adi_time_order_with_explicit_jump_integral():
+    # the mixed term and the jump integral are explicit inside the HV scheme,
+    # so refining the step 4x must cut the error at least 8x (order >= 1.5);
+    # an explicit-Euler jump term would leave the scheme first order
+    prov = _correlated_jump_provider(0.01)
+    assert prov.time_dependent
+    grid = StateGrid(-0.02, 0.12, 40, 0.0, 0.35, 40)
+    interior = (slice(8, 32), slice(8, 32))
+
+    def solve(n):
+        return solve_cauchy(lambda x, y: y, prov, grid, 0.5, 1.0, n).values[interior]
+
+    ref = solve(800)
+    err = {n: np.abs(solve(n) - ref).max() for n in (25, 100)}
+    assert err[25] / err[100] >= 8.0, err
+
+
+def test_solve_cauchy_factorises_nothing(monkeypatch):
+    import densitylab.pide as pide
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_cauchy must not factorise a sparse matrix")
+
+    monkeypatch.setattr(pide, "splu", refuse)
+    prov = _correlated_jump_provider(1e-3)
+    assert prov.time_dependent
+    grid = StateGrid(-0.02, 0.12, 24, 0.0, 0.35, 24)
+    sol = solve_cauchy(lambda x, y: y, prov, grid, 0.5, 1.0, 20)
+    assert np.all(np.isfinite(sol.values))
+    assert 0.0 < sol.interp(0.05, 0.1) < 0.1
+
+
+def test_picard_rejects_unknown_keywords():
+    grid = StateGrid(0.0, 0.06, 16, 0.0, 0.3, 16)
+    with pytest.raises(TypeError):
+        solve_cauchy_picard(lambda x, y: y, zero_coeffs, grid, 0.5, 1.0, 4, theta_scheme=0.5)
 
 
 # ------------------------------------------------------- kernel evaluations
