@@ -225,17 +225,30 @@ def cmd_kde(args) -> int:
 
 # ------------------------------------------------------------------ verify
 
+# The inputs at which the z-gates of `lab verify` are calibrated.
+VERIFY_CALIBRATION = (("[model] sigma", "sigma", 0.001),
+                      ("[levy_measure] varpi", "varpi", 1e-3),
+                      ("[experiment] t", "t", 0.5),
+                      ("[experiment] T", "T", 1.0))
+
+
 def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
     """Oracle suite: deterministic baseline, bond-formula adjudication,
-    martingale checks.  Failures come back as report entries, not errors."""
+    martingale checks.  Failures come back as report entries, not errors;
+    a config off the calibration of the z-gates raises ConfigError."""
     from .kernels import DiracKernel
+    ec = cfgmod.experiment_config(cfg)
+    for name, field, calibrated in VERIFY_CALIBRATION:
+        if getattr(ec, field) != calibrated:
+            raise cfgmod.ConfigError(
+                f"{name} = {getattr(ec, field)!r}: the z-gates of lab verify are "
+                f"calibrated at {calibrated!r}")
     checks: list[dict] = []
 
     # deterministic baseline against the closed form
-    ec = cfgmod.experiment_config(cfg, sigma=0.0, b=0.0, n_paths=64,
-                                  lambda_bar=0.1, varpi=1e-3, t=0.5, T=1.0)
+    ec = cfgmod.experiment_config(cfg, sigma=0.0, b=0.0, n_paths=64)
     sample = run_price_distribution(ec)
-    lam, t, T, r, rr = 0.1, 0.5, 1.0, 0.05, 0.4
+    lam, t, T, r, rr = ec.lambda_bar, ec.t, ec.T, ec.r, ec.R
     closed = np.exp(-r * (T - t)) * (1 - (1 - rr) * (np.exp(-lam * t) - np.exp(-lam * T))
                                      / np.exp(-lam * t))
     err = float(np.abs(sample.prices - closed).max())
@@ -253,8 +266,7 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
                                 if configured != report["selected"] else "")})
 
     # density martingale (direct route)
-    ec2 = cfgmod.experiment_config(cfg, n_paths=quick_paths, t=0.5, T=1.0,
-                                   sigma=0.001, varpi=1e-3)
+    ec2 = cfgmod.experiment_config(cfg, n_paths=quick_paths)
     res = simulate_density_paths(ec2.spec(), ec2.measure(),
                                  np.arange(0.0, 5.0 + 1e-12, 0.01), 0.5, 0.01,
                                  quick_paths, ec2.seed)
@@ -295,8 +307,8 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     cfgmod.require_density_route(cfg)
     cfgmod.require_closed_form_measure(cfg)
-    os.makedirs(args.out, exist_ok=True)
     checks = run_verification(cfg)
+    os.makedirs(args.out, exist_ok=True)
     report_file = os.path.join(args.out, "verify_report.txt")
     with open(report_file, "w") as fh:
         for c in checks:

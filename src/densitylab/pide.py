@@ -23,13 +23,25 @@ quadrature, bilinear shifts and linear extrapolation beyond the grid.
 
 Time: Hundsdorfer-Verwer ADI (In 't Hout & Welfert 2009; In 't Hout &
 Toivanen 2018 for the explicit jump integral).  Ax and Ay are stepped
-implicitly by tridiagonal solves along grid lines; the mixed term and the
-jump integral are explicit.  The implicit-Euler Picard iteration
-(`solve_cauchy_picard`) assembles the same pieces into one sparse 2-D
-matrix, factorises it with SuperLU and serves as the independent oracle.
+implicitly by tridiagonal solves along grid lines, held as (3, n) banded
+arrays; the mixed term and the jump integral are explicit.  The
+implicit-Euler Picard iteration (`solve_cauchy_picard`) assembles the same
+pieces into one sparse 2-D matrix, factorises it with SuperLU and serves
+as the independent oracle.
 The separable Dirac-kernel coefficients make the diffusion block rank one
 (a12^2 = 4 a11 a22); an optional ridge adds to a11 and a22 in that
 degenerate regime.
+
+Affine reduction: no coefficient depends on y, so with terminal y the
+kernel is exactly K = F(t, x) y + G(t, x), the extended transform of an
+affine jump-diffusion (Duffie, Pan & Singleton 2000).  Every y-piece of
+the discrete scheme is exact on functions linear in y, so
+`solve_cauchy_affine` marches the pair (F, G) as one (nx, 2) array
+through the same HV stages and lifts it onto the grid: F has terminal 1,
+G terminal 0 and is driven by a_drift F, a12 F_x and
+int gamma (F(x + phi) - F) nu.  `PricingKernelSolver` takes this route for
+k_breve and for k_tilde with f = 0; k_tilde with any other f and the
+Picard oracle stay on the 2-D grid.
 
 The jump integral is compensated with nu(dxi) exactly as the operator is
 printed; the reweighted compensator e^{-I_gamma} nu is available through
@@ -246,32 +258,53 @@ class CoefficientProvider:
 # ---------------------------------------------------------------------------
 # discrete operators
 # ---------------------------------------------------------------------------
+#
+# A tridiagonal 1-D operator is held as a (3, n) array in the banded layout
+# of scipy.linalg.solve_banded: ab[0, 1:] is the superdiagonal, ab[1] the
+# diagonal and ab[2, :-1] the subdiagonal.
 
-def _tridiag(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> sp.csr_matrix:
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+def _banded(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    ab = np.zeros((3, main.size))
+    ab[0, 1:] = upper
+    ab[1] = main
+    ab[2, :-1] = lower
+    return ab
 
 
-def _first_diff(n: int, h: float) -> sp.csr_matrix:
+def _band_apply(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of a banded tridiagonal operator with v along axis 0."""
+    d = ab.reshape(ab.shape + (1,) * (v.ndim - 1))
+    out = d[1] * v
+    out[:-1] += d[0, 1:] * v[1:]
+    out[1:] += d[2, :-1] * v[:-1]
+    return out
+
+
+def _band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
+    return sp.diags([ab[2, :-1], ab[1], ab[0, 1:]], [-1, 0, 1], format="csr")
+
+
+def _first_diff(n: int, h: float) -> np.ndarray:
     """Central first difference; ghost elimination gives one-sided edge rows."""
     main = np.zeros(n)
     main[0], main[-1] = -1.0 / h, 1.0 / h
     upper = np.full(n - 1, 0.5 / h)
     lower = np.full(n - 1, -0.5 / h)
     upper[0], lower[-1] = 1.0 / h, -1.0 / h
-    return _tridiag(lower, main, upper)
+    return _banded(lower, main, upper)
 
 
-def _second_diff(n: int, h: float) -> sp.csr_matrix:
+def _second_diff(n: int, h: float) -> np.ndarray:
     """Standard second difference; zero rows at edges (linear extrapolation)."""
     main = np.zeros(n)
     main[1:-1] = -2.0 / h ** 2
     upper = np.full(n - 1, 1.0 / h ** 2)
     lower = np.full(n - 1, 1.0 / h ** 2)
     upper[0] = lower[-1] = 0.0
-    return _tridiag(lower, main, upper)
+    return _banded(lower, main, upper)
 
 
-def _drift_matrix(n: int, h: float, vel: np.ndarray, diff: float) -> sp.csr_matrix:
+def _drift_matrix(n: int, h: float, vel: np.ndarray, diff: float) -> np.ndarray:
     """vel * d/dx with hybrid differencing: central where 2 diff >= |vel| h,
     one-sided in the upwind direction elsewhere (monotone for coarse cells).
     Edge rows are one-sided inward; a last row whose upwind neighbour lies
@@ -286,7 +319,7 @@ def _drift_matrix(n: int, h: float, vel: np.ndarray, diff: float) -> sp.csr_matr
     main = np.where(fwd, -g, np.where(bwd, g, 0.0))
     upper = np.where(fwd, g, np.where(ctr, 0.5 * g, 0.0))[:-1]
     lower = np.where(bwd, -g, np.where(ctr, -0.5 * g, 0.0))[1:]
-    return _tridiag(lower, main, upper)
+    return _banded(lower, main, upper)
 
 
 @dataclass(frozen=True)
@@ -296,13 +329,13 @@ class AxisOperators:
     Ax = a11 Dxx + drift_x - diag(x) acts on the rate axis (axis 0 of a grid
     function), Ay = a22 Dyy + drift_y on the intensity axis (axis 1); Dx, Dy
     are the central first differences of the mixed term.  All four are
-    tridiagonal.
+    tridiagonal and held in (3, n) banded form.
     """
 
-    ax: sp.csr_matrix
-    ay: sp.csr_matrix
-    dx: sp.csr_matrix
-    dy: sp.csr_matrix
+    ax: np.ndarray
+    ay: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
 
 
 def axis_operators(grid: StateGrid, coeffs: OperatorCoefficients,
@@ -318,21 +351,21 @@ def axis_operators(grid: StateGrid, coeffs: OperatorCoefficients,
     a22 = coeffs.a22 + ridge
     x = grid.x
     ax = a11 * _second_diff(grid.nx, grid.hx) \
-        + _drift_matrix(grid.nx, grid.hx, coeffs.kappa * (coeffs.delta_hat - x), a11) \
-        - sp.diags(x)
+        + _drift_matrix(grid.nx, grid.hx, coeffs.kappa * (coeffs.delta_hat - x), a11)
+    ax[1] -= x
     ay = a22 * _second_diff(grid.ny, grid.hy) \
         + _drift_matrix(grid.ny, grid.hy, np.full(grid.ny, coeffs.a_drift), a22)
-    return AxisOperators(ax.tocsr(), ay.tocsr(), _first_diff(grid.nx, grid.hx),
-                         _first_diff(grid.ny, grid.hy))
+    return AxisOperators(ax, ay, _first_diff(grid.nx, grid.hx), _first_diff(grid.ny, grid.hy))
 
 
 def build_local_operator(grid: StateGrid, coeffs: OperatorCoefficients,
                          ridge_eps: float | str = "auto") -> sp.csc_matrix:
     """Sparse 2-D matrix of the local operator, assembled from its 1-D pieces."""
     p = axis_operators(grid, coeffs, ridge_eps)
+    ax, ay, dx, dy = (_band_to_sparse(ab) for ab in (p.ax, p.ay, p.dx, p.dy))
     ix = sp.identity(grid.nx, format="csr")
     iy = sp.identity(grid.ny, format="csr")
-    op = sp.kron(p.ax, iy) + sp.kron(ix, p.ay) + coeffs.a12 * sp.kron(p.dx, p.dy)
+    op = sp.kron(ax, iy) + sp.kron(ix, ay) + coeffs.a12 * sp.kron(dx, dy)
     return op.tocsc()
 
 
@@ -341,13 +374,14 @@ def _pad_extrapolate(values: np.ndarray, px: int, py: int) -> np.ndarray:
     nx, ny = values.shape
     out = np.empty((nx + 2 * px, ny + 2 * py))
     out[px:px + nx, py:py + ny] = values
-    for k in range(1, px + 1):
-        out[px - k, py:py + ny] = values[0] - k * (values[1] - values[0])
-        out[px + nx - 1 + k, py:py + ny] = values[-1] + k * (values[-1] - values[-2])
+    # k cells beyond an edge: edge value -/+ k times the edge difference
+    k = np.arange(1, px + 1)[:, None]
+    out[:px][::-1, py:py + ny] = values[:1] - k * (values[1:2] - values[:1])
+    out[px + nx:, py:py + ny] = values[-1:] + k * (values[-1:] - values[-2:-1])
     core = out[:, py:py + ny]
-    for k in range(1, py + 1):
-        out[:, py - k] = core[:, 0] - k * (core[:, 1] - core[:, 0])
-        out[:, py + ny - 1 + k] = core[:, -1] + k * (core[:, -1] - core[:, -2])
+    k = np.arange(1, py + 1)
+    out[:, :py][:, ::-1] = core[:, :1] - k * (core[:, 1:2] - core[:, :1])
+    out[:, py + ny:] = core[:, -1:] + k * (core[:, -1:] - core[:, -2:-1])
     return out
 
 
@@ -390,6 +424,31 @@ def apply_jump_operator(values: np.ndarray, grid: StateGrid,
     return out
 
 
+def _affine_jump_operator(fg: np.ndarray, grid: StateGrid,
+                          coeffs: OperatorCoefficients) -> np.ndarray:
+    """The jump integral of K = F y + G, returned as its (F, G) columns.
+
+    The y-shift of a function linear in y is exact, so node q maps F to
+    F(x + dx_q) - F - dx_q F_x and G to the same x-shift of G plus
+    dy_q (F(x + dx_q) - F).  All nodes are gathered in one indexing step.
+    """
+    if coeffs.jump_w.size == 0:
+        return np.zeros_like(fg)
+    nx = grid.nx
+    sx = coeffs.jump_dx / grid.hx
+    ix0 = np.floor(sx).astype(int)
+    wx = (sx - ix0)[:, None, None]
+    px = int(np.ceil(np.abs(sx).max())) + 1
+    rows = px + ix0[:, None] + np.arange(nx)
+    padded = _pad_extrapolate(fg, px, 0)
+    shifted = (1 - wx) * padded[rows] + wx * padded[rows + 1]    # (nodes, nx, 2)
+    kx = np.gradient(fg, grid.hx, axis=0, edge_order=1)
+    w = coeffs.jump_w
+    out = np.tensordot(w, shifted, 1) - (w @ coeffs.jump_dx) * kx - w.sum() * fg
+    out[:, 1] += (w * coeffs.jump_dy) @ (shifted[:, :, 0] - fg[:, 0])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # backward Cauchy solve
 # ---------------------------------------------------------------------------
@@ -398,56 +457,88 @@ HV_THETA = 0.5 + np.sqrt(3.0) / 6.0
 
 
 class _SplitOperator:
-    """One time level of the ADI splitting F = F0 + F1 + F2: F1 = Ax and
-    F2 = Ay are stepped implicitly, F0 (mixed term + jump integral) is
-    explicit.  Banded forms of I - w A are cached per weight w."""
+    """One time level of the ADI splitting F = F0 + F1 + F2 on the 2-D grid:
+    F1 = Ax and F2 = Ay are stepped implicitly, F0 (mixed term + jump
+    integral) is explicit.  Banded forms of I - w A are cached per weight w."""
 
     def __init__(self, grid: StateGrid, coeffs: OperatorCoefficients,
                  ridge_eps: float | str):
         self.grid = grid
         self.coeffs = coeffs
         self.ops = axis_operators(grid, coeffs, ridge_eps)
-        self._banded: dict[tuple[int, float], np.ndarray] = {}
+        self._implicit: dict[tuple[int, float], np.ndarray] = {}
 
     def f0(self, v: np.ndarray) -> np.ndarray:
         out = apply_jump_operator(v, self.grid, self.coeffs)
         if self.coeffs.a12:
-            out += self.coeffs.a12 * (self.ops.dx @ (self.ops.dy @ v.T).T)
+            out += self.coeffs.a12 * _band_apply(self.ops.dx, _band_apply(self.ops.dy, v.T).T)
         return out
 
     def f1(self, v: np.ndarray) -> np.ndarray:
-        return self.ops.ax @ v
+        return _band_apply(self.ops.ax, v)
 
     def f2(self, v: np.ndarray) -> np.ndarray:
-        return (self.ops.ay @ v.T).T
+        return _band_apply(self.ops.ay, v.T).T
 
     def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
         """(I - w A_axis)^{-1} applied along `axis`: one tridiagonal solve
         with a right-hand side per grid line."""
         key = (axis, w)
-        if key not in self._banded:
-            a = self.ops.ax if axis == 0 else self.ops.ay
-            ab = np.zeros((3, a.shape[0]))
-            ab[0, 1:] = -w * a.diagonal(1)
-            ab[1] = 1.0 - w * a.diagonal(0)
-            ab[2, :-1] = -w * a.diagonal(-1)
-            self._banded[key] = ab
-        ab = self._banded[key]
+        if key not in self._implicit:
+            ab = -w * (self.ops.ax if axis == 0 else self.ops.ay)
+            ab[1] += 1.0
+            self._implicit[key] = ab
+        ab = self._implicit[key]
         if axis == 0:
             return solve_banded((1, 1), ab, rhs, check_finite=False)
         return solve_banded((1, 1), ab, rhs.T, check_finite=False).T
 
+    def sup(self, v: np.ndarray) -> float:
+        return float(np.abs(v).max())
 
-def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
-                 grid: StateGrid, t_start: float, T: float, n_steps: int,
-                 theta_scheme: float = HV_THETA, rannacher: int = 2,
-                 ridge_eps: float | str = "auto",
-                 time_dependent: bool | None = None) -> GridFunction:
-    """March dK/dt - x K + A K = 0 backward from K(T, . ) = terminal.
+
+class _AffineSplit(_SplitOperator):
+    """The same splitting on K = F(x) y + G(x), held as the (nx, 2) array
+    of columns (F, G).  Every y-piece of the 2-D scheme is exact on
+    functions linear in y (but for the y-drift's dropped edge row, which
+    multiplies a_drift, zero up to quadrature), so the y-axis collapses:
+    Ay K = a_drift F feeds G, the mixed term contributes a12 Dx F to G,
+    and the jump integral is `_affine_jump_operator`."""
+
+    def f0(self, v: np.ndarray) -> np.ndarray:
+        out = _affine_jump_operator(v, self.grid, self.coeffs)
+        if self.coeffs.a12:
+            out[:, 1] += self.coeffs.a12 * _band_apply(self.ops.dx, v[:, 0])
+        return out
+
+    def f2(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        out[:, 1] = self.coeffs.a_drift * v[:, 0]
+        return out
+
+    def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
+        if axis == 0:
+            return super().solve(0, rhs, w)
+        out = rhs.copy()
+        out[:, 1] += w * self.coeffs.a_drift * rhs[:, 0]
+        return out
+
+    def sup(self, v: np.ndarray) -> float:
+        # an affine function of y peaks in modulus at y_min or y_max
+        return float(max(np.abs(v[:, 0] * y + v[:, 1]).max()
+                         for y in (self.grid.y_min, self.grid.y_max)))
+
+
+def _hv_march(values: np.ndarray, split: type[_SplitOperator],
+              provider: Callable[[float], OperatorCoefficients], grid: StateGrid,
+              t_start: float, T: float, n_steps: int, theta_scheme: float,
+              rannacher: int, ridge_eps: float | str,
+              time_dependent: bool | None) -> np.ndarray:
+    """March dK/dt - x K + A K = 0 backward from the terminal `values`.
 
     Hundsdorfer-Verwer ADI in time-to-maturity: with F = F0 + F1 + F2 as in
-    `_SplitOperator`, U the solution at the known level and the primes
-    marking the new level,
+    `split`, U the solution at the known level and the primes marking the
+    new level,
 
         Y0 = U + dt F(U)
         Yj = Y(j-1) + theta dt (Fj'(Yj) - Fj(U)),              j = 1, 2
@@ -457,9 +548,8 @@ def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
     and Z2 is the new value.  theta_scheme is the HV theta (the default
     1/2 + sqrt(3)/6 is unconditionally stable with the mixed term explicit);
     the first `rannacher` steps are damping steps taken with theta = 1,
-    which damps stiff modes harder and stays second order.  Each implicit
-    stage is a tridiagonal solve along one axis; nothing is factorised in
-    two dimensions.  `time_dependent` decides whether the 1-D pieces are
+    which damps stiff modes harder and stays second order.  `time_dependent`
+    (default: the provider's own flag) decides whether the 1-D pieces are
     rebuilt at every level.  Raises PideInstabilityError if the sup norm
     breaches the discounted growth bound.
     """
@@ -467,22 +557,17 @@ def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
         raise ValueError("need T > t_start")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
-    values = np.asarray(terminal(xx, yy) if callable(terminal) else terminal, dtype=float)
-    values = np.broadcast_to(values, (grid.nx, grid.ny)).copy()
-
-    dt = (T - t_start) / n_steps
-    times = t_start + dt * np.arange(n_steps + 1)
     if time_dependent is None:
         time_dependent = getattr(provider, "time_dependent", True)
+    dt = (T - t_start) / n_steps
+    times = t_start + dt * np.arange(n_steps + 1)
 
-    sup0 = float(np.abs(values).max())
+    old = split(grid, provider(times[n_steps]), ridge_eps)
+    sup0 = old.sup(values)
     growth = np.exp(max(-grid.x_min, 0.0) * dt)
-
-    old = _SplitOperator(grid, provider(times[n_steps]), ridge_eps)
     for k in range(n_steps - 1, -1, -1):
         t_new = times[k]
-        new = _SplitOperator(grid, provider(t_new), ridge_eps) if time_dependent else old
+        new = split(grid, provider(t_new), ridge_eps) if time_dependent else old
         w = (1.0 if (n_steps - 1 - k) < rannacher else theta_scheme) * dt
         f1, f2 = old.f1(values), old.f2(values)
         f_old = old.f0(values) + f1 + f2
@@ -494,12 +579,48 @@ def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
         values = new.solve(0, z0 - w * g1, w)
         values = new.solve(1, values - w * g2, w)
         bound = sup0 * growth ** (n_steps - k) * 1.5 + 1e-9
-        if not np.all(np.isfinite(values)) or float(np.abs(values).max()) > bound:
+        if not np.all(np.isfinite(values)) or new.sup(values) > bound:
             raise PideInstabilityError(
                 f"instability detected at t = {t_new:.6g}: sup |K| exceeds the "
                 f"discounted bound; retry with n_steps > {2 * n_steps}")
         old = new
+    return values
+
+
+def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
+                 grid: StateGrid, t_start: float, T: float, n_steps: int,
+                 theta_scheme: float = HV_THETA, rannacher: int = 2,
+                 ridge_eps: float | str = "auto",
+                 time_dependent: bool | None = None) -> GridFunction:
+    """March the 2-D kernel backward from K(T, . ) = terminal (`_hv_march`).
+
+    Each implicit stage is a tridiagonal solve along one axis; nothing is
+    factorised in two dimensions.
+    """
+    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
+    values = np.asarray(terminal(xx, yy) if callable(terminal) else terminal, dtype=float)
+    values = np.broadcast_to(values, (grid.nx, grid.ny)).copy()
+    values = _hv_march(values, _SplitOperator, provider, grid, t_start, T, n_steps,
+                       theta_scheme, rannacher, ridge_eps, time_dependent)
     return GridFunction(values, grid, t_start)
+
+
+def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
+                        grid: StateGrid, t_start: float, T: float, n_steps: int,
+                        ridge_eps: float | str = "auto",
+                        time_dependent: bool | None = None) -> GridFunction:
+    """The kernel with terminal y, marched as K = F(t, x) y + G(t, x).
+
+    No coefficient depends on y, so the solution stays affine in y: F has
+    terminal 1, G terminal 0, and both march through the HV stages of
+    `_hv_march` (default theta, two damping steps) as one (nx, 2) array
+    (`_AffineSplit`).  The result is lifted onto the state grid.
+    """
+    fg = np.zeros((grid.nx, 2))
+    fg[:, 0] = 1.0
+    fg = _hv_march(fg, _AffineSplit, provider, grid, t_start, T, n_steps,
+                   HV_THETA, 2, ridge_eps, time_dependent)
+    return GridFunction(fg[:, :1] * grid.y + fg[:, 1:], grid, t_start)
 
 
 def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: float,
@@ -557,8 +678,10 @@ class PricingKernelSolver:
     """Solves and caches the two pricing kernels on one state grid.
 
     k_breve(t, r, lam, theta): terminal y (discounted expected terminal
-    intensity under the survival-reweighted measure); k_tilde adds the
-    recovery weighting terminal y e^{-f(y)}.
+    intensity under the survival-reweighted measure), solved on the affine
+    route `solve_cauchy_affine`; k_tilde adds the recovery weighting
+    terminal y e^{-f(y)}, solved on the 2-D grid unless f vanishes on it,
+    when it is k_breve and shares its cache entry.
     """
 
     def __init__(self, model_spec: CoefficientSpec, rate_spec: VasicekSpec,
@@ -585,20 +708,27 @@ class PricingKernelSolver:
     def solution(self, t: float, theta: float,
                  terminal_key: str = "y",
                  f: Callable[[np.ndarray], np.ndarray] | None = None) -> GridFunction:
+        if terminal_key == "y_exp_f":
+            if f is None:
+                raise ValueError("recovery terminal needs the weighting function f")
+            if not np.any(np.asarray(f(self.grid.y), dtype=float)):
+                terminal_key = "y"              # y e^{-0} = y: the affine kernel
+        elif terminal_key != "y":
+            raise ValueError(f"unknown terminal key {terminal_key!r}")
         key = (round(t, 12), round(theta, 12), terminal_key, self.T)
         if key not in self._cache:
             if terminal_key == "y":
                 terminal = lambda x, y: y
-            elif terminal_key == "y_exp_f":
-                if f is None:
-                    raise ValueError("recovery terminal needs the weighting function f")
-                terminal = lambda x, y: y * np.exp(-np.asarray(f(y), dtype=float))
             else:
-                raise ValueError(f"unknown terminal key {terminal_key!r}")
+                terminal = lambda x, y: y * np.exp(-np.asarray(f(y), dtype=float))
             if t == self.T:
                 xx, yy = np.meshgrid(self.grid.x, self.grid.y, indexing="ij")
                 self._cache[key] = GridFunction(np.asarray(terminal(xx, yy), dtype=float),
                                                 self.grid, t)
+            elif terminal_key == "y":
+                self._cache[key] = solve_cauchy_affine(self.provider(theta), self.grid,
+                                                       t, self.T, self.n_steps,
+                                                       ridge_eps=self.ridge_eps)
             else:
                 self._cache[key] = solve_cauchy(terminal, self.provider(theta), self.grid,
                                                 t, self.T, self.n_steps,

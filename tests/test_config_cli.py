@@ -290,10 +290,12 @@ def test_cli_intensity_route_reads_c0_and_point_mass(tmp_path):
 
 def test_cli_pide_instability_is_classified(tmp_path, monkeypatch, capsys):
     # no accepted config drives the implicit solve unstable, so the kernel
-    # solver is handed the exploding jump block of the solver's own test
+    # solver is handed the exploding jump block of the solver's own test;
+    # the block shifts the rate too, since a pure y-shift leaves the affine
+    # route of `lab pide` exact
     wild = lambda t: OperatorCoefficients(t, 0.0, kappa=0.0, delta_hat=0.0, a_drift=0.0,
                                           a11=0.0, a22=0.0, a12=0.0,
-                                          jump_dx=np.array([0.0]), jump_dy=np.array([0.25]),
+                                          jump_dx=np.array([0.01]), jump_dy=np.array([0.25]),
                                           jump_w=np.array([5e4]))
     monkeypatch.setattr(PricingKernelSolver, "provider", lambda self, theta: wild)
     cfg = write(tmp_path, TINY_PIDE)
@@ -301,6 +303,25 @@ def test_cli_pide_instability_is_classified(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: instability detected")
     assert "Traceback" not in err
+
+
+def test_k_breve_routes_avoid_the_2d_solve(tmp_path, monkeypatch):
+    import densitylab.pide as pide
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("2-D solve_cauchy reached")
+
+    monkeypatch.setattr(pide, "solve_cauchy", refuse)
+    text = TINY_PIDE.replace("sigma = 0.0", "sigma = 0.001").replace(
+        "b = 0.0", "b = 1.0").replace("type = none", "varpi = 0.01")
+    cfg = write(tmp_path, text)
+    assert main(["pide", "--config", cfg, "--out", str(tmp_path / "pide")]) == 0
+    solver = cli._solver_from(cfgmod.parse_config(cfg))
+    k = solver.k_breve(0.5, 0.05, 0.1, 2.0)
+    assert 0.0 < k < 0.1
+    assert solver.k_tilde(0.5, 0.05, 0.1, 2.0, np.zeros_like) == k
+    with pytest.raises(AssertionError, match="2-D solve_cauchy reached"):
+        solver.k_tilde(0.5, 0.05, 0.1, 2.0, lambda y: y)
 
 
 def test_cli_runaway_intensity_is_classified(tmp_path, monkeypatch, capsys):
@@ -340,6 +361,28 @@ def test_cli_verify_targets_follow_lambda_bar(tmp_path):
     report = open(os.path.join(out, "verify_report.txt")).read()
     assert "density_martingale" in report and "survival_martingale" in report
     assert "FAIL" not in report
+
+
+def test_verify_baseline_reads_rate_and_recovery(tmp_path):
+    path = write(tmp_path, "[rates]\nr = 0.03\n\n[pricing]\nR = 0.3\n")
+    checks = run_verification(cfgmod.parse_config(path), quick_paths=400)
+    base = next(c for c in checks if c["name"] == "deterministic_baseline")
+    assert base["passed"], base
+
+
+@pytest.mark.parametrize("section,message", [
+    ("[model]\nsigma = 0.05\n", "error: [model] sigma = 0.05"),
+    ("[levy_measure]\nvarpi = 0.002\n", "error: [levy_measure] varpi = 0.002"),
+    ("[levy_measure]\ntype = none\n", "error: [levy_measure] varpi = 0.0"),
+    ("[experiment]\nt = 0.25\n", "error: [experiment] t = 0.25"),
+    ("[experiment]\nT = 2.0\n", "error: [experiment] T = 2.0"),
+], ids=["sigma", "varpi", "no_jumps", "t", "T"])
+def test_cli_verify_rejects_uncalibrated_inputs(tmp_path, capsys, section, message):
+    cfg = write(tmp_path, section)
+    out = str(tmp_path / "verify")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not os.path.exists(out)
 
 
 def test_cli_simulate_curves(tmp_path):

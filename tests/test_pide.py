@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from densitylab.kernels import DiracKernel
-from densitylab.measures import ExponentialJumpMeasure, ZeroMeasure
+from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
 from densitylab.pide import (CoefficientProvider, GridFunction, OperatorCoefficients,
                              OutOfGridError, PideInstabilityError, PricingKernelSolver,
-                             StateGrid, apply_jump_operator, compute_coefficients,
-                             solve_cauchy, solve_cauchy_picard)
+                             StateGrid, _pad_extrapolate, apply_jump_operator,
+                             compute_coefficients, solve_cauchy, solve_cauchy_affine,
+                             solve_cauchy_picard)
 from densitylab.rates import VasicekSpec, zcb_closed_form
 from densitylab.term_structure import CoefficientSpec
 
@@ -389,3 +390,123 @@ def test_kernel_identity_forward_monte_carlo():
     solver = PricingKernelSolver(ms, rs, KERNEL, meas, state_grid, T=T, n_steps=100)
     rhs = np.exp(-0.1 * theta) * solver.k_breve(0.0, rs.r0, 0.1, theta)
     assert abs(rhs - mc) < 3 * se, (rhs, mc, se)
+
+
+# ---------------------------------------------------------- affine route
+
+def _loop_pad_extrapolate(values, px, py):
+    # the per-cell loop that the broadcast padding replaced
+    nx, ny = values.shape
+    out = np.empty((nx + 2 * px, ny + 2 * py))
+    out[px:px + nx, py:py + ny] = values
+    for k in range(1, px + 1):
+        out[px - k, py:py + ny] = values[0] - k * (values[1] - values[0])
+        out[px + nx - 1 + k, py:py + ny] = values[-1] + k * (values[-1] - values[-2])
+    core = out[:, py:py + ny]
+    for k in range(1, py + 1):
+        out[:, py - k] = core[:, 0] - k * (core[:, 1] - core[:, 0])
+        out[:, py + ny - 1 + k] = core[:, -1] + k * (core[:, -1] - core[:, -2])
+    return out
+
+
+@pytest.mark.parametrize("shape,px,py", [((24, 40), 3, 3532), ((128, 2), 5, 0),
+                                         ((17, 17), 1, 1), ((16, 30), 0, 700)])
+def test_pad_extrapolate_bit_identical_to_loop(shape, px, py):
+    rng = np.random.Generator(np.random.Philox(key=17))
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    assert np.array_equal(_pad_extrapolate(values, px, py),
+                          _loop_pad_extrapolate(values, px, py))
+
+
+KERNEL_SPEC = CoefficientSpec.section7(sigma=0.001, b=1.0, lambda_bar=0.1)
+JUMPY_RATES = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01, phi0=0.5)
+PIDE_GRID = StateGrid(-0.05, 0.15, 128, 0.0, 0.4, 128)
+
+
+def _constant_provider(t):
+    # every term of the operator live, a_drift included, with the y-drift
+    # central (2 a22 >= |a_drift| hy) so that Ay is exact on linear functions
+    return OperatorCoefficients(t, 2.0, kappa=1.2, delta_hat=0.06, a_drift=3e-4,
+                                a11=5e-5, a22=2e-4, a12=1.5e-4,
+                                jump_dx=np.array([0.004, 0.013, -0.007]),
+                                jump_dy=np.array([0.05, 0.31, 0.12]),
+                                jump_w=np.array([0.4, 0.1, 0.25]))
+
+
+AFFINE_CASES = {
+    "defaults_correlated": CoefficientProvider(KERNEL_SPEC, JUMPY_RATES, KERNEL,
+                                               EXP_MEASURE, theta=2.0),
+    "point_mass_c0_4": CoefficientProvider(KERNEL_SPEC, JUMPY_RATES, DiracKernel(c0=4.0),
+                                           PointMassMeasure(z=1.0), theta=2.0),
+    "uncorrelated": CoefficientProvider(KERNEL_SPEC, VasicekSpec(kappa=1.0, delta=0.05,
+                                                                 r0=0.05, rho0=0.01),
+                                        KERNEL, EXP_MEASURE, theta=2.0,
+                                        rates_correlated=False),
+    "girsanov": CoefficientProvider(KERNEL_SPEC, JUMPY_RATES, KERNEL, EXP_MEASURE,
+                                    theta=2.0, jump_compensator="girsanov"),
+    "time_independent": _constant_provider,
+}
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_affine_route_matches_2d_solve(case):
+    # in exact arithmetic the 2-D scheme stays affine in y at any ny; in
+    # floating point its explicit jump term extrapolates rounding noise over
+    # gamma / hy cells (146 at ny = 40 for the point mass, which departs from
+    # the affine route by 1.1e-8 there), so the y-axis is the coarsest allowed
+    prov = AFFINE_CASES[case]
+    grid = StateGrid(-0.05, 0.15, 48, 0.0, 0.4, 16)
+    td = False if case == "time_independent" else None
+    full = solve_cauchy(lambda x, y: y, prov, grid, 0.5, 1.0, 50, time_dependent=td)
+    affine = solve_cauchy_affine(prov, grid, 0.5, 1.0, 50, time_dependent=td)
+    assert np.abs(affine.values - full.values).max() <= 1e-12
+
+
+def _closed_form_kernel(prov, grid, t, T, n_quad=40):
+    """K = e^{A(t) - B(t) x} (y + C(t)) with B = (1 - e^{-kappa (T - t)}) / kappa,
+    A = int_t^T [-kappa delta_hat B + a11 B^2 + sum w (e^{-B phi} - 1 + B phi)] ds,
+    C = int_t^T [a_drift - a12 B + sum w gamma (e^{-B phi} - 1)] ds,
+    with the sums over the same mark quadrature as the solver."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    s_nodes = t + (T - t) * (nodes + 1.0) / 2.0
+    a_int = c_int = 0.0
+    for s, w_s in zip(s_nodes, weights * (T - t) / 2.0):
+        c = prov(float(s))
+        b = (1.0 - np.exp(-c.kappa * (T - s))) / c.kappa
+        e = np.exp(-b * c.jump_dx)
+        a_int += w_s * (-c.kappa * c.delta_hat * b + c.a11 * b ** 2
+                        + np.sum(c.jump_w * (e - 1.0 + b * c.jump_dx)))
+        c_int += w_s * (c.a_drift - c.a12 * b + np.sum(c.jump_w * c.jump_dy * (e - 1.0)))
+    b_t = (1.0 - np.exp(-prov(t).kappa * (T - t))) / prov(t).kappa
+    return np.exp(a_int - b_t * grid.x)[:, None] * (grid.y[None, :] + c_int)
+
+
+def test_affine_route_matches_closed_form():
+    prov = AFFINE_CASES["defaults_correlated"]
+    sol = solve_cauchy_affine(prov, PIDE_GRID, 0.5, 1.0, 200)
+    err = np.abs(sol.values - _closed_form_kernel(prov, PIDE_GRID, 0.5, 1.0))
+    mid = slice(PIDE_GRID.nx // 4, 3 * PIDE_GRID.nx // 4)
+    # measured: 2.1e-8 on the middle half of the x-grid, 8.0e-7 at the
+    # x-edges (linear extrapolation of e^{-Bx}); the same at 800 steps, so
+    # both are spatial
+    assert err[mid].max() < 5e-8, err[mid].max()
+    assert err.max() < 2e-6, err.max()
+
+
+def test_affine_route_instability_raises():
+    grid = StateGrid(0.0, 0.06, 16, 0.0, 0.3, 16)
+
+    def wild(dx):
+        return lambda t: OperatorCoefficients(t, 0.0, kappa=0.0, delta_hat=0.0, a_drift=0.0,
+                                              a11=0.0, a22=0.0, a12=0.0,
+                                              jump_dx=np.array([dx]),
+                                              jump_dy=np.array([0.25]),
+                                              jump_w=np.array([5e4]))
+
+    # a y-shift annihilates functions linear in y exactly, so the wild block
+    # of test_solve_cauchy_instability_raises leaves K = y e^{-x (T - t)}
+    # on this route; a rate shift makes the same explicit jump block explode
+    sol = solve_cauchy_affine(wild(0.0), grid, 0.0, 1.0, 4, time_dependent=False)
+    assert np.abs(sol.values - grid.y * np.exp(-grid.x[:, None])).max() < 1e-6
+    with pytest.raises(PideInstabilityError, match="n_steps"):
+        solve_cauchy_affine(wild(0.01), grid, 0.0, 1.0, 4, time_dependent=False)
