@@ -607,8 +607,7 @@ def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
 
 def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
                         grid: StateGrid, t_start: float, T: float, n_steps: int,
-                        ridge_eps: float | str = "auto",
-                        time_dependent: bool | None = None) -> GridFunction:
+                        ridge_eps: float | str = "auto") -> GridFunction:
     """The kernel with terminal y, marched as K = F(t, x) y + G(t, x).
 
     No coefficient depends on y, so the solution stays affine in y: F has
@@ -619,7 +618,7 @@ def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
     fg = np.zeros((grid.nx, 2))
     fg[:, 0] = 1.0
     fg = _hv_march(fg, _AffineSplit, provider, grid, t_start, T, n_steps,
-                   HV_THETA, 2, ridge_eps, time_dependent)
+                   HV_THETA, 2, ridge_eps, None)
     return GridFunction(fg[:, :1] * grid.y + fg[:, 1:], grid, t_start)
 
 

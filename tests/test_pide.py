@@ -266,6 +266,10 @@ def test_k_tilde_matches_k_breve_for_zero_f():
     a = solver.solution(0.8, 1.0, "y").values
     b = solver.solution(0.8, 1.0, "y_exp_f", f=f0).values
     assert np.array_equal(a, b)
+    # the shared entry is the affine solve; the 2-D solve of y e^{-0} agrees
+    full = solve_cauchy(lambda x, y: y * np.exp(-f0(y)), solver.provider(1.0), grid,
+                        0.8, 1.0, 20)
+    assert np.abs(a - full.values).max() <= 1e-12
 
 
 def test_k_tilde_terminal_and_deterministic():
@@ -433,6 +437,9 @@ def _constant_provider(t):
                                 jump_w=np.array([0.4, 0.1, 0.25]))
 
 
+_constant_provider.time_dependent = False
+
+
 AFFINE_CASES = {
     "defaults_correlated": CoefficientProvider(KERNEL_SPEC, JUMPY_RATES, KERNEL,
                                                EXP_MEASURE, theta=2.0),
@@ -456,9 +463,8 @@ def test_affine_route_matches_2d_solve(case):
     # the affine route by 1.1e-8 there), so the y-axis is the coarsest allowed
     prov = AFFINE_CASES[case]
     grid = StateGrid(-0.05, 0.15, 48, 0.0, 0.4, 16)
-    td = False if case == "time_independent" else None
-    full = solve_cauchy(lambda x, y: y, prov, grid, 0.5, 1.0, 50, time_dependent=td)
-    affine = solve_cauchy_affine(prov, grid, 0.5, 1.0, 50, time_dependent=td)
+    full = solve_cauchy(lambda x, y: y, prov, grid, 0.5, 1.0, 50)
+    affine = solve_cauchy_affine(prov, grid, 0.5, 1.0, 50)
     assert np.abs(affine.values - full.values).max() <= 1e-12
 
 
@@ -497,16 +503,18 @@ def test_affine_route_instability_raises():
     grid = StateGrid(0.0, 0.06, 16, 0.0, 0.3, 16)
 
     def wild(dx):
-        return lambda t: OperatorCoefficients(t, 0.0, kappa=0.0, delta_hat=0.0, a_drift=0.0,
+        prov = lambda t: OperatorCoefficients(t, 0.0, kappa=0.0, delta_hat=0.0, a_drift=0.0,
                                               a11=0.0, a22=0.0, a12=0.0,
                                               jump_dx=np.array([dx]),
                                               jump_dy=np.array([0.25]),
                                               jump_w=np.array([5e4]))
+        prov.time_dependent = False
+        return prov
 
     # a y-shift annihilates functions linear in y exactly, so the wild block
     # of test_solve_cauchy_instability_raises leaves K = y e^{-x (T - t)}
     # on this route; a rate shift makes the same explicit jump block explode
-    sol = solve_cauchy_affine(wild(0.0), grid, 0.0, 1.0, 4, time_dependent=False)
+    sol = solve_cauchy_affine(wild(0.0), grid, 0.0, 1.0, 4)
     assert np.abs(sol.values - grid.y * np.exp(-grid.x[:, None])).max() < 1e-6
     with pytest.raises(PideInstabilityError, match="n_steps"):
-        solve_cauchy_affine(wild(0.01), grid, 0.0, 1.0, 4, time_dependent=False)
+        solve_cauchy_affine(wild(0.01), grid, 0.0, 1.0, 4)
