@@ -190,10 +190,13 @@ def cmd_experiment(args) -> int:
         prices_file = os.path.join(args.out, "prices.csv")
         write_prices_csv(prices_file, sample)
         outputs.append(prices_file)
-        x = kde_grid(sample.prices)
-        kde_file = os.path.join(args.out, "kde.csv")
-        write_kde_csv(kde_file, x, kde(sample.prices, x))
-        outputs.append(kde_file)
+        if sample.prices.size and sample.prices.min() == sample.prices.max():
+            print(f"kde.csv not written: all {sample.prices.size} prices are equal")
+        else:
+            x = kde_grid(sample.prices)
+            kde_file = os.path.join(args.out, "kde.csv")
+            write_kde_csv(kde_file, x, kde(sample.prices, x))
+            outputs.append(kde_file)
         print(f"paths={sample.prices.size} rejected={sample.n_rejected} "
               f"flagged_fraction={sample.flagged_fraction:.4f} "
               f"mean={sample.prices.mean():.6f} skewness={sample_skewness(sample.prices):.3f}")
@@ -227,6 +230,8 @@ def cmd_kde(args) -> int:
 
 # The inputs at which the z-gates of `lab verify` are calibrated.
 VERIFY_CALIBRATION = (("[model] sigma", "sigma", 0.001),
+                      ("[model] delta_t", "delta_t", 0.01),
+                      ("[model] delta_theta", "delta", 0.01),
                       ("[levy_measure] varpi", "varpi", 1e-3),
                       ("[experiment] t", "t", 0.5),
                       ("[experiment] T", "T", 1.0))

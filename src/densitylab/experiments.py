@@ -202,15 +202,19 @@ def run_price_distribution(config: ExperimentConfig) -> PriceSample:
 # ---------------------------------------------------------------------------
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """h = 1.06 s_k k^{-1/5} with s_k the sample standard deviation."""
+    """h = 1.06 s_k k^{-1/5} with s_k the sample standard deviation.
+
+    A sample whose values are all equal is degenerate: its computed
+    standard deviation is 0 or rounding noise (~1e-16), depending on the
+    value and the sample size, so the test is min == max, not s == 0.
+    """
     samples = np.asarray(samples, dtype=float)
     k = samples.size
     if k < 2:
         raise ValueError("degenerate sample: need at least 2 observations")
-    s = samples.std(ddof=1)
-    if s == 0.0:
-        raise ValueError("degenerate sample: zero variance")
-    return float(1.06 * s * k ** (-0.2))
+    if samples.min() == samples.max():
+        raise ValueError("degenerate sample: all values are equal")
+    return float(1.06 * samples.std(ddof=1) * k ** (-0.2))
 
 
 def kde(samples: np.ndarray, x_grid: np.ndarray) -> np.ndarray:
@@ -230,11 +234,12 @@ def kde_grid(samples: np.ndarray, n_points: int = 401, pad_bandwidths: float = 1
 
 
 def sample_skewness(samples: np.ndarray) -> float:
+    """Moment skewness; 0 for a sample whose values are all equal."""
     samples = np.asarray(samples, dtype=float)
+    if samples.min() == samples.max():      # the mean's rounding would read as +-1
+        return 0.0
     centered = samples - samples.mean()
     m2 = np.mean(centered ** 2)
-    if m2 == 0.0:
-        return 0.0
     return float(np.mean(centered ** 3) / m2 ** 1.5)
 
 

@@ -182,13 +182,23 @@ def zcb_mc_oracle(spec: VasicekSpec, t: float, T: float, r: float,
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     rv = np.full(n_paths, float(r))
     integral = np.zeros(n_paths)
+    z1, z2, inc, tmp = (np.empty(n_paths) for _ in range(4))
+    # in place, rounding as the step
+    #   integral += (delta dt + (rv - delta)(1 - e)/kappa) + chol_b z1 + chol_c z2
+    #   rv = (rv e + delta (1 - e)) + chol_a z1
     for _ in range(n_steps):
-        z1 = rng.standard_normal(n_paths)
-        z2 = rng.standard_normal(n_paths)
-        mean_r = rv * e + delta * (1.0 - e)
-        mean_i = delta * dt + (rv - delta) * (1.0 - e) / kappa
-        integral += mean_i + chol_b * z1 + chol_c * z2
-        rv = mean_r + chol_a * z1
+        rng.standard_normal(out=z1)
+        rng.standard_normal(out=z2)
+        np.subtract(rv, delta, out=inc)
+        inc *= 1.0 - e
+        inc /= kappa
+        inc += delta * dt
+        inc += np.multiply(z1, chol_b, out=tmp)
+        inc += np.multiply(z2, chol_c, out=tmp)
+        integral += inc
+        rv *= e
+        rv += delta * (1.0 - e)
+        rv += np.multiply(z1, chol_a, out=tmp)
     disc = np.exp(-integral)
     return float(disc.mean()), float(disc.std(ddof=1) / np.sqrt(n_paths))
 

@@ -2,9 +2,15 @@
 
 Every path owns four independent Philox streams, one per noise channel:
 Gaussian increments, Poisson jump counts, jump marks, jump times.  The
-stream key is a pure function of (seed, path index, channel), so a path
-produces bit-identical noise no matter which worker simulates it or in
-which order paths are executed.
+stream key is a pure function of (seed, path index, channel), written once
+in `stream_key`, so a path produces bit-identical noise no matter which
+worker simulates it or in which order paths are executed.
+
+Philox is counter-based (Salmon et al., SC'11): its whole state is a key,
+a counter and a four-word output buffer.  `rekey` points one generator at
+the start of any stream by resetting that state in place, so a batched
+engine can walk thousands of streams with a single generator and draw the
+same bits as `stream` would give for each.
 """
 
 from __future__ import annotations
@@ -20,19 +26,42 @@ _N_CHANNELS = 4
 _MASK64 = (1 << 64) - 1
 
 
+def stream_key(seed: int, path: int, channel: int) -> np.ndarray:
+    """Philox key of the (seed, path, channel) stream: [seed, 4 path + channel] mod 2^64."""
+    if channel < 0 or channel >= _N_CHANNELS:
+        raise ValueError(f"channel must be in [0, {_N_CHANNELS}), got {channel}")
+    if path < 0:
+        raise ValueError(f"path index must be nonnegative, got {path}")
+    return np.array([seed & _MASK64, (path * _N_CHANNELS + channel) & _MASK64],
+                    dtype=np.uint64)
+
+
 def stream(seed: int, path: int, channel: int) -> np.random.Generator:
     """Generator for one (seed, path, channel) triple.
 
     Philox is counter-based: distinct keys give statistically independent,
     reproducible streams with no sequential dependence between paths.
     """
-    if channel < 0 or channel >= _N_CHANNELS:
-        raise ValueError(f"channel must be in [0, {_N_CHANNELS}), got {channel}")
-    if path < 0:
-        raise ValueError(f"path index must be nonnegative, got {path}")
-    key = np.array([seed & _MASK64, (path * _N_CHANNELS + channel) & _MASK64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, path, channel)))
+
+
+def rekey(gen: np.random.Generator, seed: int, path: int, channel: int) -> np.random.Generator:
+    """Reset a Philox-backed generator, in place, to the start of one stream.
+
+    The key becomes `stream_key(seed, path, channel)`, the counter zero and
+    the output buffer empty: the state a fresh `stream(seed, path, channel)`
+    starts in, so the draws that follow are bit-identical to its draws.
+    Building a new Philox instead costs an OS-entropy seeding that the key
+    then overrides.  Returns `gen`.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": stream_key(seed, path, channel)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 class PathStreams:
@@ -40,6 +69,8 @@ class PathStreams:
 
     Each channel's generator is created once and then consumed sequentially;
     a fresh PathStreams with the same (seed, path) replays the same noise.
+    The batched engines draw the same streams through `rekey`; this class
+    serves the single-path helpers and the tests as their independent replay.
     """
 
     def __init__(self, seed: int, path: int):

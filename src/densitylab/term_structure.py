@@ -42,13 +42,14 @@ integrals and the drift by quadrature only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .kernels import DiracKernel
 from .measures import LevyMeasure, ZeroMeasure
-from .rng import PathStreams
+from .rng import (CHANNEL_GAUSSIAN, CHANNEL_POISSON_COUNT, CHANNEL_POISSON_MARKS,
+                  rekey, stream)
 
 JUMP_SIGN = {"section7": +1.0, "section3": -1.0}
 
@@ -328,24 +329,91 @@ INTENSITY_CHUNK = 512    # paths per chunk of `simulate_intensity_paths`
 
 def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
                 dt: float) -> tuple[np.ndarray, list[tuple]]:
-    """Pre-draw per-path noise: (P, n_steps) normals plus grouped jump marks."""
+    """Pre-draw per-path noise: (P, n_steps) normals plus grouped jump marks.
+
+    Path p's normals, per-step jump counts and marks are the draws of
+    `rng.stream(seed, p, channel)` on the Gaussian, Poisson-count and mark
+    channels.  One Philox generator serves the whole call: `rng.rekey`
+    points it at each (path, channel) stream in turn.
+    """
     n_paths = len(paths)
     normals = np.empty((n_paths, n_steps))
     marks_data: list[tuple] = []
     mass = measure.total_mass
     empty = (np.zeros(n_steps, dtype=np.int64), np.zeros(0),
              np.zeros(n_steps + 1, dtype=np.int64))
+    gen = stream(seed, 0, CHANNEL_GAUSSIAN)
     for i, p in enumerate(paths):
-        s = PathStreams(seed, p)
-        normals[i] = s.gaussian.standard_normal(n_steps)
+        normals[i] = rekey(gen, seed, p, CHANNEL_GAUSSIAN).standard_normal(n_steps)
         if mass > 0:
-            counts = s.poisson_count.poisson(mass * dt, size=n_steps)
-            marks = measure.sample_marks(int(counts.sum()), s.poisson_marks)
+            counts = rekey(gen, seed, p, CHANNEL_POISSON_COUNT).poisson(mass * dt, size=n_steps)
+            marks = measure.sample_marks(int(counts.sum()),
+                                         rekey(gen, seed, p, CHANNEL_POISSON_MARKS))
             offsets = np.concatenate([[0], np.cumsum(counts)])
             marks_data.append((counts, marks, offsets))
         else:
             marks_data.append(empty)
     return normals, marks_data
+
+
+class _Jumps(NamedTuple):
+    """A chunk's realised jumps as flat event arrays, sorted stably by step.
+
+    Step k's events are [bounds[k], bounds[k + 1]); within a step they
+    follow row (path) order and, within a row, draw order.  The events of
+    one (step, row) pair form a group; groups are numbered in event order.
+    """
+
+    row: np.ndarray          # event -> chunk row
+    mark: np.ndarray         # event -> mark
+    bounds: np.ndarray       # (n_steps + 1,) event offsets per step
+    group: np.ndarray        # event -> group
+    group_step: np.ndarray   # group -> step
+    group_row: np.ndarray    # group -> chunk row
+    group_size: np.ndarray   # group -> number of events
+
+
+def _chunk_jumps(marks_data: list[tuple], n_steps: int) -> _Jumps:
+    counts = np.stack([c for c, _, _ in marks_data])           # (rows, steps)
+    ev_step = np.repeat(np.tile(np.arange(n_steps), counts.shape[0]), counts.ravel())
+    order = np.argsort(ev_step, kind="stable")
+    group_step, group_row = np.nonzero(counts.T)
+    group_size = counts.T[group_step, group_row]
+    return _Jumps(row=np.repeat(group_row, group_size),
+                  mark=np.concatenate([m for _, m, _ in marks_data])[order],
+                  bounds=np.concatenate([[0], np.cumsum(counts.sum(axis=0))]),
+                  group=np.repeat(np.arange(group_size.size), group_size),
+                  group_step=group_step, group_row=group_row, group_size=group_size)
+
+
+def _sum_by_row(jumps: _Jumps, lo: int, hi: int,
+                terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sums): the step's event terms [lo, hi) summed per row.
+
+    np.add.at adds the terms one by one into zeros, which is the sequential
+    order of `terms_of_one_row.sum(axis=0)`, so each sum keeps its bits.
+    """
+    g0, g1 = jumps.group[lo], jumps.group[hi - 1] + 1
+    sums = np.zeros((g1 - g0,) + terms.shape[1:])
+    np.add.at(sums, jumps.group[lo:hi] - g0, terms)
+    return jumps.group_row[g0:g1], sums
+
+
+def _mark_sums(jumps: _Jumps, n_steps: int, n_rows: int) -> np.ndarray:
+    """(n_steps, n_rows) sum of each path-step's marks, zero where none.
+
+    Each group is summed as a row of an (groups, size) block, which gives
+    the bits of `ndarray.sum` over that path's mark slice: numpy sums 8 or
+    more values pairwise, so only groups of equal size share a block.
+    """
+    first = np.cumsum(jumps.group_size) - jumps.group_size
+    sums = np.empty(first.size)
+    for size in np.unique(jumps.group_size):
+        sel = jumps.group_size == size
+        sums[sel] = jumps.mark[first[sel][:, None] + np.arange(size)].sum(axis=1)
+    out = np.zeros((n_steps, n_rows))
+    out[jumps.group_step, jumps.group_row] = sums
+    return out
 
 
 def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
@@ -357,8 +425,11 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     """Evolve (alpha, S) curves for many paths; returns the final curves.
 
     Chunked over paths (`PATH_CHUNK`): per step the Gaussian and
-    compensator parts are shared theta-vectors, only realized jumps need
-    per-event work.  Rows are ordered by path index, so output is
+    compensator parts are shared theta-vectors, and the step's realised
+    jumps are one array op over all of the chunk's events (`_chunk_jumps`),
+    summed per path in draw order and integrated over theta once for all
+    jumping rows.  Every path's arithmetic is that of `_density_step_terms`
+    in the same order, and rows are ordered by path index, so output is
     independent of chunking.
     """
     if not spec.separable:
@@ -380,10 +451,8 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     big_g_rows = spec.jump_slope * theta_t ** 2 / 2.0
     if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
         comp_rows = np.zeros_like(sig_rows)
-        has_jumps = False
     else:
         comp_rows = gam_rows * np.asarray(measure.xi_exp(big_g_rows), dtype=float)
-        has_jumps = True
     sig_cum = _cumtrapz(sig_rows, grid, axis=1)
     comp_cum = _cumtrapz(comp_rows, grid, axis=1)
 
@@ -401,6 +470,7 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
         stop = min(start + PATH_CHUNK, n_paths)
         rows = range(path_offset + start, path_offset + stop)
         normals, marks_data = _path_noise(measure, seed, rows, n_steps, dt)
+        jumps = _chunk_jumps(marks_data, n_steps)
         p = stop - start
         alpha = np.tile(alpha0, (p, 1))
         surv = np.tile(surv0, (p, 1))
@@ -409,15 +479,14 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
             dW = sqrt_dt * normals[:, k]
             dm = np.multiply.outer(dW, -sig_rows[k]) + (-sign * dt) * comp_rows[k]
             dM = np.multiply.outer(dW, -sig_cum[k]) + (-sign * dt) * comp_cum[k]
-            if has_jumps:
-                for i in range(p):
-                    counts, marks, offsets = marks_data[i]
-                    if counts[k]:
-                        xs = marks[offsets[k]:offsets[k + 1]]
-                        expo = np.exp(-np.multiply.outer(xs, big_g_rows[k]))
-                        jump_m = sign * gam_rows[k] * (xs[:, None] * expo).sum(axis=0)
-                        dm[i] += jump_m
-                        dM[i] += _cumtrapz(jump_m, grid)
+            lo, hi = jumps.bounds[k], jumps.bounds[k + 1]
+            if hi > lo:
+                xs = jumps.mark[lo:hi]
+                expo = np.exp(-np.multiply.outer(xs, big_g_rows[k]))
+                jumped, sums = _sum_by_row(jumps, lo, hi, xs[:, None] * expo)
+                jump_m = sign * gam_rows[k] * sums
+                dm[jumped] += jump_m
+                dM[jumped] += _cumtrapz(jump_m, grid, axis=1)
             alpha = alpha + alpha * dM - surv * dm
             surv = surv + surv * dM
             neg += np.count_nonzero(alpha < 0, axis=1)
@@ -490,25 +559,19 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
                                           range(path_offset + start, path_offset + stop),
                                           n_steps, dt)
         dW = sqrt_dt * normals
-        # every realised jump of the chunk as (step, row, mark), grouped by step
-        ev_step = np.concatenate([np.repeat(np.arange(n_steps), c) for c, _, _ in marks_data])
-        ev_row = np.repeat(np.arange(p), [m.size for _, m, _ in marks_data])
-        ev_mark = np.concatenate([m for _, m, _ in marks_data])
-        order = np.argsort(ev_step, kind="stable")
-        ev_row, ev_mark = ev_row[order], ev_mark[order]
-        bounds = np.searchsorted(ev_step[order], np.arange(n_steps + 1))
+        jumps = _chunk_jumps(marks_data, n_steps)
 
         surv = np.tile(surv0, (p, 1))
         dlog_sum = np.zeros((p, thetas.size))        # d/dtheta log prod (1 + dM_k)
         for k in range(n_steps):
             dM = np.multiply.outer(dW[:, k], -sig_cum[k]) + (-sign * dt) * comp_cum[k]
             dm = np.multiply.outer(dW[:, k], -sig_rows[k]) + (-sign * dt) * comp_rows[k]
-            lo, hi = bounds[k], bounds[k + 1]
+            lo, hi = jumps.bounds[k], jumps.bounds[k + 1]
             if hi > lo:
-                xs = ev_mark[lo:hi]
+                xs = jumps.mark[lo:hi]
                 expo = np.exp(-np.multiply.outer(xs, big_g_rows[k]))
-                np.add.at(dM, ev_row[lo:hi], sign * (1.0 - expo))
-                np.add.at(dm, ev_row[lo:hi], sign * gam_rows[k] * (xs[:, None] * expo))
+                np.add.at(dM, jumps.row[lo:hi], sign * (1.0 - expo))
+                np.add.at(dm, jumps.row[lo:hi], sign * gam_rows[k] * (xs[:, None] * expo))
             growth = 1.0 + dM
             surv *= growth
             dlog_sum += dm / growth
@@ -536,6 +599,10 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
              - dt int (e^{-I_gamma} - 1) nu(dxi),
 
     a zero-mean control variate for S_t(theta) - S_0(theta).
+
+    Chunked over paths (`INTENSITY_CHUNK`); each step's realised jumps are
+    array ops over the chunk's events (`_chunk_jumps`), summed per path in
+    the order of a per-path `.sum()`, so output is independent of chunking.
     """
     if not spec.separable:
         raise ValueError("vectorized engine requires separable coefficients")
@@ -577,30 +644,28 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
     for start in range(0, n_paths, INTENSITY_CHUNK):
         stop = min(start + INTENSITY_CHUNK, n_paths)
         normals, marks_data = _path_noise(measure, seed, range(start, stop), n_steps, dt)
+        jumps = _chunk_jumps(marks_data, n_steps)
         p = stop - start
+        mark_sums = _mark_sums(jumps, n_steps, p)
         lam = np.tile(lam0, (p, 1))
         neg = np.zeros(p, dtype=np.int64)
         x_acc = np.zeros((p, probes.size)) if probes.size else None
         for k in range(n_steps):
             dW = sqrt_dt * normals[:, k]
-            mark_sums = np.zeros(p)
-            for i in range(p):
-                counts, marks, offsets = marks_data[i]
-                if counts[k]:
-                    mark_sums[i] = marks[offsets[k]:offsets[k + 1]].sum()
             lam = lam + (dt * mu_rows[k] - dt * comp_rows[k]) \
                 + np.multiply.outer(dW, sig_rows[k]) \
-                + np.multiply.outer(mark_sums, gam_slope_rows[k])
+                + np.multiply.outer(mark_sums[k], gam_slope_rows[k])
             neg += np.count_nonzero(lam < 0, axis=1)
             if clamp_lambda_at_zero:
                 lam = np.maximum(lam, 0.0)
             if probes.size:
                 x_acc += np.multiply.outer(dW, -i_sig_p[k]) - dt * comp_x_p[k]
-                for i in range(p):
-                    counts, marks, offsets = marks_data[i]
-                    if counts[k]:
-                        xs = marks[offsets[k]:offsets[k + 1]]
-                        x_acc[i] += (np.exp(-np.multiply.outer(xs, g_half_p[k])) - 1.0).sum(axis=0)
+                lo, hi = jumps.bounds[k], jumps.bounds[k + 1]
+                if hi > lo:
+                    xs = jumps.mark[lo:hi]
+                    jumped, sums = _sum_by_row(
+                        jumps, lo, hi, np.exp(-np.multiply.outer(xs, g_half_p[k])) - 1.0)
+                    x_acc[jumped] += sums
             if k + 1 in rec_steps:
                 rt = rec_steps[k + 1]
                 records[rt]["lam"][start:stop] = lam

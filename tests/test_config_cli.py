@@ -129,14 +129,30 @@ def test_empty_config_runs_with_defaults():
 # ---------------------------------------------------------------------- CLI
 
 def test_cli_experiment_writes_outputs_and_manifest(tmp_path):
+    # TINY is noise-free: every price is equal, so no KDE exists
     cfg = write(tmp_path, TINY)
     out = str(tmp_path / "run1")
     assert main(["experiment", "section7", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "prices.csv"))
-    assert os.path.exists(os.path.join(out, "kde.csv"))
+    assert not os.path.exists(os.path.join(out, "kde.csv"))
     manifest = read_manifest(out)
     assert manifest["seed"] == 11
-    assert {o["name"] for o in manifest["outputs"]} == {"prices.csv", "kde.csv"}
+    assert {o["name"] for o in manifest["outputs"]} == {"prices.csv"}
+
+
+def test_cli_noise_free_experiment_skips_kde(tmp_path, capsys):
+    # 300 equal prices: their ddof=1 standard deviation rounds to ~1e-16,
+    # not 0, which once gave a KDE with a bandwidth of ~1e-17
+    cfg = write(tmp_path, TINY.replace("n_paths = 50", "n_paths = 300"))
+    out = str(tmp_path / "run")
+    assert main(["experiment", "section7", "--config", cfg, "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    assert "kde.csv not written: all 300 prices are equal" in stdout
+    assert "skewness=0.000" in stdout
+    prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
+    assert len(prices) == 300 and len(set(prices)) == 1
+    assert not os.path.exists(os.path.join(out, "kde.csv"))
+    assert [o["name"] for o in read_manifest(out)["outputs"]] == ["prices.csv"]
 
 
 def test_cli_rerun_byte_identical(tmp_path):
@@ -372,11 +388,13 @@ def test_verify_baseline_reads_rate_and_recovery(tmp_path):
 
 @pytest.mark.parametrize("section,message", [
     ("[model]\nsigma = 0.05\n", "error: [model] sigma = 0.05"),
+    ("[model]\ndelta_t = 0.02\n", "error: [model] delta_t = 0.02"),
+    ("[model]\ndelta_theta = 0.02\n", "error: [model] delta_theta = 0.02"),
     ("[levy_measure]\nvarpi = 0.002\n", "error: [levy_measure] varpi = 0.002"),
     ("[levy_measure]\ntype = none\n", "error: [levy_measure] varpi = 0.0"),
     ("[experiment]\nt = 0.25\n", "error: [experiment] t = 0.25"),
     ("[experiment]\nT = 2.0\n", "error: [experiment] T = 2.0"),
-], ids=["sigma", "varpi", "no_jumps", "t", "T"])
+], ids=["sigma", "delta_t", "delta_theta", "varpi", "no_jumps", "t", "T"])
 def test_cli_verify_rejects_uncalibrated_inputs(tmp_path, capsys, section, message):
     cfg = write(tmp_path, section)
     out = str(tmp_path / "verify")

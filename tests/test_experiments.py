@@ -183,6 +183,11 @@ def test_kde_rejects_degenerate_samples():
         silverman_bandwidth(np.array([1.0]))
     with pytest.raises(ValueError, match="degenerate sample"):
         silverman_bandwidth(np.array([2.0, 2.0, 2.0]))
+    equal = np.full(300, 0.9467700566084652)
+    assert equal.std(ddof=1) > 0.0          # rounding noise, not spread
+    with pytest.raises(ValueError, match="degenerate sample: all values are equal"):
+        silverman_bandwidth(equal)
+    assert sample_skewness(equal) == 0.0
 
 
 def test_kde_two_sample_hand_value():

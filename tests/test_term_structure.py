@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import chi2
 
 from densitylab.kernels import DiracKernel
-from densitylab.measures import ExponentialJumpMeasure, ZeroMeasure
+from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
+from densitylab import rng
 from densitylab.rng import PathStreams
 from densitylab import term_structure as ts
 
@@ -394,3 +395,177 @@ def test_density_route_conserves_total_mass():
         mass = np.trapezoid(res["alpha"], grid, axis=1) + res["survival"][:, -1]
         assert np.abs(mass - 1.0).max() < 1e-2
         assert np.abs(mass - 1.0).max() < 1e-4   # scheme holds it far tighter
+
+
+# ----------------------------------- batched engines against per-path loops
+#
+# The references below step one path at a time, in the arithmetic of the
+# engines' per-path formulas, on noise drawn from fresh `rng.stream`
+# generators.  The batched engines must match them bit for bit.
+
+HOT_MEASURE = ExponentialJumpMeasure(zeta=400.0, varpi=0.5)   # ~4 jumps per step
+
+
+def _stream_noise(measure, seed, path, n_steps, dt):
+    normals = rng.stream(seed, path, rng.CHANNEL_GAUSSIAN).standard_normal(n_steps)
+    counts = np.zeros(n_steps, dtype=np.int64)
+    marks = np.zeros(0)
+    if measure.total_mass > 0:
+        counts = rng.stream(seed, path, rng.CHANNEL_POISSON_COUNT).poisson(
+            measure.total_mass * dt, size=n_steps)
+        marks = measure.sample_marks(int(counts.sum()),
+                                     rng.stream(seed, path, rng.CHANNEL_POISSON_MARKS))
+    return normals, counts, marks, np.concatenate([[0], np.cumsum(counts)])
+
+
+def _reference_density_paths(spec, measure, grid, t_end, dt, n_paths, seed, sign,
+                             record_times):
+    n_steps = int(round(t_end / dt))
+    lam0 = spec.lambda0_fn(grid)
+    surv0 = np.exp(-ts._cumtrapz(lam0, grid))
+    theta_t = np.maximum(grid[None, :] - (np.arange(n_steps) * dt)[:, None], 0.0)
+    sig_rows, gam_rows = spec.sigma_slope * theta_t, spec.jump_slope * theta_t
+    big_g_rows = spec.jump_slope * theta_t ** 2 / 2.0
+    comp_rows = gam_rows * measure.xi_exp(big_g_rows)
+    sig_cum, comp_cum = ts._cumtrapz(sig_rows, grid, axis=1), ts._cumtrapz(comp_rows, grid, axis=1)
+    out = {"alpha": [], "survival": [], "negative_alpha_counts": [],
+           "records": {rt: {"alpha": [], "survival": []} for rt in record_times}}
+    for p in range(n_paths):
+        normals, counts, marks, off = _stream_noise(measure, seed, p, n_steps, dt)
+        alpha, surv, neg = surv0 * lam0, surv0, 0
+        for k in range(n_steps):
+            dW = np.sqrt(dt) * normals[k]
+            dm = dW * -sig_rows[k] + (-sign * dt) * comp_rows[k]
+            dM = dW * -sig_cum[k] + (-sign * dt) * comp_cum[k]
+            if counts[k]:
+                xs = marks[off[k]:off[k + 1]]
+                expo = np.exp(-np.multiply.outer(xs, big_g_rows[k]))
+                jump_m = sign * gam_rows[k] * (xs[:, None] * expo).sum(axis=0)
+                dm = dm + jump_m
+                dM = dM + ts._cumtrapz(jump_m, grid)
+            alpha = alpha + alpha * dM - surv * dm
+            surv = surv + surv * dM
+            neg += np.count_nonzero(alpha < 0)
+            for rt in record_times:
+                if int(round(rt / dt)) == k + 1:
+                    out["records"][rt]["alpha"].append(alpha)
+                    out["records"][rt]["survival"].append(surv)
+        out["alpha"].append(alpha)
+        out["survival"].append(surv)
+        out["negative_alpha_counts"].append(neg)
+    return out
+
+
+def _reference_intensity_paths(spec, kernel, measure, grid, t_end, dt, n_paths, seed,
+                               record_times, probes):
+    n_steps = int(round(t_end / dt))
+    t_nodes = np.arange(n_steps) * dt
+    theta_t = np.maximum(grid[None, :] - t_nodes[:, None], 0.0)
+    sig_rows = kernel.c0 ** 0.5 * spec.sigma_slope * theta_t
+    gam_slope_rows = spec.jump_slope * theta_t
+    mu_rows = 1.0 * np.stack([ts.mc_drift(spec, kernel, measure, float(t), grid)
+                              for t in t_nodes])
+    comp_rows = gam_slope_rows * measure.mark_moment(1)
+    probe_tt = np.maximum(np.asarray(probes)[None, :] - t_nodes[:, None], 0.0)
+    i_sig_p = kernel.c0 ** 0.5 * spec.sigma_slope * probe_tt ** 2 / 2.0
+    g_half_p = spec.jump_slope * probe_tt ** 2 / 2.0
+    comp_x_p = -measure.one_minus_exp(g_half_p)
+    out = {"lam": [], "negative_counts": [], "probe_martingale": [],
+           "records": {rt: [] for rt in record_times},
+           "probe_martingale_records": {rt: [] for rt in record_times}}
+    for p in range(n_paths):
+        normals, counts, marks, off = _stream_noise(measure, seed, p, n_steps, dt)
+        lam, neg, x_acc = spec.lambda0_fn(grid), 0, np.zeros(len(probes))
+        for k in range(n_steps):
+            dW = np.sqrt(dt) * normals[k]
+            mark_sum = marks[off[k]:off[k + 1]].sum() if counts[k] else 0.0
+            lam = lam + (dt * mu_rows[k] - dt * comp_rows[k]) \
+                + dW * sig_rows[k] + mark_sum * gam_slope_rows[k]
+            neg += np.count_nonzero(lam < 0)
+            x_acc = x_acc + (dW * -i_sig_p[k] - dt * comp_x_p[k])
+            if counts[k]:
+                xs = marks[off[k]:off[k + 1]]
+                x_acc = x_acc + (np.exp(-np.multiply.outer(xs, g_half_p[k])) - 1.0).sum(axis=0)
+            for rt in record_times:
+                if int(round(rt / dt)) == k + 1:
+                    out["records"][rt].append(lam)
+                    out["probe_martingale_records"][rt].append(x_acc)
+        out["lam"].append(lam)
+        out["negative_counts"].append(neg)
+        out["probe_martingale"].append(x_acc)
+    return out
+
+
+def _max_jumps_per_step(measure, seed, n_paths, n_steps, dt):
+    return max(_stream_noise(measure, seed, p, n_steps, dt)[1].max() for p in range(n_paths))
+
+
+@pytest.mark.parametrize("measure", [HOT_MEASURE, PointMassMeasure(z=3.0, location=0.2),
+                                     ZeroMeasure()], ids=["exponential", "point_mass", "none"])
+def test_path_noise_matches_fresh_streams(measure):
+    seed = rng.decorrelate(12345, 2)
+    assert seed >= 2 ** 63
+    paths = range(37, 45)                    # a chunk that starts mid-range
+    normals, marks_data = ts._path_noise(measure, seed, paths, 20, 0.01)
+    assert normals.shape == (len(paths), 20)
+    for i, p in enumerate(paths):
+        ref_normals, ref_counts, ref_marks, ref_off = _stream_noise(measure, seed, p, 20, 0.01)
+        counts, marks, offsets = marks_data[i]
+        assert np.array_equal(normals[i], ref_normals)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(marks, ref_marks)
+        assert np.array_equal(offsets, ref_off)
+    if measure.total_mass:
+        assert sum(m.size for _, m, _ in marks_data) > 0
+
+
+def test_path_noise_builds_one_generator_per_call(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return rng.stream(*args)
+
+    monkeypatch.setattr(ts, "stream", counted)
+    ts._path_noise(HOT_MEASURE, 5, range(300), 10, 0.01)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("convention", ["section7", "section3"])
+def test_density_engine_matches_per_path_reference_at_high_jump_activity(monkeypatch,
+                                                                         convention):
+    monkeypatch.setattr(ts, "PATH_CHUNK", 16)          # three chunks, one partial
+    spec = ts.CoefficientSpec.section7(sigma=0.002, b=1.0, lambda_bar=0.1)
+    grid = np.arange(0.0, 3.0 + 1e-12, 0.01)
+    seed, n_paths, dt, t_end, record = 77, 40, 0.01, 0.5, (0.2, 0.5)
+    assert _max_jumps_per_step(HOT_MEASURE, seed, n_paths, 50, dt) >= 8
+    res = ts.simulate_density_paths(spec, HOT_MEASURE, grid, t_end, dt, n_paths, seed,
+                                    jump_sign_convention=convention, record_times=record)
+    ref = _reference_density_paths(spec, HOT_MEASURE, grid, t_end, dt, n_paths, seed,
+                                   ts.JUMP_SIGN[convention], record)
+    assert np.all(np.isfinite(res["alpha"]))
+    for key in ("alpha", "survival", "negative_alpha_counts"):
+        assert np.array_equal(res[key], np.array(ref[key])), key
+    assert res["negative_alpha_counts"].sum() > 0
+    for rt in record:
+        for key in ("alpha", "survival"):
+            assert np.array_equal(res["records"][rt][key], np.array(ref["records"][rt][key]))
+
+
+def test_intensity_engine_matches_per_path_reference_at_high_jump_activity(monkeypatch):
+    monkeypatch.setattr(ts, "INTENSITY_CHUNK", 16)
+    spec = ts.CoefficientSpec.section7(sigma=0.05, b=1.0, lambda_bar=0.1)
+    grid = np.arange(0.0, 2.0 + 1e-12, 0.01)
+    seed, n_paths, dt, t_end, record, probes = 78, 40, 0.01, 0.5, (0.2, 0.5), (1.0, 2.0)
+    assert _max_jumps_per_step(HOT_MEASURE, seed, n_paths, 50, dt) >= 8
+    res = ts.simulate_intensity_paths(spec, DiracKernel(c0=2.0), HOT_MEASURE, grid, t_end, dt,
+                                      n_paths, seed, record_times=record, probe_thetas=probes)
+    ref = _reference_intensity_paths(spec, DiracKernel(c0=2.0), HOT_MEASURE, grid, t_end, dt,
+                                     n_paths, seed, record, probes)
+    for key in ("lam", "negative_counts", "probe_martingale"):
+        assert np.array_equal(res[key], np.array(ref[key])), key
+    assert res["negative_counts"].sum() > 0
+    for rt in record:
+        assert np.array_equal(res["records"][rt]["lam"], np.array(ref["records"][rt]))
+        assert np.array_equal(res["probe_martingale_records"][rt],
+                              np.array(ref["probe_martingale_records"][rt]))
