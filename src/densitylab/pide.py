@@ -629,8 +629,10 @@ def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: 
     the previous iterate, repeated until the sup-norm update stalls.
 
     Each step is implicit Euler in the local operator, factorised once per
-    time level with SuperLU.  Mirrors the contraction construction behind
-    the existence proof; the independent oracle of the ADI stepping.
+    time level with SuperLU, or once in all when the provider's
+    `time_dependent` flag is False (default True).  Mirrors the contraction
+    construction behind the existence proof; the independent oracle of the
+    ADI stepping.
     """
     xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
     term_vals = np.asarray(terminal(xx, yy) if callable(terminal) else terminal, dtype=float)
@@ -642,9 +644,12 @@ def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: 
     history = [term_vals.copy() for _ in range(n_steps + 1)]
     n = grid.nx * grid.ny
     eye = sp.identity(n, format="csc")
+    time_dependent = getattr(provider, "time_dependent", True)
     lus = {}
 
     def lu_at(idx: int):
+        if not time_dependent:
+            idx = 0
         if idx not in lus:
             lmat = build_local_operator(grid, coeffs_by_step[idx], ridge_eps)
             lus[idx] = splu((eye - dt * lmat).tocsc(), permc_spec="MMD_AT_PLUS_A")

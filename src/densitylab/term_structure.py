@@ -420,8 +420,7 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
                            theta_grid: np.ndarray, t_end: float, dt: float,
                            n_paths: int, seed: int,
                            jump_sign_convention: str = "section7",
-                           path_offset: int = 0,
-                           record_times: tuple[float, ...] = ()) -> dict:
+                           path_offset: int = 0) -> dict:
     """Evolve (alpha, S) curves for many paths; returns the final curves.
 
     Chunked over paths (`PATH_CHUNK`): per step the Gaussian and
@@ -456,11 +455,6 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     sig_cum = _cumtrapz(sig_rows, grid, axis=1)
     comp_cum = _cumtrapz(comp_rows, grid, axis=1)
 
-    rec_steps = {int(round(rt / dt)): rt for rt in record_times}
-    records = {rt: {"alpha": np.empty((n_paths, grid.size)),
-                    "survival": np.empty((n_paths, grid.size))}
-               for rt in record_times}
-
     alpha_out = np.empty((n_paths, grid.size))
     surv_out = np.empty((n_paths, grid.size))
     neg_counts = np.zeros(n_paths, dtype=np.int64)
@@ -490,16 +484,12 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
             alpha = alpha + alpha * dM - surv * dm
             surv = surv + surv * dM
             neg += np.count_nonzero(alpha < 0, axis=1)
-            if k + 1 in rec_steps:
-                rt = rec_steps[k + 1]
-                records[rt]["alpha"][start:stop] = alpha
-                records[rt]["survival"][start:stop] = surv
         alpha_out[start:stop] = alpha
         surv_out[start:stop] = surv
         neg_counts[start:stop] = neg
 
     return {"theta_grid": grid, "t": t_end, "alpha": alpha_out, "survival": surv_out,
-            "negative_alpha_counts": neg_counts, "records": records}
+            "negative_alpha_counts": neg_counts}
 
 
 def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
@@ -616,8 +606,7 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
     sqrt_c0 = kernel.c0 ** 0.5
     sig_rows = sqrt_c0 * spec.sigma_slope * theta_t
     gam_slope_rows = spec.jump_slope * theta_t
-    mu_rows = drift_multiplier * np.stack(
-        [np.atleast_1d(mc_drift(spec, kernel, measure, float(t), grid)) for t in t_nodes])
+    mu_rows = drift_multiplier * drift_table(spec, kernel, measure, t_nodes, grid)
     mark_mean = measure.mark_moment(1) if measure.total_mass else 0.0
     comp_rows = gam_slope_rows * mark_mean
 

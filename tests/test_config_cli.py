@@ -362,6 +362,33 @@ def test_verification_suite_passes():
     assert all(c["passed"] for c in checks), checks
 
 
+def test_verification_avoids_the_density_curve_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("density curve engine reached")
+
+    monkeypatch.setattr(cli, "simulate_density_paths", refuse)
+    checks = run_verification(cfgmod.parse_config(None))
+    assert all(c["passed"] for c in checks), checks
+    density = next(c for c in checks if c["name"] == "density_martingale")
+    # the figures the 501-node curve engine gave on the same sample
+    assert density["detail"] == "theta=0.6: z=-1.25; theta=1.0: z=-1.38; theta=5.0: z=-1.42"
+
+
+def test_verify_density_values_match_curve_engine():
+    from densitylab.term_structure import simulate_density_paths, simulate_survival_values
+
+    ec = cfgmod.experiment_config(cfgmod.parse_config(None), n_paths=200)
+    assert (ec.zeta, ec.varpi, ec.sigma, ec.t) == (10.0, 1e-3, 0.001, 0.5)
+    thetas = np.array((0.6, 1.0, 5.0))
+    values = simulate_survival_values(ec.spec(), ec.measure(), thetas, ec.t, 0.01,
+                                      ec.n_paths, ec.seed)
+    curves = simulate_density_paths(ec.spec(), ec.measure(), np.arange(0.0, 5.0 + 1e-12, 0.01),
+                                    ec.t, 0.01, ec.n_paths, ec.seed)
+    cols = np.rint(thetas / 0.01).astype(int)
+    # measured gap 1.6e-9, at theta = 5 (the curve engine's trapezoid error)
+    assert np.abs(values["alpha"] - curves["alpha"][:, cols]).max() <= 1e-8
+
+
 def test_cli_verify_report(tmp_path):
     out = str(tmp_path / "verify")
     assert main(["verify", "--out", out]) == 0

@@ -468,6 +468,30 @@ def test_affine_route_matches_2d_solve(case):
     assert np.abs(affine.values - full.values).max() <= 1e-12
 
 
+def test_picard_factors_once_for_a_constant_provider(monkeypatch):
+    import densitylab.pide as pide
+
+    factored = []
+    original = pide.splu
+
+    def counted(*args, **kwargs):
+        factored.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pide, "splu", counted)
+
+    def every_level(t):
+        return _constant_provider(t)
+
+    every_level.time_dependent = True
+    grid = StateGrid(-0.05, 0.15, 24, 0.0, 0.4, 16)
+    once, _ = solve_cauchy_picard(lambda x, y: y, _constant_provider, grid, 0.5, 1.0, 10)
+    assert len(factored) == 1
+    per_level, _ = solve_cauchy_picard(lambda x, y: y, every_level, grid, 0.5, 1.0, 10)
+    assert len(factored) == 1 + 10
+    assert np.array_equal(once.values, per_level.values)
+
+
 def _closed_form_kernel(prov, grid, t, T, n_quad=40):
     """K = e^{A(t) - B(t) x} (y + C(t)) with B = (1 - e^{-kappa (T - t)}) / kappa,
     A = int_t^T [-kappa delta_hat B + a11 B^2 + sum w (e^{-B phi} - 1 + B phi)] ds,

@@ -418,8 +418,7 @@ def _stream_noise(measure, seed, path, n_steps, dt):
     return normals, counts, marks, np.concatenate([[0], np.cumsum(counts)])
 
 
-def _reference_density_paths(spec, measure, grid, t_end, dt, n_paths, seed, sign,
-                             record_times):
+def _reference_density_paths(spec, measure, grid, t_end, dt, n_paths, seed, sign):
     n_steps = int(round(t_end / dt))
     lam0 = spec.lambda0_fn(grid)
     surv0 = np.exp(-ts._cumtrapz(lam0, grid))
@@ -428,8 +427,7 @@ def _reference_density_paths(spec, measure, grid, t_end, dt, n_paths, seed, sign
     big_g_rows = spec.jump_slope * theta_t ** 2 / 2.0
     comp_rows = gam_rows * measure.xi_exp(big_g_rows)
     sig_cum, comp_cum = ts._cumtrapz(sig_rows, grid, axis=1), ts._cumtrapz(comp_rows, grid, axis=1)
-    out = {"alpha": [], "survival": [], "negative_alpha_counts": [],
-           "records": {rt: {"alpha": [], "survival": []} for rt in record_times}}
+    out = {"alpha": [], "survival": [], "negative_alpha_counts": []}
     for p in range(n_paths):
         normals, counts, marks, off = _stream_noise(measure, seed, p, n_steps, dt)
         alpha, surv, neg = surv0 * lam0, surv0, 0
@@ -446,10 +444,6 @@ def _reference_density_paths(spec, measure, grid, t_end, dt, n_paths, seed, sign
             alpha = alpha + alpha * dM - surv * dm
             surv = surv + surv * dM
             neg += np.count_nonzero(alpha < 0)
-            for rt in record_times:
-                if int(round(rt / dt)) == k + 1:
-                    out["records"][rt]["alpha"].append(alpha)
-                    out["records"][rt]["survival"].append(surv)
         out["alpha"].append(alpha)
         out["survival"].append(surv)
         out["negative_alpha_counts"].append(neg)
@@ -537,19 +531,16 @@ def test_density_engine_matches_per_path_reference_at_high_jump_activity(monkeyp
     monkeypatch.setattr(ts, "PATH_CHUNK", 16)          # three chunks, one partial
     spec = ts.CoefficientSpec.section7(sigma=0.002, b=1.0, lambda_bar=0.1)
     grid = np.arange(0.0, 3.0 + 1e-12, 0.01)
-    seed, n_paths, dt, t_end, record = 77, 40, 0.01, 0.5, (0.2, 0.5)
+    seed, n_paths, dt, t_end = 77, 40, 0.01, 0.5
     assert _max_jumps_per_step(HOT_MEASURE, seed, n_paths, 50, dt) >= 8
     res = ts.simulate_density_paths(spec, HOT_MEASURE, grid, t_end, dt, n_paths, seed,
-                                    jump_sign_convention=convention, record_times=record)
+                                    jump_sign_convention=convention)
     ref = _reference_density_paths(spec, HOT_MEASURE, grid, t_end, dt, n_paths, seed,
-                                   ts.JUMP_SIGN[convention], record)
+                                   ts.JUMP_SIGN[convention])
     assert np.all(np.isfinite(res["alpha"]))
     for key in ("alpha", "survival", "negative_alpha_counts"):
         assert np.array_equal(res[key], np.array(ref[key])), key
     assert res["negative_alpha_counts"].sum() > 0
-    for rt in record:
-        for key in ("alpha", "survival"):
-            assert np.array_equal(res["records"][rt][key], np.array(ref["records"][rt][key]))
 
 
 def test_intensity_engine_matches_per_path_reference_at_high_jump_activity(monkeypatch):
