@@ -97,6 +97,7 @@ def _recovery_from(cfg: cfgmod.Config):
 
 
 def _solver_from(cfg: cfgmod.Config) -> PricingKernelSolver:
+    cfgmod.require_jump_reach_on_grid(cfg)
     grid = StateGrid(cfg.pide.x_range[0], cfg.pide.x_range[1], cfg.pide.nx,
                      cfg.pide.y_range[0], cfg.pide.y_range[1], cfg.pide.ny)
     return PricingKernelSolver(cfgmod.build_model_spec(cfg), cfgmod.build_rate_spec(cfg),
@@ -121,6 +122,7 @@ def cmd_price(args) -> int:
     if not needs_solver:
         cfgmod.require_closed_form_measure(cfg)
     ec = cfgmod.experiment_config(cfg)
+    solver = _solver_from(cfg) if needs_solver else None
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, "prices.csv")
     t, T = ec.t, ec.T
@@ -133,7 +135,6 @@ def cmd_price(args) -> int:
         sample = run_price_distribution(ec)
         rows = [(int(pid), float(p)) for pid, p in zip(sample.path_ids, sample.prices)]
     else:
-        solver = _solver_from(cfg) if needs_solver else None
         res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), t,
                                      ec.delta_t, ec.n_paths, ec.seed,
                                      jump_sign_convention=ec.jump_sign_convention)
@@ -157,8 +158,8 @@ def cmd_price(args) -> int:
 
 def cmd_pide(args) -> int:
     cfg = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     solver = _solver_from(cfg)
+    os.makedirs(args.out, exist_ok=True)
     if cfg.pide.picard_mode:
         from .pide import solve_cauchy_picard
         sol, _ = solve_cauchy_picard(lambda x, y: y, solver.provider(args.theta),
@@ -267,12 +268,13 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
                    "detail": f"max |price - closed form| = {err:.3e} (tol 1e-6)"})
 
     # bond-formula adjudication
-    report = adjudicate_vasicek_formula(n_paths=200_000)
+    report = adjudicate_vasicek_formula()
     configured = cfg.rates.vasicek_formula
+    z = " ".join(f"z_{name}={c['z']:+.2f}" for name, c in report["candidates"].items())
     checks.append({"name": "vasicek_adjudication",
                    "passed": bool(report["selected"] == "standard"),
                    "detail": f"selected={report['selected']} mc={report['mc']:.8f} "
-                             f"se={report['se']:.1e} configured={configured}"
+                             f"se={report['se']:.1e} {z} configured={configured}"
                              + (" (configured variant FAILED adjudication)"
                                 if configured != report["selected"] else "")})
 

@@ -357,6 +357,26 @@ def build_rate_spec(cfg: Config) -> VasicekSpec:
     return VasicekSpec(kappa=r.kappa, delta=r.delta, r0=r.r0, rho0=r.rho0, phi0=phi0)
 
 
+def require_jump_reach_on_grid(cfg: Config) -> None:
+    """Reject an `[pide] x_range` that does not hold the largest rate jump.
+
+    Beyond the x-grid the PIDE's jump operator extrapolates the kernel
+    linearly, which is exact only for data affine in x; the kernel is
+    exponential in x.  So r0 and r0 + phi0 * (largest mark node of the
+    jump quadrature) must both lie on the grid, or the solve departs from
+    the closed form (by 4.9e-3 with a point mass at phi0 = 0.5 on the
+    default x-range).
+    """
+    rs = build_rate_spec(cfg)
+    nodes, _ = build_measure(cfg).quadrature()
+    reach = rs.r0 + rs.phi0 * (float(nodes.max()) if nodes.size else 0.0)
+    lo, hi = cfg.pide.x_range
+    if not (lo <= min(rs.r0, reach) and max(rs.r0, reach) <= hi):
+        raise ConfigError(f"[pide] x_range = {lo!r},{hi!r} does not hold the rate-jump "
+                          f"reach: r0 = {rs.r0!r} and r0 + phi0 * (largest mark node) = "
+                          f"{reach!r} must both lie on the x-grid")
+
+
 def theta_max_from(cfg: Config) -> float:
     if cfg.model.theta_max_rule == "10_over_lambda":
         return theta_max_default(cfg.model.lambda_bar)

@@ -123,55 +123,6 @@ class PointMassMeasure:
 
 
 @dataclass(frozen=True)
-class TabulatedMeasure:
-    """nu = sum of weights at fixed mark nodes."""
-
-    nodes: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
-            raise ValueError("tabulated measure needs matching 1-d nodes and weights")
-        if np.any(weights < 0):
-            raise ValueError("measure weights must be nonnegative")
-        if not np.isfinite(weights.sum()):
-            raise InfiniteActivityError("finite-activity required")
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
-
-    def integral(self, g) -> float:
-        x, w = self.quadrature()
-        return float(np.sum(w * np.asarray(g(x), dtype=float)))
-
-    def mark_moment(self, k: int) -> float:
-        x, w = self.quadrature()
-        return float(np.sum(w * x ** k))
-
-    def one_minus_exp(self, c) -> np.ndarray | float:
-        x, w = self.quadrature()
-        c = np.asarray(c, dtype=float)
-        out = np.sum(w * (1.0 - np.exp(-np.multiply.outer(c, x))), axis=-1)
-        return out if out.ndim else float(out)
-
-    def xi_exp(self, c) -> np.ndarray | float:
-        x, w = self.quadrature()
-        c = np.asarray(c, dtype=float)
-        out = np.sum(w * x * np.exp(-np.multiply.outer(c, x)), axis=-1)
-        return out if out.ndim else float(out)
-
-    def sample_marks(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        x, w = self.quadrature()
-        return rng.choice(x, size=n, p=w / w.sum())
-
-
-@dataclass(frozen=True)
 class ZeroMeasure:
     """No jump component (used for varpi = 0 sweep cells and pure diffusion)."""
 
@@ -200,7 +151,7 @@ class ZeroMeasure:
         return np.zeros(n)
 
 
-LevyMeasure = ExponentialJumpMeasure | PointMassMeasure | TabulatedMeasure | ZeroMeasure
+LevyMeasure = ExponentialJumpMeasure | PointMassMeasure | ZeroMeasure
 
 
 def sample_jumps(measure: LevyMeasure, t: float, dt: float,

@@ -495,8 +495,7 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
 def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
                              thetas: np.ndarray, t_end: float, dt: float,
                              n_paths: int, seed: int,
-                             jump_sign_convention: str = "section7",
-                             path_offset: int = 0) -> dict:
+                             jump_sign_convention: str = "section7") -> dict:
     """(alpha, S) at a few maturities per path, in closed form, no curves.
 
     The direct scheme's survival update S (1 + dM) multiplies out to
@@ -514,8 +513,7 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     so both engines agree path by path up to that engine's trapezoid
     error.  Paths run in chunks of `PATH_CHUNK`, which bounds the
     (paths x maturities) work arrays; every operation is elementwise per
-    path row, so a path's values do not depend on the chunk boundaries
-    or on `path_offset`.
+    path row, so a path's values do not depend on the chunk boundaries.
     """
     if not spec.separable:
         raise ValueError("vectorized engine requires separable coefficients")
@@ -545,9 +543,7 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     for start in range(0, n_paths, PATH_CHUNK):
         stop = min(start + PATH_CHUNK, n_paths)
         p = stop - start
-        normals, marks_data = _path_noise(measure, seed,
-                                          range(path_offset + start, path_offset + stop),
-                                          n_steps, dt)
+        normals, marks_data = _path_noise(measure, seed, range(start, stop), n_steps, dt)
         dW = sqrt_dt * normals
         jumps = _chunk_jumps(marks_data, n_steps)
 

@@ -304,6 +304,37 @@ def test_cli_intensity_route_reads_c0_and_point_mass(tmp_path):
     assert curves["point_mass"] != curves["default"]
 
 
+JUMPY_RATES = "[rates]\nmode = vasicek_jumps\nrho0 = 0.01\nphi0 = 0.5\nrates_correlated = true\n"
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["pide"], "[levy_measure]\ntype = point_mass\n"),
+    (["pide"], "[levy_measure]\nquadrature_nodes = 64\n"),
+    (["price"], "[levy_measure]\nquadrature_nodes = 64\n\n[pricing]\nregime = correlated\n"),
+], ids=["pide-point_mass", "pide-64_nodes", "price_correlated-64_nodes"])
+def test_cli_rejects_jump_reach_off_the_x_grid(tmp_path, monkeypatch, capsys, argv, extra):
+    # r0 + phi0 * (largest node) is 0.55 for the unit point mass and 0.167
+    # for 64 Laguerre nodes, both beyond the default x-range (-0.05, 0.15)
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel solver built")
+
+    monkeypatch.setattr(cli, "PricingKernelSolver", refuse)
+    cfg = write(tmp_path, JUMPY_RATES + extra)
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [pide] x_range = -0.05,0.15 does not hold the rate-jump reach")
+    assert not os.path.exists(out)
+
+
+def test_jump_reach_check_accepts_the_pide_kernel_config(tmp_path):
+    # the benchmark's pide_kernel rates: reach 0.05 + 0.5 * 0.1118 = 0.106
+    cfgmod.require_jump_reach_on_grid(cfgmod.parse_config(write(tmp_path, JUMPY_RATES)))
+    narrow = write(tmp_path, JUMPY_RATES + "[pide]\nx_range = -0.05,0.1\n", "narrow.cfg")
+    with pytest.raises(cfgmod.ConfigError, match="x_range"):
+        cfgmod.require_jump_reach_on_grid(cfgmod.parse_config(narrow))
+
+
 def test_cli_pide_instability_is_classified(tmp_path, monkeypatch, capsys):
     # no accepted config drives the implicit solve unstable, so the kernel
     # solver is handed the exploding jump block of the solver's own test;

@@ -164,18 +164,6 @@ def test_unflagged_prices_bounded_under_large_section3_jumps():
     assert np.all(clean <= disc + 1e-12)
 
 
-def test_survival_values_independent_of_chunk_and_offset():
-    # 400 paths from 0 and 300 from offset 100 split at different chunk
-    # boundaries (path 256 against path 356)
-    cfg = ExperimentConfig(varpi=2e-3, seed=909)
-    window = pricing_window(cfg)
-    args = (cfg.spec(), cfg.measure(), window, cfg.t, cfg.delta_t)
-    whole = simulate_survival_values(*args, 400, cfg.seed)
-    part = simulate_survival_values(*args, 300, cfg.seed, path_offset=100)
-    assert np.array_equal(whole["survival"][100:], part["survival"])
-    assert np.array_equal(whole["alpha"][100:], part["alpha"])
-
-
 # ---------------------------------------------------------------------- kde
 
 def test_kde_rejects_degenerate_samples():

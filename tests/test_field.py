@@ -5,8 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from densitylab.measures import (ExponentialJumpMeasure, PointMassMeasure, TabulatedMeasure,
-                                 ZeroMeasure, sample_jumps)
+from densitylab.measures import (ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure,
+                                 sample_jumps)
 from densitylab.rng import PathStreams
 
 
@@ -65,13 +65,10 @@ def test_exponential_measure_closed_forms_match_quadrature():
     assert meas.mark_moment(2) == pytest.approx(meas.integral(lambda x: x ** 2), rel=1e-10)
 
 
-def test_point_mass_and_tabulated_measures():
+def test_point_mass_and_zero_measures():
     pm = PointMassMeasure(z=3.0, location=1.0)
     assert pm.total_mass == 3.0
     assert pm.one_minus_exp(np.log(2.0)) == pytest.approx(1.5)
-    tab = TabulatedMeasure(nodes=(0.5, 1.5), weights=(1.0, 2.0))
-    assert tab.total_mass == 3.0
-    assert tab.mark_moment(1) == pytest.approx(0.5 + 3.0)
     zero = ZeroMeasure()
     assert sample_jumps(zero, 0.0, 1.0, PathStreams(0, 0))[1].size == 0
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from densitylab import rates
 from densitylab.measures import ExponentialJumpMeasure, ZeroMeasure
 from densitylab.rates import (VasicekSpec, adjudicate_vasicek_formula, constant_rate_discount,
                               evolve_rate, ou_gaussian_loading, zcb_closed_form, zcb_mc_oracle,
@@ -98,6 +99,58 @@ def test_vasicek_formula_adjudication_selects_standard():
     assert report["selected"] == "standard"
     assert report["candidates"]["standard"]["within_3se"]
     assert not report["candidates"]["paper_exact"]["within_3se"]
+
+
+def test_oracle_control_never_reads_the_bond_formula(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bond formula under test reached")
+
+    monkeypatch.setattr(rates, "zcb_closed_form", refuse)
+    spec = VasicekSpec(kappa=2.0, delta=0.05, r0=0.03, rho0=0.1)
+    mc, se = rates.zcb_mc_oracle(spec, 0.0, 1.0, 0.03, n_paths=2_000, seed=7)
+    assert 0.0 < mc < 1.0 and se > 0.0
+
+
+def _oracle_integrals(spec, T, r, n_paths, seed, n_steps=64):
+    """int_0^T r ds per path on the oracle's draws, stepped out of place."""
+    kappa, delta, rho = spec.kappa, spec.delta, spec.rho0
+    dt = T / n_steps
+    e = np.exp(-kappa * dt)
+    var_x = rho ** 2 * (1 - e ** 2) / (2 * kappa)
+    var_y = rho ** 2 / kappa ** 2 * (dt - 2 * (1 - e) / kappa + (1 - e ** 2) / (2 * kappa))
+    cov_xy = rho ** 2 / (2 * kappa ** 2) * (1 - e) ** 2
+    a = np.sqrt(var_x)
+    b = cov_xy / a
+    c = np.sqrt(var_y - b ** 2)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rv, integral = np.full(n_paths, r), np.zeros(n_paths)
+    for _ in range(n_steps):
+        z1, z2 = rng.standard_normal(n_paths), rng.standard_normal(n_paths)
+        integral = integral + delta * dt + (rv - delta) * (1 - e) / kappa + b * z1 + c * z2
+        rv = rv * e + delta * (1 - e) + a * z1
+    return integral
+
+
+def test_oracle_control_variate_agrees_with_the_plain_mean_on_the_same_draws():
+    spec = VasicekSpec(kappa=2.0, delta=0.05, r0=0.03, rho0=0.1)
+    n, seed = 20_000, 20_240_601
+    mc, se = zcb_mc_oracle(spec, 0.0, 1.0, 0.03, n_paths=n, seed=seed)
+    integral = _oracle_integrals(spec, 1.0, 0.03, n, seed)
+    disc = np.exp(-integral)
+    plain, plain_se = disc.mean(), disc.std(ddof=1) / np.sqrt(n)
+    assert abs(mc - plain) < 3 * plain_se
+    assert se * 20 <= plain_se
+    # the oracle's control is e^{-m}(I - m) with m = E[I], nothing fitted
+    m = 0.05 + (0.03 - 0.05) * (1 - np.exp(-2.0)) / 2.0
+    assert mc == pytest.approx(np.mean(disc + np.exp(-m) * (integral - m)), abs=1e-13)
+
+
+def test_adjudication_at_the_verify_path_count_separates_the_variants():
+    report = adjudicate_vasicek_formula()
+    z = {name: c["z"] for name, c in report["candidates"].items()}
+    assert report["selected"] == "standard"
+    assert abs(z["standard"]) < 3
+    assert abs(z["paper_exact"]) >= 20
 
 
 def test_paper_exact_variant_warns_off_kappa_one():
