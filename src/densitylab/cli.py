@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import locale  # noqa: F401  (argparse's gettext imports it when the first parser is built)
 import os
 import sys
 from dataclasses import replace
@@ -168,12 +169,13 @@ def cmd_pide(args) -> int:
     else:
         sol = solver.solution(cfg.experiment.t, args.theta, "y")
     out_file = os.path.join(args.out, "kernel_grid.csv")
+    # the bytes of csv.writer rows of repr'd floats, built as one string
+    ys = [repr(y) for y in solver.grid.y.tolist()]
+    lines = ["x,y,K"]
+    for x, k_row in zip(solver.grid.x.tolist(), sol.values.tolist()):
+        lines += [f"{x!r},{y},{k!r}" for y, k in zip(ys, k_row)]
     with open(out_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "K"])
-        for i, x in enumerate(solver.grid.x):
-            for j, y in enumerate(solver.grid.y):
-                w.writerow([repr(float(x)), repr(float(y)), repr(float(sol.values[i, j]))])
+        fh.write("\r\n".join(lines) + "\r\n")
     return _finish(args, cfg, [out_file])
 
 

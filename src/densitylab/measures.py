@@ -6,7 +6,11 @@ Poisson process and compensation is exact, never truncated.  The workhorse
 is the exponential density nu(dxi) = (zeta/varpi) exp(-xi/varpi) on xi > 0
 (total mass zeta, mean mark varpi), for which the compensator integrals
 used throughout the model have closed forms; a generic Gauss-Laguerre rule
-backs everything else.
+backs everything else.  The rule is numpy's `laggauss` (companion-matrix
+nodes, one Newton step): at the default 32 nodes it agrees with
+`scipy.special.roots_laguerre` to 1e-14 in the nodes and 4e-13 in the
+weights (relative), and it keeps scipy off the Monte Carlo commands'
+import path.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_laguerre
+from numpy.polynomial.laguerre import laggauss
 
 from .rng import PathStreams
 
 
 @lru_cache(maxsize=None)
 def _laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_laguerre(n)
-    return x, w
+    """n-node Gauss-Laguerre rule: integral g(u) e^{-u} du ~ sum w_i g(u_i)."""
+    return laggauss(n)
 
 
 class InfiniteActivityError(ValueError):

@@ -27,7 +27,9 @@ implicitly by tridiagonal solves along grid lines, held as (3, n) banded
 arrays; the mixed term and the jump integral are explicit.  The
 implicit-Euler Picard iteration (`solve_cauchy_picard`) assembles the same
 pieces into one sparse 2-D matrix, factorises it with SuperLU and serves
-as the independent oracle.
+as the independent oracle.  scipy is imported only by the 2-D routes: the
+line solves of `solve_cauchy` (LAPACK `solve_banded`) and the Picard
+oracle (`scipy.sparse`, `splu`) load it on first use.
 The separable Dirac-kernel coefficients make the diffusion block rank one
 (a12^2 = 4 a11 a22); an optional ridge adds to a11 and a22 in that
 degenerate regime.
@@ -39,9 +41,14 @@ the discrete scheme is exact on functions linear in y, so
 `solve_cauchy_affine` marches the pair (F, G) as one (nx, 2) array
 through the same HV stages and lifts it onto the grid: F has terminal 1,
 G terminal 0 and is driven by a_drift F, a12 F_x and
-int gamma (F(x + phi) - F) nu.  `PricingKernelSolver` takes this route for
-k_breve and for k_tilde with f = 0; k_tilde with any other f and the
-Picard oracle stay on the 2-D grid.
+int gamma (F(x + phi) - F) nu.  Its only implicit solve is I - w Ax on the
+rate axis, a strictly diagonally dominant M-matrix (nonnegative
+off-diagonals in Ax by the hybrid upwinding, row sums 1 + w x), so it is
+eliminated without pivoting: the factor is computed once per time level
+and weight, and both columns are swept on Python floats (`_thomas_factor`,
+`_thomas_solve`).  `PricingKernelSolver` takes this route for k_breve and
+for k_tilde with f = 0; k_tilde with any other f and the Picard oracle
+stay on the 2-D grid.
 
 The jump integral is compensated with nu(dxi) exactly as the operator is
 printed; the reweighted compensator e^{-I_gamma} nu is available through
@@ -53,17 +60,17 @@ size for the experiment-scale parameters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import splu
 
 from .kernels import DiracKernel
 from .measures import LevyMeasure, ZeroMeasure
 from .rates import VasicekSpec, ou_gaussian_loading
 from .term_structure import CoefficientSpec, cumulative_integrals, mc_drift
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class PideInstabilityError(RuntimeError):
@@ -72,6 +79,13 @@ class PideInstabilityError(RuntimeError):
 
 class OutOfGridError(ValueError):
     pass
+
+
+def splu(a, **options):
+    """SuperLU factorisation of a sparse matrix: `scipy.sparse.linalg.splu`,
+    imported on the first call, since only the Picard oracle factorises."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(a, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +295,48 @@ def _band_apply(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
     return sp.diags([ab[2, :-1], ab[1], ab[0, 1:]], [-1, 0, 1], format="csr")
+
+
+def _thomas_factor(ab: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """Elimination of a banded tridiagonal matrix without pivoting.
+
+    Returns (multipliers, pivots, superdiagonal) as Python floats for
+    `_thomas_solve`.  Meant for strictly diagonally dominant M-matrices,
+    whose pivots stay positive; a non-positive (or NaN) pivot raises
+    PideInstabilityError.
+    """
+    sub, diag, sup = ab[2, :-1].tolist(), ab[1].tolist(), ab[0, 1:].tolist()
+    mult, piv = [], [diag[0]]
+    for lo, d, up in zip(sub, diag[1:], sup):
+        if not piv[-1] > 0.0:
+            break
+        m = lo / piv[-1]
+        mult.append(m)
+        piv.append(d - m * up)
+    if not piv[-1] > 0.0:      # the first bad pivot ends the elimination
+        raise PideInstabilityError(
+            f"rate-axis implicit system has pivot {piv[-1]!r} at row {len(piv) - 1}: "
+            f"I - w Ax is not diagonally dominant; retry with more time steps")
+    return mult, piv, sup
+
+
+def _thomas_solve(factor: tuple[list[float], list[float], list[float]],
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve with a `_thomas_factor` for the two columns of an (n, 2) rhs."""
+    mult, piv, sup = factor
+    f, g = rhs.T.tolist()
+    pf, pg = f[0], g[0]
+    for i, m in enumerate(mult, 1):
+        pf = f[i] = f[i] - m * pf
+        pg = g[i] = g[i] - m * pg
+    pf = f[-1] = pf / piv[-1]
+    pg = g[-1] = pg / piv[-1]
+    for i in range(len(mult) - 1, -1, -1):
+        pf = f[i] = (f[i] - sup[i] * pf) / piv[i]
+        pg = g[i] = (g[i] - sup[i] * pg) / piv[i]
+    return np.column_stack((f, g))
 
 
 def _first_diff(n: int, h: float) -> np.ndarray:
@@ -361,6 +416,7 @@ def axis_operators(grid: StateGrid, coeffs: OperatorCoefficients,
 def build_local_operator(grid: StateGrid, coeffs: OperatorCoefficients,
                          ridge_eps: float | str = "auto") -> sp.csc_matrix:
     """Sparse 2-D matrix of the local operator, assembled from its 1-D pieces."""
+    import scipy.sparse as sp
     p = axis_operators(grid, coeffs, ridge_eps)
     ax, ay, dx, dy = (_band_to_sparse(ab) for ab in (p.ax, p.ay, p.dx, p.dy))
     ix = sp.identity(grid.nx, format="csr")
@@ -466,7 +522,8 @@ class _SplitOperator:
         self.grid = grid
         self.coeffs = coeffs
         self.ops = axis_operators(grid, coeffs, ridge_eps)
-        self._implicit: dict[tuple[int, float], np.ndarray] = {}
+        # per (axis, w): the banded I - w A, or its elimination factor
+        self._implicit: dict[tuple[int, float], object] = {}
 
     def f0(self, v: np.ndarray) -> np.ndarray:
         out = apply_jump_operator(v, self.grid, self.coeffs)
@@ -480,14 +537,19 @@ class _SplitOperator:
     def f2(self, v: np.ndarray) -> np.ndarray:
         return _band_apply(self.ops.ay, v.T).T
 
+    def system(self, axis: int, w: float) -> np.ndarray:
+        """Banded form of I - w A_axis."""
+        ab = -w * (self.ops.ax if axis == 0 else self.ops.ay)
+        ab[1] += 1.0
+        return ab
+
     def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
         """(I - w A_axis)^{-1} applied along `axis`: one tridiagonal solve
         with a right-hand side per grid line."""
+        from scipy.linalg import solve_banded
         key = (axis, w)
         if key not in self._implicit:
-            ab = -w * (self.ops.ax if axis == 0 else self.ops.ay)
-            ab[1] += 1.0
-            self._implicit[key] = ab
+            self._implicit[key] = self.system(axis, w)
         ab = self._implicit[key]
         if axis == 0:
             return solve_banded((1, 1), ab, rhs, check_finite=False)
@@ -503,7 +565,8 @@ class _AffineSplit(_SplitOperator):
     functions linear in y (but for the y-drift's dropped edge row, which
     multiplies a_drift, zero up to quadrature), so the y-axis collapses:
     Ay K = a_drift F feeds G, the mixed term contributes a12 Dx F to G,
-    and the jump integral is `_affine_jump_operator`."""
+    and the jump integral is `_affine_jump_operator`.  The rate-axis solve
+    is a Thomas elimination whose factor is cached per weight."""
 
     def f0(self, v: np.ndarray) -> np.ndarray:
         out = _affine_jump_operator(v, self.grid, self.coeffs)
@@ -518,7 +581,10 @@ class _AffineSplit(_SplitOperator):
 
     def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
         if axis == 0:
-            return super().solve(0, rhs, w)
+            key = (0, w)
+            if key not in self._implicit:
+                self._implicit[key] = _thomas_factor(self.system(0, w))
+            return _thomas_solve(self._implicit[key], rhs)
         out = rhs.copy()
         out[:, 1] += w * self.coeffs.a_drift * rhs[:, 0]
         return out
@@ -634,6 +700,7 @@ def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: 
     construction behind the existence proof; the independent oracle of the
     ADI stepping.
     """
+    import scipy.sparse as sp
     xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
     term_vals = np.asarray(terminal(xx, yy) if callable(terminal) else terminal, dtype=float)
     term_vals = np.broadcast_to(term_vals, (grid.nx, grid.ny)).copy()

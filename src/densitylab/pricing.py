@@ -268,8 +268,9 @@ def price_defaultable_zcb(t: float, T: float, status, state: DensityCurveState,
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_curve = np.where(surv > 0, alpha / np.maximum(surv, 1e-300), 0.0)
     first = int(np.searchsorted(grid, t - 1e-12))
-    sub_idx = np.unique(np.concatenate([np.arange(first, grid.size, theta_stride),
-                                        [grid.size - 1]]))
+    sub_idx = np.arange(first, grid.size, theta_stride)
+    if sub_idx.size == 0 or sub_idx[-1] != grid.size - 1:
+        sub_idx = np.append(sub_idx, grid.size - 1)
 
     def q_ratio(j: int, terminal: str) -> float:
         lam = float(lam_curve[j])

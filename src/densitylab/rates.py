@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .measures import LevyMeasure, ZeroMeasure, sample_jumps
 from .rng import PathStreams
@@ -195,7 +196,7 @@ def zcb_mc_oracle(spec: VasicekSpec, t: float, T: float, r: float,
     chol_b = cov_xy / chol_a if var_x > 0 else 0.0
     chol_c = np.sqrt(max(var_y - chol_b ** 2, 0.0))
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
     rv = np.full(n_paths, float(r))
     integral = np.zeros(n_paths)
     z1, z2, inc, tmp = (np.empty(n_paths) for _ in range(4))

@@ -16,6 +16,7 @@ same bits as `stream` would give for each.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 CHANNEL_GAUSSIAN = 0
 CHANNEL_POISSON_COUNT = 1
@@ -42,7 +43,7 @@ def stream(seed: int, path: int, channel: int) -> np.random.Generator:
     Philox is counter-based: distinct keys give statistically independent,
     reproducible streams with no sequential dependence between paths.
     """
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, path, channel)))
+    return Generator(Philox(key=stream_key(seed, path, channel)))
 
 
 def rekey(gen: np.random.Generator, seed: int, path: int, channel: int) -> np.random.Generator:

@@ -408,7 +408,7 @@ def _mark_sums(jumps: _Jumps, n_steps: int, n_rows: int) -> np.ndarray:
     """
     first = np.cumsum(jumps.group_size) - jumps.group_size
     sums = np.empty(first.size)
-    for size in np.unique(jumps.group_size):
+    for size in np.flatnonzero(np.bincount(jumps.group_size)):
         sel = jumps.group_size == size
         sums[sel] = jumps.mark[first[sel][:, None] + np.arange(size)].sum(axis=1)
     out = np.zeros((n_steps, n_rows))

@@ -223,6 +223,26 @@ def test_cli_pide_grid_csv(tmp_path):
     assert ks[pick] == pytest.approx(ys[pick] * np.exp(-xs[pick] * 0.5), rel=1e-2)
 
 
+def test_cli_pide_grid_csv_has_csv_writer_bytes(tmp_path):
+    # the grid is written as one string; it must carry the bytes csv.writer
+    # gives the same repr'd values (CRLF line ends, no quoting)
+    import io
+
+    cfg = write(tmp_path, TINY_PIDE)
+    out = str(tmp_path / "pide")
+    assert main(["pide", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "kernel_grid.csv"), "rb") as fh:
+        raw = fh.read()
+    rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
+    assert rows[0] == ["x", "y", "K"] and len(rows) == 1 + 16 * 16
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(rows[0])
+    for row in rows[1:]:
+        w.writerow([repr(float(v)) for v in row])
+    assert buf.getvalue().encode() == raw
+
+
 def test_cli_price_defaulted_recovery_of_face(tmp_path):
     cfg = write(tmp_path, TINY)
     out = str(tmp_path / "price")

@@ -1,0 +1,99 @@
+"""Import hygiene of the `lab` commands.
+
+Only the 2-D PIDE routes need scipy, so the CLI must start without it, and
+a command must import nothing of its own once the CLI is loaded: whatever
+it needs is paid for at start-up, not inside the command.  Each case runs
+in a fresh interpreter, since the test session has imported scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+PROBE = """
+import contextlib, io, json, sys
+import densitylab.cli as cli
+loaded = set(sys.modules)
+argv = json.loads(sys.argv[1])
+rc = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+print(json.dumps({"rc": rc,
+                  "at_import": sorted(m for m in loaded if m.split(".")[0] == "scipy"),
+                  "in_command": sorted(set(sys.modules) - loaded)}))
+"""
+
+EXPERIMENT = """
+[levy_measure]
+zeta = 10.0
+varpi = 0.001
+
+[model]
+sigma = 0.001
+lambda_bar = 0.1
+
+[experiment]
+n_paths = 40
+seed = 3
+"""
+
+# the benchmark kernel's correlated jump rates on a small grid
+PIDE = """
+[rates]
+mode = vasicek_jumps
+rho0 = 0.01
+phi0 = 0.5
+rates_correlated = true
+
+[pide]
+nx = 24
+ny = 16
+n_steps = 8
+"""
+
+
+def _probe(argv: list[str]) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    env.pop("LAB_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _cfg(tmp_path, text: str) -> str:
+    path = tmp_path / "lab.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    assert _probe([])["at_import"] == []
+
+
+@pytest.mark.parametrize("command", ["experiment", "verify", "pide"])
+def test_commands_import_nothing_after_the_cli(tmp_path, command):
+    out = str(tmp_path / "out")
+    argv = {"experiment": ["experiment", "section7", "--config", _cfg(tmp_path, EXPERIMENT)],
+            "verify": ["verify"],
+            "pide": ["pide", "--theta", "2.0", "--config", _cfg(tmp_path, PIDE)]}[command]
+    result = _probe(argv + ["--out", out])
+    assert result["rc"] == 0
+    assert result["at_import"] == []
+    assert result["in_command"] == []
+
+
+def test_picard_mode_loads_scipy_sparse_on_demand(tmp_path):
+    cfg = _cfg(tmp_path, PIDE + "picard_mode = true\n")
+    result = _probe(["pide", "--theta", "2.0", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result["rc"] == 0
+    assert result["at_import"] == []
+    assert "scipy.sparse" in result["in_command"]
+    assert os.path.getsize(tmp_path / "out" / "kernel_grid.csv") > 0

@@ -5,9 +5,10 @@ import pytest
 
 from densitylab.kernels import DiracKernel
 from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
-from densitylab.pide import (CoefficientProvider, GridFunction, OperatorCoefficients,
-                             OutOfGridError, PideInstabilityError, PricingKernelSolver,
-                             StateGrid, _pad_extrapolate, apply_jump_operator,
+from densitylab.pide import (HV_THETA, CoefficientProvider, GridFunction,
+                             OperatorCoefficients, OutOfGridError, PideInstabilityError,
+                             PricingKernelSolver, StateGrid, _AffineSplit, _pad_extrapolate,
+                             _thomas_factor, _thomas_solve, apply_jump_operator,
                              compute_coefficients, solve_cauchy, solve_cauchy_affine,
                              solve_cauchy_picard)
 from densitylab.rates import VasicekSpec, zcb_closed_form
@@ -542,3 +543,62 @@ def test_affine_route_instability_raises():
     assert np.abs(sol.values - grid.y * np.exp(-grid.x[:, None])).max() < 1e-6
     with pytest.raises(PideInstabilityError, match="n_steps"):
         solve_cauchy_affine(wild(0.01), grid, 0.0, 1.0, 4)
+
+
+# ------------------------------------------------- rate-axis elimination
+
+def _banded_reference(ab, rhs):
+    from scipy.linalg import solve_banded
+    return solve_banded((1, 1), ab, rhs)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("weight", ["hv", "damping"])
+def test_thomas_solve_matches_lapack_on_the_kernel_system(t, weight):
+    # I - w Ax of the affine route at the benchmark kernel's config
+    # (defaults_correlated on PIDE_GRID, 200 steps over [0.5, 1]) for both
+    # weights the HV march uses
+    dt = 0.5 / 200
+    w = HV_THETA * dt if weight == "hv" else dt
+    split = _AffineSplit(PIDE_GRID, AFFINE_CASES["defaults_correlated"](t), "auto")
+    ab = split.system(0, w)
+    rhs = np.random.default_rng(5).standard_normal((PIDE_GRID.nx, 2))
+    ref = _banded_reference(ab, rhs)
+    x = _thomas_solve(_thomas_factor(ab), rhs)
+    assert x.shape == rhs.shape
+    assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_thomas_solve_matches_lapack_on_dominant_systems(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    ab = np.zeros((3, n))
+    ab[0, 1:] = rng.uniform(-1.0, 1.0, n - 1)
+    ab[2, :-1] = rng.uniform(-1.0, 1.0, n - 1)
+    # strictly diagonally dominant rows with a positive diagonal
+    ab[1] = np.abs(ab[0]) + np.roll(np.abs(ab[2]), 1) + rng.uniform(1e-3, 1.0, n)
+    rhs = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-3, 3)
+    ref = _banded_reference(ab, rhs)
+    x = _thomas_solve(_thomas_factor(ab), rhs)
+    assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_thomas_factor_rejects_a_non_positive_pivot(bad):
+    ab = np.zeros((3, 6))
+    ab[1] = 2.0
+    ab[1, 3] = bad
+    with pytest.raises(PideInstabilityError, match="pivot"):
+        _thomas_factor(ab)
+
+
+def test_affine_route_caches_one_factor_per_level_and_weight():
+    split = _AffineSplit(PIDE_GRID, AFFINE_CASES["defaults_correlated"](0.5), "auto")
+    rhs = np.ones((PIDE_GRID.nx, 2))
+    first = split.solve(0, rhs, 1e-3)
+    factor = split._implicit[(0, 1e-3)]
+    assert np.array_equal(split.solve(0, rhs, 1e-3), first)
+    assert split._implicit[(0, 1e-3)] is factor
+    split.solve(0, rhs, 2e-3)
+    assert len(split._implicit) == 2
