@@ -24,11 +24,10 @@ from .experiments import (kde, kde_grid, run_price_distribution, sample_skewness
                           write_kde_csv, write_prices_csv, write_sweep_csv)
 from .manifest import write_manifest
 from .pide import PideInstabilityError, PricingKernelSolver, StateGrid
-from .pricing import (Alive, Defaulted, DeterministicRecovery, IntensityLinkedRecovery,
-                      price_defaultable_zcb)
+from .pricing import DeterministicRecovery, IntensityLinkedRecovery, price_defaultable_zcb
 from .rates import adjudicate_vasicek_formula, constant_rate_discount, zcb_price
-from .term_structure import (DensityCurveState, simulate_density_paths,
-                             simulate_intensity_paths, simulate_survival_values)
+from .term_structure import (simulate_density_paths, simulate_intensity_paths,
+                             simulate_survival_values)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -115,42 +114,51 @@ def _discount_from(cfg: cfgmod.Config, t: float, T: float) -> float:
                      formula=cfg.rates.vasicek_formula)
 
 
+def _tau_from(args, t: float) -> float | None:
+    """The default time of a defaulted run (0.25 unless given), None when alive."""
+    if args.status == "alive":
+        if args.tau is not None:
+            raise ValueError(f"--tau {args.tau!r} is read only with --status defaulted")
+        return None
+    tau = 0.25 if args.tau is None else args.tau
+    if not 0.0 <= tau <= t:
+        raise ValueError(f"--tau {tau!r} must lie in [0, t] = [0, {t!r}]")
+    return tau
+
+
 def cmd_price(args) -> int:
     cfg = _load(args)
     cfgmod.require_density_route(cfg)
+    ec = cfgmod.experiment_config(cfg)
+    t, T = ec.t, ec.T
+    tau = _tau_from(args, t)
     needs_solver = (cfg.pricing.regime == "correlated"
                     or cfg.pricing.recovery_type != "deterministic")
     if not needs_solver:
         cfgmod.require_closed_form_measure(cfg)
-    ec = cfgmod.experiment_config(cfg)
     solver = _solver_from(cfg) if needs_solver else None
-    os.makedirs(args.out, exist_ok=True)
-    out_file = os.path.join(args.out, "prices.csv")
-    t, T = ec.t, ec.T
-    status = Alive(t) if args.status == "alive" else Defaulted(args.tau)
     recovery = _recovery_from(cfg)
     discount = _discount_from(cfg, t, T)
 
-    rows = []
-    if not needs_solver and isinstance(status, Alive):
-        sample = run_price_distribution(ec)
-        rows = [(int(pid), float(p)) for pid, p in zip(sample.path_ids, sample.prices)]
-    else:
+    path_ids = np.arange(ec.n_paths)
+    if needs_solver:
         res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), t,
                                      ec.delta_t, ec.n_paths, ec.seed,
                                      jump_sign_convention=ec.jump_sign_convention)
-        regime = cfg.pricing.regime
-        for p in range(ec.n_paths):
-            state = DensityCurveState(t, res["theta_grid"], res["alpha"][p],
-                                      res["survival"][p])
-            out = price_defaultable_zcb(t, T, status, state, recovery, discount,
-                                        regime=regime, r_t=cfg.rates.r0,
-                                        solver=solver)
-            rows.append((p, out["price"]))
+        prices = price_defaultable_zcb(t, T, res["theta_grid"], res["alpha"],
+                                       res["survival"], recovery, discount,
+                                       r_t=cfg.rates.r0, solver=solver, tau=tau)
+    elif tau is None:
+        sample = run_price_distribution(ec)
+        path_ids, prices = sample.path_ids, sample.prices
+    else:
+        prices = np.full(ec.n_paths, recovery.rate * discount)
+    os.makedirs(args.out, exist_ok=True)
+    out_file = os.path.join(args.out, "prices.csv")
     with open(out_file, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["path", "t", "T", "status", "price"])
-        for pid, price in rows:
+        for pid, price in zip(path_ids.tolist(), prices.tolist()):
             w.writerow([pid, repr(float(t)), repr(float(T)), args.status, repr(price)])
     return _finish(args, cfg, [out_file])
 
@@ -348,10 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=["density", "intensity"], default="density")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("price", help="price the defaultable bond per path")
+    p = sub.add_parser("price", help="price the defaultable bond per path",
+                       description="Price the defaultable zero-coupon bond on every "
+                       "simulated path at the observation time t.  [rates] r0 is the "
+                       "short rate observed at t, shared by every path.")
     _add_common(p)
-    p.add_argument("--status", choices=["alive", "defaulted"], default="alive")
-    p.add_argument("--tau", type=float, default=0.25, help="default time when defaulted")
+    p.add_argument("--status", choices=["alive", "defaulted"], default="alive",
+                   help="alive prices the pre-default bond; defaulted prices the "
+                   "recovery after a default at --tau")
+    p.add_argument("--tau", type=float, default=None,
+                   help="default time in [0, t] with --status defaulted (default 0.25)")
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("pide", help="solve the pricing-kernel equation on the grid")

@@ -18,7 +18,7 @@ from .experiments import ExperimentConfig
 from .kernels import DiracKernel
 from .measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
 from .rates import VasicekSpec
-from .term_structure import CoefficientSpec, theta_max_default
+from .term_structure import CoefficientSpec
 
 
 class ConfigError(ValueError):
@@ -375,12 +375,6 @@ def require_jump_reach_on_grid(cfg: Config) -> None:
         raise ConfigError(f"[pide] x_range = {lo!r},{hi!r} does not hold the rate-jump "
                           f"reach: r0 = {rs.r0!r} and r0 + phi0 * (largest mark node) = "
                           f"{reach!r} must both lie on the x-grid")
-
-
-def theta_max_from(cfg: Config) -> float:
-    if cfg.model.theta_max_rule == "10_over_lambda":
-        return theta_max_default(cfg.model.lambda_bar)
-    return float(cfg.model.theta_max_rule)
 
 
 def experiment_config(cfg: Config, **overrides) -> ExperimentConfig:

@@ -23,17 +23,11 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .rng import PathStreams
-
 
 @lru_cache(maxsize=None)
 def _laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-node Gauss-Laguerre rule: integral g(u) e^{-u} du ~ sum w_i g(u_i)."""
     return laggauss(n)
-
-
-class InfiniteActivityError(ValueError):
-    """Raised when a measure without finite total mass is requested."""
 
 
 @dataclass(frozen=True)
@@ -156,25 +150,3 @@ class ZeroMeasure:
 
 
 LevyMeasure = ExponentialJumpMeasure | PointMassMeasure | ZeroMeasure
-
-
-def sample_jumps(measure: LevyMeasure, t: float, dt: float,
-                 streams: PathStreams) -> tuple[np.ndarray, np.ndarray]:
-    """Jump times and marks on the window (t, t + dt].
-
-    The count is Poisson(total_mass * dt), marks are i.i.d. nu / total_mass,
-    times are uniform on the window.  Counts, marks and times come from
-    separate channels so consumption patterns stay reproducible.
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    mass = measure.total_mass
-    if not np.isfinite(mass):
-        raise InfiniteActivityError("finite-activity required")
-    if dt == 0 or mass == 0:
-        return np.zeros(0), np.zeros(0)
-    n = int(streams.poisson_count.poisson(mass * dt))
-    marks = measure.sample_marks(n, streams.poisson_marks)
-    times = t + dt * streams.poisson_times.random(n)
-    return times, marks
-

@@ -125,9 +125,10 @@ class StateGrid:
     def y(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
-    def contains(self, x: float, y: float) -> bool:
-        return (self.x_min - 1e-12 <= x <= self.x_max + 1e-12
-                and self.y_min - 1e-12 <= y <= self.y_max + 1e-12)
+    def contains(self, x, y) -> bool:
+        """Whether every point (x, y) lies on the grid; arrays broadcast."""
+        return bool(np.all((self.x_min - 1e-12 <= x) & (x <= self.x_max + 1e-12)
+                           & (self.y_min - 1e-12 <= y) & (y <= self.y_max + 1e-12)))
 
 
 @dataclass
@@ -143,18 +144,23 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
 
-    def interp(self, x: float, y: float) -> float:
-        """Bilinear interpolation; out-of-grid queries raise, never extrapolate."""
+    def interp(self, x, y):
+        """Bilinear interpolation; out-of-grid queries raise, never extrapolate.
+
+        Scalar x and y give a float; arrays broadcast and give an array.
+        """
         if not self.grid.contains(x, y):
             raise OutOfGridError(f"query point ({x}, {y}) outside the state grid")
         g = self.grid
-        fx = np.clip((x - g.x_min) / g.hx, 0, g.nx - 1)
-        fy = np.clip((y - g.y_min) / g.hy, 0, g.ny - 1)
-        i0, j0 = int(min(fx, g.nx - 2)), int(min(fy, g.ny - 2))
+        fx = np.clip((np.asarray(x, dtype=float) - g.x_min) / g.hx, 0, g.nx - 1)
+        fy = np.clip((np.asarray(y, dtype=float) - g.y_min) / g.hy, 0, g.ny - 1)
+        i0 = np.minimum(fx, g.nx - 2).astype(int)
+        j0 = np.minimum(fy, g.ny - 2).astype(int)
         wx, wy = fx - i0, fy - j0
         v = self.values
-        return float((1 - wx) * (1 - wy) * v[i0, j0] + wx * (1 - wy) * v[i0 + 1, j0]
-                     + (1 - wx) * wy * v[i0, j0 + 1] + wx * wy * v[i0 + 1, j0 + 1])
+        out = ((1 - wx) * (1 - wy) * v[i0, j0] + wx * (1 - wy) * v[i0 + 1, j0]
+               + (1 - wx) * wy * v[i0, j0 + 1] + wx * wy * v[i0 + 1, j0 + 1])
+        return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +758,8 @@ class PricingKernelSolver:
     intensity under the survival-reweighted measure), solved on the affine
     route `solve_cauchy_affine`; k_tilde adds the recovery weighting
     terminal y e^{-f(y)}, solved on the 2-D grid unless f vanishes on it,
-    when it is k_breve and shares its cache entry.
+    when it is k_breve and shares its cache entry.  Both read the solution
+    by `GridFunction.interp`, so r and lam may be arrays of queries.
     """
 
     def __init__(self, model_spec: CoefficientSpec, rate_spec: VasicekSpec,
@@ -806,11 +813,11 @@ class PricingKernelSolver:
                                                 ridge_eps=self.ridge_eps)
         return self._cache[key]
 
-    def k_breve(self, t: float, r: float, lam: float, theta: float) -> float:
+    def k_breve(self, t: float, r, lam, theta: float):
         return self.solution(t, theta, "y").interp(r, lam)
 
-    def k_tilde(self, t: float, r: float, lam: float, theta: float,
-                f: Callable[[np.ndarray], np.ndarray]) -> float:
+    def k_tilde(self, t: float, r, lam, theta: float,
+                f: Callable[[np.ndarray], np.ndarray]):
         if not np.all(np.asarray(f(self.grid.y)) >= 0):
             raise ValueError("recovery weighting f must be nonnegative on the grid")
         return self.solution(t, theta, "y_exp_f", f=f).interp(r, lam)

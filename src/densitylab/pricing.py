@@ -8,22 +8,30 @@ the price splits into
                 + int_t^T K2(t, theta) alpha_t(theta) / S_t dtheta
     defaulted:  K2(t, tau),
 
-with K1 the discounted-density kernel and K2 the recovery kernel.  Three
-regimes are supported:
+with K1 the discounted-density kernel and K2 the recovery kernel.  What
+each (regime, status) reads:
 
 * independent rates, deterministic recovery: K1 = alpha_t(theta) B(t,T) / S_t
-  and K2 = R(theta) B(t,T), collapsing to the closed pre-default form
-  P = B(t,T) (1 - (1-R) int_t^T alpha / int_t^inf alpha);
+  and K2 = R B(t,T).  Before default the price is the closed pre-default
+  form P = B(t,T) (1 - (1-R) int_t^T alpha / int_t^inf alpha), which
+  `experiments.run_price_distribution` reads off two survival values per
+  path; `price_pre_default_independent` evaluates it on a whole curve and
+  is the oracle of that shortcut.  After default the price R B(t,T) reads no
+  curve at all.
 * correlated rates, deterministic recovery: K1 = S_t(theta)/S_t *
-  Kbreve(t, r_t, lambda_t(theta)) and K2 = R(theta) Kbreve / lambda_t(theta);
-* correlated rates, intensity-linked recovery R_T = w0 + w1 e^{-f(lambda)}:
+  Kbreve(t, r_t, lambda_t(theta)) and K2 = R Kbreve / lambda_t(theta).
+* intensity-linked recovery R_T = w0 + w1 e^{-f(lambda)}:
   K2 = (w0 Kbreve + w1 Ktilde) / lambda_t(theta).
 
-theta-integrals use the trapezoid rule on the curve grid with the
-flat-intensity tail correction S_t(theta_max) beyond the truncation point
-(the correction magnitude is exposed); correlated-regime kernels are
-evaluated on a theta subgrid and interpolated, since each theta requires
-its own backward PIDE solve.
+`price_defaultable_zcb` prices the last two regimes for a batch of curves
+(one row per path) with the PIDE kernels of `pide.PricingKernelSolver`.
+For the alive bond it reads the ratios q1 = Kbreve/lambda and
+q2 = Ktilde/lambda at every `theta_stride`-th node from t on, one backward
+solve per node and all paths at once, and interpolates them across theta;
+q2 enters only on [t, T], so Ktilde is solved only at the nodes that
+bracket it.  The theta-integrals use the trapezoid rule on the curve grid,
+with the flat-intensity tail S_t(theta_max) beyond the truncation point.
+After default it reads the kernels at theta = tau: one solve per kernel.
 """
 
 from __future__ import annotations
@@ -49,26 +57,18 @@ LAMBDA_FLOOR = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# recovery models and default status
+# recovery models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeterministicRecovery:
-    """Recovery as a deterministic fraction of face value, possibly theta-dependent."""
+    """Recovery as a deterministic fraction of face value."""
 
-    rate: float | Callable[[np.ndarray], np.ndarray] = 0.4
+    rate: float = 0.4
 
     def __post_init__(self):
-        if not callable(self.rate) and not 0.0 <= self.rate <= 1.0:
+        if not 0.0 <= self.rate <= 1.0:
             raise ValueError("recovery rate must lie in [0, 1]")
-
-    def __call__(self, theta) -> np.ndarray:
-        if callable(self.rate):
-            vals = np.asarray(self.rate(np.asarray(theta, dtype=float)), dtype=float)
-            if np.any((vals < 0) | (vals > 1)):
-                raise ValueError("recovery rate must lie in [0, 1] on the grid")
-            return vals
-        return np.full_like(np.asarray(theta, dtype=float), self.rate)
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,6 @@ class IntensityLinkedRecovery:
 
 
 RecoveryModel = DeterministicRecovery | IntensityLinkedRecovery
-
-
-@dataclass(frozen=True)
-class Alive:
-    t: float
-
-
-@dataclass(frozen=True)
-class Defaulted:
-    tau: float
-
-    def check_at(self, t: float):
-        if self.tau > t + 1e-12:
-            raise ValueError("default time must satisfy tau <= t")
-
-
-DefaultStatus = Alive | Defaulted
 
 
 # ---------------------------------------------------------------------------
@@ -128,72 +111,17 @@ def density_integral(state: DensityCurveState, a: float, b: float | None = None)
     return _grid_trapz(grid, alpha, a, b), 0.0
 
 
-# ---------------------------------------------------------------------------
-# price kernels
-# ---------------------------------------------------------------------------
-
-def azema_from_state(state: DensityCurveState) -> float:
-    """S_t = int_t^inf alpha_t(theta) dtheta, the survival process."""
-    value, _ = density_integral(state, state.t, None)
-    return value
-
-
-def kernel_K1(t: float, theta: float, state: DensityCurveState,
-              discount: float, regime: str = "independent",
-              r_t: float | None = None,
-              solver: PricingKernelSolver | None = None) -> float:
-    """First price kernel (discounted-density term).
-
-    independent: K1 = alpha_t(theta) B(t, T) / S_t;
-    correlated:  K1 = S_t(theta) Kbreve(t, r_t, lambda_t(theta)) / S_t.
-    """
-    s_t = azema_from_state(state)
-    if s_t <= 0:
-        raise DegenerateSurvivalError("degenerate survival: S_t <= 0")
-    grid = np.asarray(state.theta_grid, dtype=float)
-    if regime == "independent":
-        alpha = float(np.interp(theta, grid, state.alpha))
-        return alpha * discount / s_t
-    if regime == "correlated":
-        if solver is None or r_t is None:
-            raise ValueError("correlated regime needs a kernel solver and r_t")
-        s_theta = float(np.interp(theta, grid, state.survival))
-        lam = float(np.interp(theta, grid, state.alpha)) / max(s_theta, 1e-300)
-        return s_theta * solver.k_breve(t, r_t, lam, theta) / s_t
-    raise ValueError(f"unknown regime {regime!r}")
-
-
-def kernel_K2(t: float, theta: float, state: DensityCurveState,
-              recovery: RecoveryModel, discount: float,
-              regime: str = "independent", r_t: float | None = None,
-              solver: PricingKernelSolver | None = None) -> float:
-    """Second price kernel (after-default recovery term).
-
-    Deterministic recovery, independent rates: R(theta) B(t, T).
-    Correlated regimes divide the PIDE kernels by lambda_t(theta); the
-    removable singularity at lambda -> 0+ is floored and the deterministic
-    limit R * discount is used below the floor.
-    """
-    grid = np.asarray(state.theta_grid, dtype=float)
-    if regime == "independent" and isinstance(recovery, DeterministicRecovery):
-        return float(recovery(theta)) * discount
-    if solver is None or r_t is None:
-        raise ValueError("this regime needs a kernel solver and r_t")
-    s_theta = float(np.interp(theta, grid, state.survival))
-    alpha = float(np.interp(theta, grid, state.alpha))
-    lam = alpha / max(s_theta, 1e-300)
-    if lam <= 0:
-        raise KernelUndefinedError("kernel undefined at nonpositive intensity")
-    if isinstance(recovery, DeterministicRecovery):
-        r_rate = float(recovery(theta))
-        if lam < LAMBDA_FLOOR:
-            return r_rate * discount
-        return r_rate * solver.k_breve(t, r_t, lam, theta) / lam
-    if lam < LAMBDA_FLOOR:
-        return (recovery.w0 + recovery.w1) * discount
-    k_breve = solver.k_breve(t, r_t, lam, theta)
-    k_tilde = solver.k_tilde(t, r_t, lam, theta, recovery.f)
-    return (recovery.w0 * k_breve + recovery.w1 * k_tilde) / lam
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """`np.interp(x, xp, row)` for every row of fp, with np.interp's arithmetic."""
+    if xp.size == 1:
+        return np.repeat(fp, x.size, axis=1)
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+    out = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[:, j]
+    out[:, x < xp[0]] = fp[:, :1]
+    out[:, x >= xp[-1]] = fp[:, -1:]
+    # fancy indexing leaves `out` in Fortran order; row sums of C-ordered
+    # rows reduce exactly as np.trapezoid does on one 1-D row
+    return np.ascontiguousarray(out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,80 +149,84 @@ def price_pre_default_independent(t: float, T: float, state: DensityCurveState,
     return disc * (1.0 - (1.0 - recovery_rate) * num / den)
 
 
-def price_defaultable_zcb(t: float, T: float, status, state: DensityCurveState,
-                          recovery: RecoveryModel, discount: float,
-                          regime: str = "independent", r_t: float | None = None,
-                          solver: PricingKernelSolver | None = None,
-                          theta_stride: int = 50) -> dict:
-    """Defaultable zero-coupon bond price.
+def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.ndarray,
+                          survival: np.ndarray, recovery: RecoveryModel, discount: float,
+                          *, r_t: float, solver: PricingKernelSolver,
+                          tau: float | None = None, theta_stride: int = 50) -> np.ndarray:
+    """Defaultable zero-coupon bond prices of a batch of (alpha, S) curves.
 
-    Alive: int_T^inf K1 dtheta + int_t^T K2 alpha/S_t dtheta (trapezoid on
-    the theta grid; beyond theta_max the flat-intensity tail adds
-    S_t(theta_max)/S_t * discount-proxy to the K1 leg).  Defaulted at tau:
-    K2(t, tau).  Correlated-regime kernels are evaluated every
-    `theta_stride`-th node and interpolated (one PIDE solve per node).
-    Returns {"price", "tail_correction"}.
+    alpha and survival hold one path per row on `theta_grid`; every path
+    shares the short rate r_t.  tau = None prices the alive bond,
+    int_T^inf K1 dtheta + int_t^T K2 alpha/S_t dtheta; a default time
+    tau <= t prices K2(t, tau).  Returns one price per path.
     """
-    grid = np.asarray(state.theta_grid, dtype=float)
-    if isinstance(status, Defaulted):
-        status.check_at(t)
-        value = kernel_K2(t, float(status.tau), state, recovery, discount,
-                          regime, r_t, solver)
-        return {"price": value, "tail_correction": 0.0}
+    grid = np.asarray(theta_grid, dtype=float)
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    survival = np.atleast_2d(np.asarray(survival, dtype=float))
+    linked = isinstance(recovery, IntensityLinkedRecovery)
+    k_breve = lambda theta, lam: solver.k_breve(t, r_t, lam, theta)
+    k_tilde = lambda theta, lam: solver.k_tilde(t, r_t, lam, theta, recovery.f)
 
-    s_t = azema_from_state(state)
-    if s_t <= 0:
+    if tau is not None:
+        if tau > t + 1e-12:
+            raise ValueError("default time must satisfy tau <= t")
+        at_tau = np.array([float(tau)])
+        s_tau = _interp_rows(at_tau, grid, survival)[:, 0]
+        lam = _interp_rows(at_tau, grid, alpha)[:, 0] / np.maximum(s_tau, 1e-300)
+        if np.any(lam <= 0):
+            raise KernelUndefinedError("kernel undefined at nonpositive intensity")
+        # below the floor the removable singularity at lambda -> 0+ takes
+        # its deterministic limit
+        live = lam >= LAMBDA_FLOOR
+        if linked:
+            weight = recovery.w0 + recovery.w1
+            k2 = recovery.w0 * k_breve(tau, lam[live]) + recovery.w1 * k_tilde(tau, lam[live])
+        else:
+            weight, k2 = recovery.rate, recovery.rate * k_breve(tau, lam[live])
+        prices = np.full(lam.size, weight * discount)
+        prices[live] = k2 / lam[live]
+        return prices
+
+    end = grid[-1]
+    xs = np.concatenate([[t], grid[(grid > t) & (grid < end)], [end]])
+    s_t = np.trapezoid(_interp_rows(xs, grid, alpha), xs, axis=1) + survival[:, -1]
+    if np.any(s_t <= 0):
         raise DegenerateSurvivalError("degenerate survival: S_t <= 0")
-    alpha = np.asarray(state.alpha, dtype=float)
 
-    if regime == "independent" and isinstance(recovery, DeterministicRecovery):
-        surv_leg_grid = grid[grid >= T]
-        k1_vals = alpha[grid >= T] * discount / s_t
-        tail = float(state.survival[-1]) * discount / s_t
-        leg1 = float(np.trapezoid(k1_vals, surv_leg_grid)) + tail
-        mask = (grid >= t) & (grid <= T)
-        k2_vals = recovery(grid[mask]) * discount
-        leg2 = float(np.trapezoid(k2_vals * alpha[mask] / s_t, grid[mask]))
-        return {"price": leg1 + leg2, "tail_correction": tail}
-
-    if solver is None or r_t is None:
-        raise ValueError("correlated regime needs a kernel solver and r_t")
-    # One backward solve per subgrid theta.  The expensive, slowly varying
-    # factor q(theta) = Kbreve_theta(t, r, lambda(theta)) / lambda(theta)
-    # (a discount-like ratio, exactly the discount when noise is off) is
-    # interpolated across theta; the curve factors alpha, S enter at every
-    # node, so curve shape costs nothing in accuracy.
-    surv = np.asarray(state.survival, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_curve = np.where(surv > 0, alpha / np.maximum(surv, 1e-300), 0.0)
+    # One backward solve per subgrid theta, read for every path.  The
+    # expensive, slowly varying factor q(theta) = K(t, r, lambda(theta)) /
+    # lambda(theta) (a discount-like ratio, exactly the discount when noise
+    # is off) is interpolated across theta; the curve factors alpha, S
+    # enter at every node, so curve shape costs nothing in accuracy.
     first = int(np.searchsorted(grid, t - 1e-12))
     sub_idx = np.arange(first, grid.size, theta_stride)
     if sub_idx.size == 0 or sub_idx[-1] != grid.size - 1:
         sub_idx = np.append(sub_idx, grid.size - 1)
 
-    def q_ratio(j: int, terminal: str) -> float:
-        lam = float(lam_curve[j])
-        if lam < LAMBDA_FLOOR:
-            return discount
-        lam_c = min(max(lam, solver.grid.y_min), solver.grid.y_max)
-        theta_j = float(grid[j])
-        if terminal == "y":
-            return solver.k_breve(t, r_t, lam_c, theta_j) / lam_c
-        return solver.k_tilde(t, r_t, lam_c, theta_j, recovery.f) / lam_c
+    def q_ratio(nodes: np.ndarray, kernel) -> np.ndarray:
+        out = np.empty((alpha.shape[0], nodes.size))
+        for c, j in enumerate(nodes):
+            s = survival[:, j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = np.where(s > 0, alpha[:, j] / np.maximum(s, 1e-300), 0.0)
+                lam_c = np.clip(lam, solver.grid.y_min, solver.grid.y_max)
+                out[:, c] = np.where(lam < LAMBDA_FLOOR, discount,
+                                     kernel(float(grid[j]), lam_c) / lam_c)
+        return out
 
-    q1_sub = np.array([q_ratio(j, "y") for j in sub_idx])
-    q1 = np.interp(grid, grid[sub_idx], q1_sub)
-    if isinstance(recovery, IntensityLinkedRecovery):
-        q2_sub = np.array([q_ratio(j, "y_exp_f") for j in sub_idx])
-        q2 = np.interp(grid, grid[sub_idx], q2_sub)
-        k2_curve = recovery.w0 * q1 + recovery.w1 * q2
+    g, a = grid[first:], alpha[:, first:]
+    q1 = _interp_rows(g, grid[sub_idx], q_ratio(sub_idx, k_breve))
+    # theta in [t, T] and theta >= T, as slices: they keep the rows C-ordered
+    window = slice(np.searchsorted(g, t), np.searchsorted(g, T, side="right"))
+    beyond = slice(np.searchsorted(g, T), None)
+    if linked:
+        bracket = sub_idx[:int(np.searchsorted(grid[sub_idx], T)) + 1]
+        q2 = _interp_rows(g[window], grid[bracket], q_ratio(bracket, k_tilde))
+        k2 = recovery.w0 * q1[:, window] + recovery.w1 * q2
     else:
-        k2_curve = recovery(grid) * q1
+        k2 = recovery.rate * q1[:, window]
 
-    leg1_mask = grid >= T
-    tail = float(surv[-1]) / s_t * float(q1[-1])
-    leg1 = float(np.trapezoid(alpha[leg1_mask] * q1[leg1_mask] / s_t,
-                              grid[leg1_mask])) + tail
-    mask = (grid >= t) & (grid <= T)
-    leg2 = float(np.trapezoid(k2_curve[mask] * alpha[mask] / s_t, grid[mask]))
-    return {"price": leg1 + leg2, "tail_correction": tail}
+    tail = survival[:, -1] / s_t * q1[:, -1]
+    leg1 = np.trapezoid(a[:, beyond] * q1[:, beyond] / s_t[:, None], g[beyond], axis=1) + tail
+    leg2 = np.trapezoid(k2 * a[:, window] / s_t[:, None], g[window], axis=1)
+    return leg1 + leg2

@@ -8,9 +8,10 @@ with the explicit mean-reverting solution
     r_t = r_0 e^{-kappa t} + delta (1 - e^{-kappa t})
           + int_0^t e^{-kappa(t-u)} [rho dY^G + phi dY^P].
 
-Updates use the exact Ornstein-Uhlenbeck kernel (no Euler error in the
-mean reversion or the Gaussian variance); jump contributions enter with
-their exact e^{-kappa (t+dt-s)} decay using the drawn jump times.
+`ou_gaussian_loading` splits the exact Ornstein-Uhlenbeck shock of one
+step into a part collinear with the field's dW and an independent
+residual, so a rate step shares the intensity's Gaussian noise with no
+Euler error in the mean reversion or the variance.
 
 The default-free zero-coupon bond has two closed-form candidates that
 disagree in the variance term: the `standard` affine form integrates
@@ -36,9 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-
-from .measures import LevyMeasure, ZeroMeasure, sample_jumps
-from .rng import PathStreams
 
 
 @dataclass(frozen=True)
@@ -86,57 +84,6 @@ def ou_gaussian_loading(kappa: float, dt: float) -> tuple[float, float]:
     a = cov / dt
     b = np.sqrt(max(var - a * a * dt, 0.0))
     return float(a), float(b)
-
-
-def evolve_rate(r, spec: VasicekSpec, measure: LevyMeasure, t: float, dt: float,
-                streams: PathStreams | None = None,
-                dW=None, jump_times=None, jump_marks=None,
-                delta_eff: float | None = None,
-                jump_compensator_rate: float | None = None):
-    """Exact-kernel update of the short rate over (t, t + dt].
-
-    When dW / jump_times / jump_marks are supplied the rate shares the
-    field draws of the intensity model (correlated regime); otherwise it
-    draws from its own streams.  Accepts scalar or per-path vector r.
-    The Gaussian integral is sampled exactly: collinear-with-dW part plus
-    an independent residual.  delta_eff overrides the reversion level
-    (used for measure-changed dynamics), and jump_compensator_rate is
-    int phi dnu under the active measure (defaults to phi0 * int xi dnu).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    e = np.exp(-spec.kappa * dt)
-    level = spec.delta if delta_eff is None else delta_eff
-    out = np.asarray(r, dtype=float) * e + level * (1.0 - e)
-
-    if spec.rho0 != 0.0:
-        if dW is None:
-            if streams is None:
-                raise ValueError("streams required when dW is not supplied")
-            dW = np.sqrt(dt) * streams.gaussian.standard_normal()
-        a, b = ou_gaussian_loading(spec.kappa, dt)
-        if b > 0.0:
-            if streams is None:
-                raise ValueError("streams required for the OU residual draw")
-            z = streams.gaussian.standard_normal(np.shape(out) if np.ndim(out) else None)
-            out = out + spec.rho0 * (a * np.asarray(dW, dtype=float) + b * z)
-        else:
-            out = out + spec.rho0 * a * np.asarray(dW, dtype=float)
-
-    if spec.phi0 != 0.0 and not isinstance(measure, ZeroMeasure):
-        if jump_times is None or jump_marks is None:
-            if streams is None:
-                raise ValueError("streams required when jumps are not supplied")
-            jump_times, jump_marks = sample_jumps(measure, t, dt, streams)
-        jump_times = np.asarray(jump_times, dtype=float)
-        jump_marks = np.asarray(jump_marks, dtype=float)
-        if jump_marks.size:
-            decay = np.exp(-spec.kappa * (t + dt - jump_times))
-            out = out + spec.phi0 * float(np.sum(decay * jump_marks))
-        rate = (spec.phi0 * measure.mark_moment(1)
-                if jump_compensator_rate is None else jump_compensator_rate)
-        out = out - rate * (1.0 - e) / spec.kappa
-    return out if np.ndim(r) else float(out)
 
 
 def zcb_closed_form(spec: VasicekSpec, t: float, T: float, r: float,

@@ -1,8 +1,9 @@
 """Counter-based random number streams for reproducible parallel Monte Carlo.
 
-Every path owns four independent Philox streams, one per noise channel:
-Gaussian increments, Poisson jump counts, jump marks, jump times.  The
-stream key is a pure function of (seed, path index, channel), written once
+Every path owns independent Philox streams, one per noise channel:
+Gaussian increments, Poisson jump counts and jump marks.  A fourth
+channel (jump times) is reserved: nothing draws it, and it keeps its slot
+in the key so that no stream moves.  The stream key is a pure function of (seed, path index, channel), written once
 in `stream_key`, so a path produces bit-identical noise no matter which
 worker simulates it or in which order paths are executed.
 
@@ -66,7 +67,7 @@ def rekey(gen: np.random.Generator, seed: int, path: int, channel: int) -> np.ra
 
 
 class PathStreams:
-    """The four noise channels of a single Monte Carlo path.
+    """The noise channels of a single Monte Carlo path.
 
     Each channel's generator is created once and then consumed sequentially;
     a fresh PathStreams with the same (seed, path) replays the same noise.
@@ -95,10 +96,6 @@ class PathStreams:
     @property
     def poisson_marks(self) -> np.random.Generator:
         return self._channel(CHANNEL_POISSON_MARKS)
-
-    @property
-    def poisson_times(self) -> np.random.Generator:
-        return self._channel(CHANNEL_POISSON_TIMES)
 
 
 def decorrelate(seed: int, cell: int) -> int:

@@ -21,7 +21,8 @@ from densitylab.kernels import DiracKernel
 from densitylab.measures import ExponentialJumpMeasure, ZeroMeasure
 from densitylab.pide import (CoefficientProvider, PricingKernelSolver, StateGrid,
                              default_grid_for, simulate_kernel_expectation, solve_cauchy)
-from densitylab.pricing import DeterministicRecovery, Alive, price_defaultable_zcb
+from densitylab.pricing import (DeterministicRecovery, price_defaultable_zcb,
+                                price_pre_default_independent)
 from densitylab.rates import VasicekSpec, constant_rate_discount, zcb_closed_form
 from densitylab.rng import decorrelate
 from densitylab.term_structure import (CoefficientSpec, DensityCurveState,
@@ -316,11 +317,10 @@ def test_criterion_8_invariant_suite(varpi_cells):
     solver = PricingKernelSolver(spec0, rs0, DiracKernel(), ZeroMeasure(),
                                  StateGrid(0.0, 0.1, 41, 0.0, 0.3, 61), T=1.0,
                                  n_steps=100)
-    indep = price_defaultable_zcb(0.5, 1.0, Alive(0.5), st,
-                                  DeterministicRecovery(0.4), disc)["price"]
-    corr = price_defaultable_zcb(0.5, 1.0, Alive(0.5), st, DeterministicRecovery(0.4),
-                                 disc, regime="correlated", r_t=0.05, solver=solver,
-                                 theta_stride=500)["price"]
+    indep = price_pre_default_independent(0.5, 1.0, st, 0.4, 0.05)
+    corr = price_defaultable_zcb(0.5, 1.0, tgrid, st.alpha[None], st.survival[None],
+                                 DeterministicRecovery(0.4), disc, r_t=0.05, solver=solver,
+                                 theta_stride=500)[0]
     checks["regime_consistency"] = abs(corr - indep) < 1e-6
 
     # immersion freeze: lambda_t(theta) bitwise constant for t >= theta

@@ -62,8 +62,9 @@ def test_defaults_match_parameter_block():
     cfg = cfgmod.parse_config(None)
     assert cfg.model.lambda_bar == 0.1
     assert cfg.model.delta_theta == 0.01
-    assert cfgmod.theta_max_from(cfg) == pytest.approx(100.0)
-    n_nodes = int(round(cfgmod.theta_max_from(cfg) / cfg.model.delta_theta)) + 1
+    theta_max = cfgmod.experiment_config(cfg).theta_max_effective
+    assert theta_max == pytest.approx(100.0)
+    n_nodes = int(round(theta_max / cfg.model.delta_theta)) + 1
     assert n_nodes == 10_001
     assert cfg.experiment.n_paths == 10_000
     assert (cfg.experiment.t, cfg.experiment.T) == (0.5, 1.0)
@@ -530,3 +531,57 @@ def test_cli_price_correlated_zero_noise_matches_independent(tmp_path):
     assert len(rows) == 20
     # zero noise loading: the correlated machinery reduces to the closed form
     assert float(rows[0]["price"]) == pytest.approx(0.946770056608465, abs=2e-5)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--status", "defaulted", "--tau", "0.7"], "error: --tau 0.7 must lie in [0, t]"),
+    (["--status", "defaulted", "--tau", "-3"], "error: --tau -3.0 must lie in [0, t]"),
+    (["--tau", "0.1"], "error: --tau 0.1 is read only with --status defaulted"),
+    (["--status", "alive", "--tau", "0.25"], "error: --tau 0.25 is read only"),
+], ids=["after_t", "negative", "alive_default_status", "alive"])
+def test_cli_price_rejects_bad_tau_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                                    message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("priced before --tau was checked")
+
+    for engine in ("simulate_density_paths", "run_price_distribution", "_solver_from"):
+        monkeypatch.setattr(cli, engine, refuse)
+    out = str(tmp_path / "rejected")
+    for text in (TINY, CORRELATED):
+        assert main(["price", "--config", write(tmp_path, text), "--out", out, *argv]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not os.path.exists(out)
+
+
+def test_cli_price_defaulted_tau_defaults_to_a_quarter(tmp_path, capsys):
+    cfg = write(tmp_path, "[experiment]\nt = 0.2\nn_paths = 3\n")
+    out = str(tmp_path / "early")
+    assert main(["price", "--config", cfg, "--out", out, "--status", "defaulted"]) == 1
+    assert capsys.readouterr().err.startswith("error: --tau 0.25 must lie in [0, t] = [0, 0.2]")
+    assert main(["price", "--config", cfg, "--out", out, "--status", "defaulted",
+                 "--tau", "0.2"]) == 0
+
+
+def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch):
+    # R_T = w0 + w1 e^{-lambda}, lambda constant: P = B (S(T)/S(t) + E[R] (1 - S(T)/S(t)))
+    import densitylab.pide as pide
+    solves = []
+    full_grid = pide.solve_cauchy
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return full_grid(*args, **kwargs)
+
+    monkeypatch.setattr(pide, "solve_cauchy", counted)
+    cfg = write(tmp_path, CORRELATED.replace(
+        "R = 0.4", "recovery_type = intensity_linked\nf = identity\nw0 = 0.3\nw1 = 0.3"))
+    out = str(tmp_path / "linked")
+    assert main(["price", "--config", cfg, "--out", out]) == 0
+    rows = list(csv.DictReader(open(os.path.join(out, "prices.csv"))))
+    assert len(rows) == 20
+    lam, t, T = 0.1, 0.5, 1.0
+    surv = np.exp(-lam * (T - t))
+    expected = np.exp(-0.05 * (T - t)) * (surv + (0.3 + 0.3 * np.exp(-lam)) * (1 - surv))
+    assert float(rows[0]["price"]) == pytest.approx(expected, abs=2e-5)
+    # Ktilde enters on [t, T] only: the two subgrid nodes that bracket it
+    assert len(solves) == 2

@@ -6,8 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from densitylab.measures import (ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure,
-                                 sample_jumps)
+from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
 from densitylab.rng import PathStreams
 
 
@@ -20,22 +19,6 @@ def test_sample_jumps_poisson_mean():
     counts = streams.poisson_count.poisson(meas.total_mass * 0.01, size=n)
     se = counts.std(ddof=1) / np.sqrt(n)
     assert abs(counts.mean() - 0.1) < 3 * se
-
-
-def test_sample_jumps_zero_window():
-    meas = ExponentialJumpMeasure(zeta=10.0, varpi=1e-3)
-    times, marks = sample_jumps(meas, 0.0, 0.0, PathStreams(1, 2))
-    assert times.size == 0 and marks.size == 0
-
-
-def test_sample_jumps_mark_mean_and_window():
-    # marks are exponential with mean varpi, times fall inside the window
-    meas = ExponentialJumpMeasure(zeta=2000.0, varpi=1e-3)
-    times, marks = sample_jumps(meas, 1.0, 0.05, PathStreams(5, 0))
-    assert marks.size > 50
-    se = marks.std(ddof=1) / np.sqrt(marks.size)
-    assert abs(marks.mean() - 1e-3) < 3 * se
-    assert np.all((times > 1.0) & (times <= 1.05))
 
 
 @pytest.mark.parametrize("g,name", [(lambda x: np.ones_like(x), "1"),
@@ -95,7 +78,8 @@ def test_point_mass_and_zero_measures():
     assert pm.total_mass == 3.0
     assert pm.one_minus_exp(np.log(2.0)) == pytest.approx(1.5)
     zero = ZeroMeasure()
-    assert sample_jumps(zero, 0.0, 1.0, PathStreams(0, 0))[1].size == 0
+    assert zero.total_mass == 0.0
+    assert zero.sample_marks(3, PathStreams(0, 0).poisson_marks).tolist() == [0.0] * 3
 
 
 def test_measure_validation():

@@ -57,6 +57,24 @@ ny = 16
 n_steps = 8
 """
 
+# correlated Vasicek rates, deterministic recovery, on a small kernel grid
+PRICE = """
+[rates]
+mode = vasicek
+rates_correlated = true
+
+[pricing]
+regime = correlated
+
+[pide]
+nx = 16
+ny = 16
+n_steps = 8
+
+[experiment]
+n_paths = 4
+"""
+
 
 def _probe(argv: list[str]) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -78,12 +96,16 @@ def test_cli_import_loads_no_scipy():
     assert _probe([])["at_import"] == []
 
 
-@pytest.mark.parametrize("command", ["experiment", "verify", "pide"])
+@pytest.mark.parametrize("command", ["experiment", "verify", "pide", "price_alive",
+                                     "price_defaulted"])
 def test_commands_import_nothing_after_the_cli(tmp_path, command):
     out = str(tmp_path / "out")
     argv = {"experiment": ["experiment", "section7", "--config", _cfg(tmp_path, EXPERIMENT)],
             "verify": ["verify"],
-            "pide": ["pide", "--theta", "2.0", "--config", _cfg(tmp_path, PIDE)]}[command]
+            "pide": ["pide", "--theta", "2.0", "--config", _cfg(tmp_path, PIDE)],
+            "price_alive": ["price", "--config", _cfg(tmp_path, PRICE)],
+            "price_defaulted": ["price", "--status", "defaulted",
+                                "--config", _cfg(tmp_path, PRICE)]}[command]
     result = _probe(argv + ["--out", out])
     assert result["rc"] == 0
     assert result["at_import"] == []

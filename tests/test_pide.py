@@ -293,6 +293,20 @@ def test_out_of_grid_query_raises():
         gf.interp(0.2, 0.1)
 
 
+def test_interp_on_arrays_matches_scalar_queries():
+    grid = StateGrid(0.0, 0.1, 17, 0.0, 0.3, 17)
+    rng = np.random.default_rng(8)
+    gf = GridFunction(rng.standard_normal((17, 17)), grid, 0.0)
+    xs, ys = rng.uniform(0.0, 0.1, 50), rng.uniform(0.0, 0.3, 50)
+    xs[:2], ys[:2] = (0.0, 0.1), (0.3, 0.0)       # the grid's corners
+    assert isinstance(gf.interp(0.05, 0.1), float)
+    assert gf.interp(xs, ys).tolist() == [gf.interp(x, y) for x, y in zip(xs, ys)]
+    assert gf.interp(0.05, ys).tolist() == [gf.interp(0.05, y) for y in ys]
+    ys[7] = 0.31
+    with pytest.raises(OutOfGridError):
+        gf.interp(xs, ys)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError, match=">= 16"):
         StateGrid(0.0, 1.0, 8, 0.0, 1.0, 16)

@@ -6,10 +6,10 @@ import pytest
 from densitylab.kernels import DiracKernel
 from densitylab.measures import ZeroMeasure
 from densitylab.pide import PricingKernelSolver, StateGrid
-from densitylab.pricing import (Alive, Defaulted, DegenerateSurvivalError,
-                                DeterministicRecovery, IntensityLinkedRecovery,
-                                KernelUndefinedError, density_integral, kernel_K1, kernel_K2,
-                                price_defaultable_zcb, price_pre_default_independent)
+from densitylab.pricing import (LAMBDA_FLOOR, DegenerateSurvivalError, DeterministicRecovery,
+                                IntensityLinkedRecovery, KernelUndefinedError, _interp_rows,
+                                density_integral, price_defaultable_zcb,
+                                price_pre_default_independent)
 from densitylab.rates import VasicekSpec, constant_rate_discount
 from densitylab.term_structure import CoefficientSpec, DensityCurveState, initial_density_state
 
@@ -33,52 +33,28 @@ def zero_noise_solver(T: float = 1.0) -> PricingKernelSolver:
     return PricingKernelSolver(ms, rs, DiracKernel(), ZeroMeasure(), grid, T=T, n_steps=100)
 
 
+def price(state: DensityCurveState, recovery, disc: float, solver: PricingKernelSolver,
+          **kwargs) -> float:
+    """The batched price of a one-curve batch."""
+    out = price_defaultable_zcb(state.t, 1.0, state.theta_grid, state.alpha[None],
+                                state.survival[None], recovery, disc, r_t=R_CONST,
+                                solver=solver, **kwargs)
+    assert out.shape == (1,)
+    return float(out[0])
+
+
 # ----------------------------------------------------------------- kernels
-
-def test_kernel_k1_independent_closed_form():
-    t, T = 0.5, 1.0
-    state = det_state(t)
-    disc = constant_rate_discount(R_CONST, t, T)
-    for theta in (0.6, 1.0, 2.0):
-        expected = LAM * np.exp(-LAM * theta) * disc / np.exp(-LAM * t)
-        assert kernel_K1(t, theta, state, disc) == pytest.approx(expected, rel=1e-6)
-
-
-def test_kernel_k1_at_maturity():
-    state = det_state(1.0)
-    k1 = kernel_K1(1.0, 1.5, state, discount=1.0)
-    assert k1 == pytest.approx(LAM * np.exp(-LAM * 1.5) / np.exp(-LAM * 1.0), rel=1e-6)
-
-
-def test_kernel_k1_regime_consistency():
-    t, T = 0.5, 1.0
-    state = det_state(t)
-    disc = constant_rate_discount(R_CONST, t, T)
-    solver = zero_noise_solver(T)
-    for theta in (1.0, 2.0):
-        indep = kernel_K1(t, theta, state, disc)
-        corr = kernel_K1(t, theta, state, disc, regime="correlated",
-                         r_t=R_CONST, solver=solver)
-        assert corr == pytest.approx(indep, rel=1e-6)
-
-
-def test_kernel_k2_independent_deterministic():
-    state = det_state(0.5)
-    disc = constant_rate_discount(0.05, 0.5, 1.0)
-    k2 = kernel_K2(0.5, 0.7, state, DeterministicRecovery(0.4), disc)
-    assert k2 == pytest.approx(0.39012396481133305, abs=1e-12)
-
 
 def test_kernel_k2_intensity_linked_w1_zero_reduces():
     t = 0.5
     state = det_state(t)
     disc = constant_rate_discount(R_CONST, t, 1.0)
     solver = zero_noise_solver(1.0)
-    det = kernel_K2(t, 1.0, state, DeterministicRecovery(0.3), disc,
-                    regime="correlated", r_t=R_CONST, solver=solver)
-    linked = kernel_K2(t, 1.0, state, IntensityLinkedRecovery(w0=0.3, w1=0.0), disc,
-                       regime="correlated", r_t=R_CONST, solver=solver)
-    assert linked == pytest.approx(det, rel=1e-12)
+    det = DeterministicRecovery(0.3)
+    linked = IntensityLinkedRecovery(w0=0.3, w1=0.0)
+    for kwargs in ({"tau": 0.3}, {"theta_stride": 500}):
+        assert price(state, linked, disc, solver, **kwargs) == pytest.approx(
+            price(state, det, disc, solver, **kwargs), rel=1e-12)
 
 
 def test_kernel_k2_intensity_linked_zero_noise_closed_form():
@@ -87,8 +63,7 @@ def test_kernel_k2_intensity_linked_zero_noise_closed_form():
     disc = constant_rate_discount(R_CONST, t, T)
     solver = zero_noise_solver(T)
     rec = IntensityLinkedRecovery(w0=0.2, w1=0.5, f=lambda y: y)
-    k2 = kernel_K2(t, 1.0, state, rec, disc, regime="correlated",
-                   r_t=R_CONST, solver=solver)
+    k2 = price(state, rec, disc, solver, tau=0.3)
     expected = np.exp(-R_CONST * (T - t)) * (0.2 + 0.5 * np.exp(-LAM))
     assert k2 == pytest.approx(expected, rel=1e-4)
 
@@ -98,15 +73,15 @@ def test_kernel_k2_rejects_nonpositive_intensity():
     state = DensityCurveState(0.5, grid, np.zeros_like(grid), np.ones_like(grid))
     solver = zero_noise_solver(1.0)
     with pytest.raises(KernelUndefinedError, match="nonpositive intensity"):
-        kernel_K2(0.5, 1.0, state, DeterministicRecovery(0.4), 0.97,
-                  regime="correlated", r_t=R_CONST, solver=solver)
+        price(state, DeterministicRecovery(0.4), 0.97, solver, tau=0.3)
 
 
 def test_kernel_k1_degenerate_survival():
+    # K1 = S_t(theta) Kbreve / S_t: the alive price needs S_t > 0
     grid = np.linspace(0.0, 10.0, 1001)
     state = DensityCurveState(0.5, grid, np.zeros_like(grid), np.zeros_like(grid))
     with pytest.raises(DegenerateSurvivalError):
-        kernel_K1(0.5, 1.0, state, 0.97)
+        price(state, DeterministicRecovery(0.4), 0.97, zero_noise_solver(1.0))
 
 
 # ------------------------------------------------------------- bond prices
@@ -134,33 +109,31 @@ def test_pre_default_price_bounds_and_monotonicity():
         last = p
 
 
-def test_price_defaultable_zcb_alive_matches_closed_form():
-    state = det_state(0.5)
-    disc = constant_rate_discount(0.05, 0.5, 1.0)
-    out = price_defaultable_zcb(0.5, 1.0, Alive(0.5), state,
-                                DeterministicRecovery(0.4), disc)
-    assert out["price"] == pytest.approx(BASELINE_PRICE, abs=1e-6)
-    assert out["tail_correction"] > 0.0
-
-
 def test_price_defaultable_zcb_defaulted_recovery_of_face():
-    state = det_state(0.5)
+    # below LAMBDA_FLOOR the defaulted price is the deterministic limit R B(t,T)
+    grid = np.linspace(0.0, 10.0, 1001)
+    state = DensityCurveState(0.5, grid, np.full_like(grid, 0.1 * LAMBDA_FLOOR),
+                              np.ones_like(grid))
     disc = constant_rate_discount(0.05, 0.5, 1.0)
-    out = price_defaultable_zcb(0.5, 1.0, Defaulted(0.3), state,
-                                DeterministicRecovery(0.4), disc)
-    assert out["price"] == pytest.approx(0.4 * disc, abs=1e-12)
-    assert out["price"] / disc == pytest.approx(0.4, abs=1e-12)
+    out = price(state, DeterministicRecovery(0.4), disc, zero_noise_solver(1.0), tau=0.3)
+    assert out == pytest.approx(0.4 * disc, abs=1e-12)
+    assert out / disc == pytest.approx(0.4, abs=1e-12)
 
 
-def test_price_defaultable_zcb_full_recovery_any_status():
-    state = det_state(0.5)
+def test_price_defaultable_zcb_full_recovery_any_status(tmp_path):
+    # independent rates: `lab price` reads R B(t,T) for a defaulted path
+    from densitylab.cli import main
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("[model]\nsigma = 0.0\nb = 0.0\n\n[pricing]\nR = 1.0\n\n"
+                   "[experiment]\nn_paths = 3\n")
     disc = constant_rate_discount(0.05, 0.5, 1.0)
-    alive = price_defaultable_zcb(0.5, 1.0, Alive(0.5), state,
-                                  DeterministicRecovery(1.0), disc)["price"]
-    dead = price_defaultable_zcb(0.5, 1.0, Defaulted(0.2), state,
-                                 DeterministicRecovery(1.0), disc)["price"]
-    assert alive == pytest.approx(disc, rel=1e-6)
-    assert dead == pytest.approx(disc, abs=1e-12)
+    for status, tol in (("alive", {"rel": 1e-6}), ("defaulted", {"abs": 1e-12})):
+        out = tmp_path / status
+        assert main(["price", "--config", str(cfg), "--out", str(out),
+                     "--status", status]) == 0
+        rows = (out / "prices.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(float(r.split(",")[-1]) == pytest.approx(disc, **tol) for r in rows)
 
 
 def test_price_regime_consistency_zero_noise():
@@ -170,19 +143,15 @@ def test_price_regime_consistency_zero_noise():
     state = det_state(t)
     disc = constant_rate_discount(R_CONST, t, T)
     solver = zero_noise_solver(T)
-    indep = price_defaultable_zcb(t, T, Alive(t), state,
-                                  DeterministicRecovery(0.4), disc)["price"]
-    corr = price_defaultable_zcb(t, T, Alive(t), state, DeterministicRecovery(0.4),
-                                 disc, regime="correlated", r_t=R_CONST,
-                                 solver=solver, theta_stride=500)["price"]
+    indep = price_pre_default_independent(t, T, state, 0.4, R_CONST)
+    corr = price(state, DeterministicRecovery(0.4), disc, solver, theta_stride=500)
     assert corr == pytest.approx(indep, abs=1e-6)
 
 
 def test_defaulted_after_t_rejected():
     state = det_state(0.5)
     with pytest.raises(ValueError, match="tau <= t"):
-        price_defaultable_zcb(0.5, 1.0, Defaulted(0.7), state,
-                              DeterministicRecovery(0.4), 0.97)
+        price(state, DeterministicRecovery(0.4), 0.97, zero_noise_solver(1.0), tau=0.7)
 
 
 def test_recovery_validation():
@@ -197,3 +166,34 @@ def test_density_integral_tail_reporting():
     full, tail = density_integral(state, 0.5, None)
     assert tail == pytest.approx(np.exp(-LAM * 100.0), rel=1e-9)
     assert full == pytest.approx(np.exp(-LAM * 0.5), rel=1e-7)
+
+
+def test_batch_prices_each_path_as_alone():
+    # one batch gives every path the bits it gets priced on its own
+    t = 0.5
+    low = det_state(t)
+    spec = CoefficientSpec.section7(sigma=0.0, b=0.0, lambda_bar=0.12)
+    high = initial_density_state(spec, low.theta_grid)
+    disc = constant_rate_discount(R_CONST, t, 1.0)
+    solver = zero_noise_solver(1.0)
+    alpha = np.stack([low.alpha, high.alpha])
+    surv = np.stack([low.survival, high.survival])
+    for rec in (DeterministicRecovery(0.4), IntensityLinkedRecovery(w0=0.2, w1=0.5)):
+        for kwargs in ({"tau": 0.3}, {"theta_stride": 500}):
+            batch = price_defaultable_zcb(t, 1.0, low.theta_grid, alpha, surv, rec, disc,
+                                          r_t=R_CONST, solver=solver, **kwargs)
+            alone = [price_defaultable_zcb(t, 1.0, low.theta_grid, a, s, rec, disc,
+                                           r_t=R_CONST, solver=solver, **kwargs)[0]
+                     for a, s in zip(alpha, surv)]
+            assert batch.tolist() == alone
+
+
+def test_interp_rows_is_np_interp_per_row():
+    rng = np.random.default_rng(3)
+    xp = np.sort(rng.uniform(0.0, 5.0, 40))
+    fp = rng.standard_normal((6, 40))
+    x = np.concatenate([[-1.0, xp[0]], rng.uniform(-0.5, 5.5, 200), xp[[7, -1]], [9.0]])
+    rows = _interp_rows(x, xp, fp)
+    assert rows.flags.c_contiguous
+    assert rows.tolist() == [np.interp(x, xp, f).tolist() for f in fp]
+    assert _interp_rows(x, xp[:1], fp[:, :1]).tolist() == [[f] * x.size for f in fp[:, 0]]

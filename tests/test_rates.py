@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from densitylab import rates
-from densitylab.measures import ExponentialJumpMeasure, ZeroMeasure
 from densitylab.rates import (VasicekSpec, adjudicate_vasicek_formula, constant_rate_discount,
-                              evolve_rate, ou_gaussian_loading, zcb_closed_form, zcb_mc_oracle,
-                              zcb_price)
-from densitylab.rng import PathStreams
+                              ou_gaussian_loading, zcb_closed_form, zcb_mc_oracle, zcb_price)
 
 
 def test_constant_rate_discount_values():
@@ -19,32 +16,11 @@ def test_constant_rate_discount_values():
         constant_rate_discount(0.05, 1.0, 0.5)
 
 
-def test_evolve_rate_stationary_point():
-    spec = VasicekSpec(kappa=1.3, delta=0.05, r0=0.05)
-    r = 0.05
-    for k in range(10):
-        r = evolve_rate(r, spec, ZeroMeasure(), 0.1 * k, 0.1, PathStreams(0, 0))
-    assert r == pytest.approx(0.05, abs=1e-15)
-
-
-def test_evolve_rate_deterministic_decay():
-    spec = VasicekSpec(kappa=1.0, delta=0.05, r0=0.1)
-    r = evolve_rate(0.1, spec, ZeroMeasure(), 0.0, 1.0, PathStreams(0, 0))
-    assert r == pytest.approx(0.05 + 0.05 * np.exp(-1.0), abs=1e-15)
-
-
 def test_evolve_rate_ou_variance():
     # constant rho, Dirac kernel: Var = rho^2 (1 - e^{-2 kappa dt}) / (2 kappa)
-    spec = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01)
     dt, n = 0.25, 100_000
-    streams = PathStreams(77, 0)
-    draws = np.array([evolve_rate(0.05, spec, ZeroMeasure(), 0.0, dt, streams)
-                      for _ in range(2000)])
     var_target = 0.01 ** 2 * (1.0 - np.exp(-2.0 * dt)) / 2.0
-    var = draws.var(ddof=1)
-    se = var * np.sqrt(2.0 / (draws.size - 1))
-    assert abs(var - var_target) < 3 * se
-    # vectorized check with many paths through the same exact loading
+    # one exact step of many paths through the loading
     a, b = ou_gaussian_loading(1.0, dt)
     rng = np.random.Generator(np.random.Philox(key=5))
     samples = 0.01 * (a * np.sqrt(dt) * rng.standard_normal(n) + b * rng.standard_normal(n))
@@ -63,18 +39,6 @@ def test_two_steps_compose_exactly():
     var_two = var_step * e1 ** 2 + var_step
     var_one = rho ** 2 * (1 - np.exp(-4 * kappa * dt)) / (2 * kappa)
     assert var_two == pytest.approx(var_one, abs=1e-12)
-
-
-def test_evolve_rate_jump_decay_uses_times():
-    spec = VasicekSpec(kappa=2.0, delta=0.05, r0=0.05, phi0=1.0)
-    meas = ExponentialJumpMeasure(zeta=10.0, varpi=1e-3)
-    dt = 0.5
-    r = evolve_rate(0.05, spec, meas, 0.0, dt, streams=None,
-                    dW=None, jump_times=np.array([0.25]), jump_marks=np.array([0.002]))
-    e = np.exp(-2.0 * dt)
-    expected = 0.05 * e + 0.05 * (1 - e) + 0.002 * np.exp(-2.0 * 0.25) \
-        - meas.mark_moment(1) * (1 - e) / 2.0
-    assert r == pytest.approx(expected, abs=1e-15)
 
 
 def test_zcb_closed_form_trivial_cases():
