@@ -92,8 +92,7 @@ def cmd_simulate(args) -> int:
 def _recovery_from(cfg: cfgmod.Config):
     if cfg.pricing.recovery_type == "deterministic":
         return DeterministicRecovery(cfg.pricing.R)
-    f = (lambda y: y) if cfg.pricing.f == "identity" else (lambda y: np.zeros_like(y))
-    return IntensityLinkedRecovery(w0=cfg.pricing.w0, w1=cfg.pricing.w1, f=f)
+    return IntensityLinkedRecovery(w0=cfg.pricing.w0, w1=cfg.pricing.w1, f=cfg.pricing.f)
 
 
 def _solver_from(cfg: cfgmod.Config) -> PricingKernelSolver:
@@ -142,14 +141,15 @@ def cmd_price(args) -> int:
 
     path_ids = np.arange(ec.n_paths)
     if needs_solver:
-        res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), t,
-                                     ec.delta_t, ec.n_paths, ec.seed,
-                                     jump_sign_convention=ec.jump_sign_convention)
-        prices = price_defaultable_zcb(t, T, res["theta_grid"], res["alpha"],
-                                       res["survival"], recovery, discount,
-                                       r_t=cfg.rates.r0, solver=solver, tau=tau)
+        # alive prices integrate whole curves; defaulted ones read alpha, S at tau
+        engine, grid = ((simulate_density_paths, ec.theta_grid()) if tau is None
+                        else (simulate_survival_values, np.array([tau])))
+        res = engine(ec.spec(), ec.measure(), grid, t, ec.delta_t, ec.n_paths, ec.seed,
+                     jump_sign_convention=ec.jump_sign_convention)
+        prices = price_defaultable_zcb(t, T, grid, res["alpha"], res["survival"], recovery,
+                                       discount, r_t=cfg.rates.r0, solver=solver, tau=tau)
     elif tau is None:
-        sample = run_price_distribution(ec)
+        sample = run_price_distribution(ec, discount)
         path_ids, prices = sample.path_ids, sample.prices
     else:
         prices = np.full(ec.n_paths, recovery.rate * discount)
@@ -169,13 +169,7 @@ def cmd_pide(args) -> int:
     cfg = _load(args)
     solver = _solver_from(cfg)
     os.makedirs(args.out, exist_ok=True)
-    if cfg.pide.picard_mode:
-        from .pide import solve_cauchy_picard
-        sol, _ = solve_cauchy_picard(lambda x, y: y, solver.provider(args.theta),
-                                     solver.grid, cfg.experiment.t, cfg.experiment.T,
-                                     cfg.pide.n_steps, ridge_eps=cfg.pide.ridge_eps)
-    else:
-        sol = solver.solution(cfg.experiment.t, args.theta, "y")
+    sol = solver.solution(cfg.experiment.t, args.theta, "y")
     out_file = os.path.join(args.out, "kernel_grid.csv")
     # the bytes of csv.writer rows of repr'd floats, built as one string
     ys = [repr(y) for y in solver.grid.y.tolist()]
@@ -193,6 +187,7 @@ def cmd_experiment(args) -> int:
     cfg = _load(args)
     cfgmod.require_density_route(cfg)
     cfgmod.require_closed_form_measure(cfg)
+    cfgmod.require_constant_rate(cfg)
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -329,6 +324,7 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     cfgmod.require_density_route(cfg)
     cfgmod.require_closed_form_measure(cfg)
+    cfgmod.require_constant_rate(cfg)
     checks = run_verification(cfg)
     os.makedirs(args.out, exist_ok=True)
     report_file = os.path.join(args.out, "verify_report.txt")

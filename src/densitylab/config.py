@@ -125,7 +125,6 @@ class PideConfig:
     y_range: tuple[float, float] = (0.0, 0.4)
     n_steps: int = 200
     ridge_eps: Any = "auto"
-    picard_mode: bool = False
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,6 @@ _SCHEMA: dict[str, dict[str, Any]] = {
         "y_range": _pair,
         "n_steps": lambda s: int(_positive(int(s))),
         "ridge_eps": _ridge,
-        "picard_mode": _boolean,
     },
     "pricing": {
         "regime": _choice("independent", "correlated"),
@@ -332,6 +330,18 @@ def require_closed_form_measure(cfg: Config) -> None:
                           "PIDE jump quadrature (pide, and price when it solves the "
                           "pricing-kernel equation); the Monte Carlo routes use "
                           "closed forms")
+
+
+def require_constant_rate(cfg: Config) -> None:
+    """Reject a `[rates] mode` that `experiment` and `verify` would ignore.
+
+    Both discount at the constant `[rates] r`; only `price` and `pide`
+    read a Vasicek short rate.
+    """
+    if cfg.rates.mode != "constant":
+        raise ConfigError(f"[rates] mode = {cfg.rates.mode} is not used by experiment and "
+                          "verify, which discount at the constant [rates] r; only price "
+                          "and pide read it")
 
 
 def build_measure(cfg: Config):

@@ -167,14 +167,17 @@ def pricing_window(config: ExperimentConfig) -> np.ndarray:
     return grid[i_t:i_T + 1]
 
 
-def run_price_distribution(config: ExperimentConfig) -> PriceSample:
+def run_price_distribution(config: ExperimentConfig,
+                           discount: float | None = None) -> PriceSample:
     """One price per experiment path, from S_t(t) and S_t(T).
 
     int_t^T alpha = S_t(t) - S_t(T) and int_t^inf alpha = S_t(t), so the
-    price needs the survival curve at the window ends only.  The flag
-    reads the density on the window nodes and S_t(T): 0 <= S_t(T) <=
-    S_t(t) is what puts the price in [R B, B].  Without noise the
-    dynamics are the identity, so one path prices them all.
+    price needs the survival curve at the window ends only.  `discount`
+    is the default-free bond B(t, T), e^{-r (T - t)} at the constant rate
+    `config.r` unless given.  The flag reads the density on the window
+    nodes and S_t(T): 0 <= S_t(T) <= S_t(t) is what puts the price in
+    [R B, B].  Without noise the dynamics are the identity, so one path
+    prices them all.
     """
     n_sim = 1 if config.noise_free else config.n_paths
     res = simulate_survival_values(config.spec(), config.measure(), pricing_window(config),
@@ -184,7 +187,7 @@ def run_price_distribution(config: ExperimentConfig) -> PriceSample:
     s_t, s_T = res["survival"][:, 0], res["survival"][:, -1]
     valid = s_t > 0
     prices = np.full(n_sim, np.nan)
-    disc = np.exp(-config.r * (config.T - config.t))
+    disc = np.exp(-config.r * (config.T - config.t)) if discount is None else discount
     prices[valid] = disc * (1.0 - (1.0 - config.R) * (s_t[valid] - s_T[valid]) / s_t[valid])
     in_bounds = (s_T >= 0) & (s_T <= s_t)
     neg = (res["alpha"] < 0).any(axis=1) | ~in_bounds

@@ -10,7 +10,7 @@ the backward Cauchy problem
                 + int [K(t, x + phi_t(xi), y + gamma_t(theta, xi)) - K
                        - phi_t(xi) K_x - gamma_t(theta, xi) K_y] nu(dxi),
 
-with terminal condition y (first kernel) or y e^{-f(y)} (recovery kernel).
+with terminal condition y (first kernel) or y e^{-y} (recovery kernel).
 delta_hat absorbs the Girsanov drift of the rate under the
 survival-reweighted measure; a(t, theta) vanishes identically when the
 intensity drift satisfies the martingale condition.
@@ -24,12 +24,13 @@ quadrature, bilinear shifts and linear extrapolation beyond the grid.
 Time: Hundsdorfer-Verwer ADI (In 't Hout & Welfert 2009; In 't Hout &
 Toivanen 2018 for the explicit jump integral).  Ax and Ay are stepped
 implicitly by tridiagonal solves along grid lines, held as (3, n) banded
-arrays; the mixed term and the jump integral are explicit.  The
-implicit-Euler Picard iteration (`solve_cauchy_picard`) assembles the same
-pieces into one sparse 2-D matrix, factorises it with SuperLU and serves
-as the independent oracle.  scipy is imported only by the 2-D routes: the
-line solves of `solve_cauchy` (LAPACK `solve_banded`) and the Picard
-oracle (`scipy.sparse`, `splu`) load it on first use.
+arrays; the mixed term and the jump integral are explicit.  On the 2-D
+grid this is `solve_cauchy`; the implicit-Euler Picard iteration
+(`solve_cauchy_picard`) assembles the same pieces into one sparse 2-D
+matrix and factorises it with SuperLU.  Both are oracles of the tests
+only: no command reaches them.  scipy is imported only by these 2-D
+routes, on first use (LAPACK `solve_banded` for the line solves,
+`scipy.sparse` and `splu` for the Picard oracle).
 The separable Dirac-kernel coefficients make the diffusion block rank one
 (a12^2 = 4 a11 a22); an optional ridge adds to a11 and a22 in that
 degenerate regime.
@@ -46,15 +47,19 @@ rate axis, a strictly diagonally dominant M-matrix (nonnegative
 off-diagonals in Ax by the hybrid upwinding, row sums 1 + w x), so it is
 eliminated without pivoting: the factor is computed once per time level
 and weight, and both columns are swept on Python floats (`_thomas_factor`,
-`_thomas_solve`).  `PricingKernelSolver` takes this route for k_breve and
-for k_tilde with f = 0; k_tilde with any other f and the Picard oracle
-stay on the 2-D grid.
+`_thomas_solve`).  With terminal y e^{-y} the same holds under an
+exponential tilt, K = e^{-y} (F y + G) (the transform at u_y = -1): the
+y-pieces become exact maps of (F, G) (`_TiltedSplit`), and the rate axis
+is unchanged.  `PricingKernelSolver` solves both kernels on this 1-D
+route.
 
 The jump integral is compensated with nu(dxi) exactly as the operator is
 printed; the reweighted compensator e^{-I_gamma} nu is available through
-`jump_compensator="girsanov"` and the Monte Carlo cross-check adjudicates
-between them empirically (they differ only at third order in the jump
-size for the experiment-scale parameters).
+`jump_compensator="girsanov"`.  They are not interchangeable: 400k-path
+Monte Carlo of the reweighted expectation at (x, y) = (0.05, 0.1) cannot
+tell them apart for k_breve, nor for k_tilde up to theta = 5 (|z| < 0.5),
+but at theta = 20 it puts the as-printed k_tilde at z = -20.4 (1.4%) and
+the girsanov one at z = +0.01.
 """
 
 from __future__ import annotations
@@ -486,13 +491,15 @@ def apply_jump_operator(values: np.ndarray, grid: StateGrid,
     return out
 
 
-def _affine_jump_operator(fg: np.ndarray, grid: StateGrid,
-                          coeffs: OperatorCoefficients) -> np.ndarray:
+def _affine_jump_operator(fg: np.ndarray, grid: StateGrid, coeffs: OperatorCoefficients,
+                          tilt: bool = False) -> np.ndarray:
     """The jump integral of K = F y + G, returned as its (F, G) columns.
 
     The y-shift of a function linear in y is exact, so node q maps F to
     F(x + dx_q) - F - dx_q F_x and G to the same x-shift of G plus
     dy_q (F(x + dx_q) - F).  All nodes are gathered in one indexing step.
+    With `tilt`, K = e^{-y} (F y + G): the shifted columns carry the
+    factor e^{-dy_q}, and both columns gain dy_q times themselves.
     """
     if coeffs.jump_w.size == 0:
         return np.zeros_like(fg)
@@ -506,7 +513,11 @@ def _affine_jump_operator(fg: np.ndarray, grid: StateGrid,
     shifted = (1 - wx) * padded[rows] + wx * padded[rows + 1]    # (nodes, nx, 2)
     kx = np.gradient(fg, grid.hx, axis=0, edge_order=1)
     w = coeffs.jump_w
-    out = np.tensordot(w, shifted, 1) - (w @ coeffs.jump_dx) * kx - w.sum() * fg
+    mass = w.sum()
+    if tilt:
+        shifted *= np.exp(-coeffs.jump_dy)[:, None, None]
+        mass -= w @ coeffs.jump_dy
+    out = np.tensordot(w, shifted, 1) - (w @ coeffs.jump_dx) * kx - mass * fg
     out[:, 1] += (w * coeffs.jump_dy) @ (shifted[:, :, 0] - fg[:, 0])
     return out
 
@@ -601,6 +612,54 @@ class _AffineSplit(_SplitOperator):
                          for y in (self.grid.y_min, self.grid.y_max)))
 
 
+class _TiltedSplit(_AffineSplit):
+    """The affine splitting on K = e^{-y} (F(x) y + G(x)), the kernel with
+    terminal y e^{-y}.  The tilt leaves the rate-axis pieces alone and
+    turns every y-piece into an exact map of (F, G): with
+    d = a22 - a_drift and e = a_drift - 2 a22, Ay K has columns
+    (d F, d G + e F), the mixed term (-a12 Dx F, a12 Dx (F - G)), and the
+    jump integral maps (F, G) at node (phi, gamma) to
+    (e^{-gamma} F(x + phi) - F - phi F_x + gamma F,
+     e^{-gamma} (G(x + phi) + gamma F(x + phi)) - G - phi G_x - gamma F + gamma G).
+    The y-pieces read a22 without the ridge, which regularises only the
+    2-D grid's degenerate diffusion block."""
+
+    def f0(self, v: np.ndarray) -> np.ndarray:
+        out = _affine_jump_operator(v, self.grid, self.coeffs, tilt=True)
+        if self.coeffs.a12:
+            dx = self.coeffs.a12 * _band_apply(self.ops.dx, v)
+            out[:, 0] -= dx[:, 0]
+            out[:, 1] += dx[:, 0] - dx[:, 1]
+        return out
+
+    def _y_rates(self) -> tuple[float, float]:
+        c = self.coeffs
+        return c.a22 - c.a_drift, c.a_drift - 2.0 * c.a22
+
+    def f2(self, v: np.ndarray) -> np.ndarray:
+        d, e = self._y_rates()
+        out = d * v
+        out[:, 1] += e * v[:, 0]
+        return out
+
+    def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
+        if axis == 0:
+            return super().solve(0, rhs, w)
+        d, e = self._y_rates()
+        out = rhs / (1.0 - w * d)
+        out[:, 1] += w * e * out[:, 0] / (1.0 - w * d)
+        return out
+
+    def sup(self, v: np.ndarray) -> float:
+        # e^{-y} (F y + G) peaks in modulus at y_min, y_max or its
+        # stationary point y* = 1 - G/F
+        f, g = v[:, 0], v[:, 1]
+        lo, hi = self.grid.y_min, self.grid.y_max
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y_star = np.nan_to_num(np.clip(1.0 - g / f, lo, hi), nan=lo)
+        return float(max(np.abs(np.exp(-y) * (f * y + g)).max() for y in (lo, hi, y_star)))
+
+
 def _hv_march(values: np.ndarray, split: type[_SplitOperator],
               provider: Callable[[float], OperatorCoefficients], grid: StateGrid,
               t_start: float, T: float, n_steps: int, theta_scheme: float,
@@ -679,19 +738,25 @@ def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
 
 def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
                         grid: StateGrid, t_start: float, T: float, n_steps: int,
-                        ridge_eps: float | str = "auto") -> GridFunction:
-    """The kernel with terminal y, marched as K = F(t, x) y + G(t, x).
+                        ridge_eps: float | str = "auto", tilt: bool = False) -> GridFunction:
+    """The kernel with terminal y, marched as K = F(t, x) y + G(t, x);
+    with `tilt`, the kernel with terminal y e^{-y}, as K = e^{-y} (F y + G).
 
-    No coefficient depends on y, so the solution stays affine in y: F has
+    No coefficient depends on y, so the solution keeps its form: F has
     terminal 1, G terminal 0, and both march through the HV stages of
     `_hv_march` (default theta, two damping steps) as one (nx, 2) array
-    (`_AffineSplit`).  The result is lifted onto the state grid.
+    (`_AffineSplit`, or `_TiltedSplit` with `tilt`).  The result is lifted
+    onto the state grid; at t_start = T it is the terminal itself.
     """
     fg = np.zeros((grid.nx, 2))
     fg[:, 0] = 1.0
-    fg = _hv_march(fg, _AffineSplit, provider, grid, t_start, T, n_steps,
-                   HV_THETA, 2, ridge_eps, None)
-    return GridFunction(fg[:, :1] * grid.y + fg[:, 1:], grid, t_start)
+    if t_start != T:
+        fg = _hv_march(fg, _TiltedSplit if tilt else _AffineSplit, provider, grid,
+                       t_start, T, n_steps, HV_THETA, 2, ridge_eps, None)
+    values = fg[:, :1] * grid.y + fg[:, 1:]
+    if tilt:
+        values *= np.exp(-grid.y)
+    return GridFunction(values, grid, t_start)
 
 
 def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: float,
@@ -755,11 +820,11 @@ class PricingKernelSolver:
     """Solves and caches the two pricing kernels on one state grid.
 
     k_breve(t, r, lam, theta): terminal y (discounted expected terminal
-    intensity under the survival-reweighted measure), solved on the affine
-    route `solve_cauchy_affine`; k_tilde adds the recovery weighting
-    terminal y e^{-f(y)}, solved on the 2-D grid unless f vanishes on it,
-    when it is k_breve and shares its cache entry.  Both read the solution
-    by `GridFunction.interp`, so r and lam may be arrays of queries.
+    intensity under the survival-reweighted measure); k_tilde: the
+    recovery-weighted terminal y e^{-y}.  Both are solved on the 1-D
+    rate-axis route `solve_cauchy_affine`, k_tilde with its exponential
+    tilt, and read by `GridFunction.interp`, so r and lam may be arrays
+    of queries.
     """
 
     def __init__(self, model_spec: CoefficientSpec, rate_spec: VasicekSpec,
@@ -783,44 +848,24 @@ class PricingKernelSolver:
                                    self.measure, theta, self.jump_compensator,
                                    self.rates_correlated)
 
-    def solution(self, t: float, theta: float,
-                 terminal_key: str = "y",
-                 f: Callable[[np.ndarray], np.ndarray] | None = None) -> GridFunction:
-        if terminal_key == "y_exp_f":
-            if f is None:
-                raise ValueError("recovery terminal needs the weighting function f")
-            if not np.any(np.asarray(f(self.grid.y), dtype=float)):
-                terminal_key = "y"              # y e^{-0} = y: the affine kernel
-        elif terminal_key != "y":
-            raise ValueError(f"unknown terminal key {terminal_key!r}")
-        key = (round(t, 12), round(theta, 12), terminal_key, self.T)
+    def solution(self, t: float, theta: float, terminal: str = "y") -> GridFunction:
+        """The kernel at (t, theta) on the grid: terminal "y" is k_breve,
+        "y_exp_y" (y e^{-y}) is k_tilde."""
+        if terminal not in ("y", "y_exp_y"):
+            raise ValueError(f"unknown terminal {terminal!r}")
+        key = (round(t, 12), round(theta, 12), terminal, self.T)
         if key not in self._cache:
-            if terminal_key == "y":
-                terminal = lambda x, y: y
-            else:
-                terminal = lambda x, y: y * np.exp(-np.asarray(f(y), dtype=float))
-            if t == self.T:
-                xx, yy = np.meshgrid(self.grid.x, self.grid.y, indexing="ij")
-                self._cache[key] = GridFunction(np.asarray(terminal(xx, yy), dtype=float),
-                                                self.grid, t)
-            elif terminal_key == "y":
-                self._cache[key] = solve_cauchy_affine(self.provider(theta), self.grid,
-                                                       t, self.T, self.n_steps,
-                                                       ridge_eps=self.ridge_eps)
-            else:
-                self._cache[key] = solve_cauchy(terminal, self.provider(theta), self.grid,
-                                                t, self.T, self.n_steps,
-                                                ridge_eps=self.ridge_eps)
+            self._cache[key] = solve_cauchy_affine(self.provider(theta), self.grid, t,
+                                                   self.T, self.n_steps,
+                                                   ridge_eps=self.ridge_eps,
+                                                   tilt=terminal == "y_exp_y")
         return self._cache[key]
 
     def k_breve(self, t: float, r, lam, theta: float):
         return self.solution(t, theta, "y").interp(r, lam)
 
-    def k_tilde(self, t: float, r, lam, theta: float,
-                f: Callable[[np.ndarray], np.ndarray]):
-        if not np.all(np.asarray(f(self.grid.y)) >= 0):
-            raise ValueError("recovery weighting f must be nonnegative on the grid")
-        return self.solution(t, theta, "y_exp_f", f=f).interp(r, lam)
+    def k_tilde(self, t: float, r, lam, theta: float):
+        return self.solution(t, theta, "y_exp_y").interp(r, lam)
 
 
 def default_grid_for(rate_spec: VasicekSpec, lam0: float, T: float,

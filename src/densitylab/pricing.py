@@ -21,7 +21,8 @@ each (regime, status) reads:
 * correlated rates, deterministic recovery: K1 = S_t(theta)/S_t *
   Kbreve(t, r_t, lambda_t(theta)) and K2 = R Kbreve / lambda_t(theta).
 * intensity-linked recovery R_T = w0 + w1 e^{-f(lambda)}:
-  K2 = (w0 Kbreve + w1 Ktilde) / lambda_t(theta).
+  K2 = (w0 Kbreve + w1 Ktilde) / lambda_t(theta), where Ktilde has
+  terminal y e^{-y} for f = identity and is Kbreve for f = none.
 
 `price_defaultable_zcb` prices the last two regimes for a batch of curves
 (one row per path) with the PIDE kernels of `pide.PricingKernelSolver`.
@@ -37,7 +38,6 @@ After default it reads the kernels at theta = tau: one solve per kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -73,13 +73,17 @@ class DeterministicRecovery:
 
 @dataclass(frozen=True)
 class IntensityLinkedRecovery:
-    """R_T(theta) = w0 + w1 e^{-f(lambda_T(theta))} with w0 + w1 <= 1."""
+    """R_T(theta) = w0 + w1 e^{-f(lambda_T(theta))} with w0 + w1 <= 1 and
+    f the identity ("identity") or zero ("none")."""
 
     w0: float
     w1: float
-    f: Callable[[np.ndarray], np.ndarray] = lambda y: y
+    f: str = "identity"
 
     def __post_init__(self):
+        if self.f not in ("identity", "none"):
+            raise ValueError(f"recovery weighting f must be 'identity' or 'none', "
+                             f"got {self.f!r}")
         if self.w0 < 0 or self.w1 < 0:
             raise ValueError("w0 and w1 must be nonnegative")
         if self.w0 + self.w1 > 1.0 + 1e-12:
@@ -165,7 +169,9 @@ def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.
     survival = np.atleast_2d(np.asarray(survival, dtype=float))
     linked = isinstance(recovery, IntensityLinkedRecovery)
     k_breve = lambda theta, lam: solver.k_breve(t, r_t, lam, theta)
-    k_tilde = lambda theta, lam: solver.k_tilde(t, r_t, lam, theta, recovery.f)
+    k_tilde = lambda theta, lam: solver.k_tilde(t, r_t, lam, theta)
+    if linked and recovery.f == "none":          # terminal y e^{-0} = y
+        k_tilde = k_breve
 
     if tau is not None:
         if tau > t + 1e-12:

@@ -374,22 +374,86 @@ def test_cli_pide_instability_is_classified(tmp_path, monkeypatch, capsys):
 
 
 def test_k_breve_routes_avoid_the_2d_solve(tmp_path, monkeypatch):
+    # both kernels, k_tilde (recovery f = identity) included, take the 1-D route
     import densitylab.pide as pide
 
     def refuse(*args, **kwargs):
         raise AssertionError("2-D solve_cauchy reached")
 
     monkeypatch.setattr(pide, "solve_cauchy", refuse)
-    text = TINY_PIDE.replace("sigma = 0.0", "sigma = 0.001").replace(
-        "b = 0.0", "b = 1.0").replace("type = none", "varpi = 0.01")
-    cfg = write(tmp_path, text)
+    monkeypatch.setattr(pide, "solve_cauchy_picard", refuse)
+    cfg = write(tmp_path, NOISY_PIDE)
     assert main(["pide", "--config", cfg, "--out", str(tmp_path / "pide")]) == 0
     solver = cli._solver_from(cfgmod.parse_config(cfg))
     k = solver.k_breve(0.5, 0.05, 0.1, 2.0)
     assert 0.0 < k < 0.1
-    assert solver.k_tilde(0.5, 0.05, 0.1, 2.0, np.zeros_like) == k
-    with pytest.raises(AssertionError, match="2-D solve_cauchy reached"):
-        solver.k_tilde(0.5, 0.05, 0.1, 2.0, lambda y: y)
+    k_tilde = solver.k_tilde(0.5, 0.05, 0.1, 2.0)
+    assert 0.0 < k_tilde < k * np.exp(-0.1) * 1.01
+    for status in ("alive", "defaulted"):
+        assert main(["price", "--status", status, "--config", write(tmp_path, NOISY_LINKED),
+                     "--out", str(tmp_path / status)]) == 0
+
+
+def test_cli_price_reads_the_vasicek_bond_when_independent(tmp_path):
+    # independent rates, deterministic recovery: both statuses discount with
+    # the configured [rates] mode's bond, here Vasicek at r0 = delta = 0.10
+    from densitylab.rates import zcb_price
+    cfg = write(tmp_path, TINY + "[rates]\nmode = vasicek\nr0 = 0.10\ndelta = 0.10\n")
+    bond = zcb_price(cfgmod.build_rate_spec(cfgmod.parse_config(cfg)), 0.5, 1.0, 0.10)
+    assert abs(bond - np.exp(-0.05 * 0.5)) > 1e-2          # the constant [rates] r = 0.05
+    prices = {}
+    for status in ("alive", "defaulted"):
+        out = str(tmp_path / status)
+        assert main(["price", "--config", cfg, "--out", out, "--status", status]) == 0
+        prices[status] = [float(r["price"])
+                          for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
+    surv = np.exp(-0.1 * 0.5)
+    assert prices["alive"][0] == pytest.approx(bond * (surv + 0.4 * (1 - surv)), abs=1e-12)
+    assert prices["defaulted"][0] == pytest.approx(0.4 * bond, abs=1e-15)
+
+
+@pytest.mark.parametrize("argv", [["experiment", "section7"], ["verify"]],
+                         ids=["experiment", "verify"])
+@pytest.mark.parametrize("mode", ["vasicek", "vasicek_jumps"])
+def test_cli_constant_rate_commands_reject_rates_mode(tmp_path, capsys, argv, mode):
+    cfg = write(tmp_path, f"[rates]\nmode = {mode}\n")
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [rates] mode = {mode} is not used")
+    assert not os.path.exists(out)
+
+
+def test_cli_price_defaulted_reads_the_values_engine(tmp_path, monkeypatch):
+    # a defaulted price reads alpha and S at tau only: the values engine
+    # gives the prices of the curve engine's 2,161-node curves (measured
+    # 3.4e-15 at the default marks; at varpi = 0.01 the curve engine's own
+    # trapezoid error shows, 4.1e-12)
+    from densitylab.pricing import price_defaultable_zcb
+    from densitylab.term_structure import simulate_density_paths
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("density curve engine reached")
+
+    for text in (NOISY_CORRELATED, NOISY_LINKED):
+        cfg = write(tmp_path, text.replace("varpi = 0.01", "varpi = 0.001"))
+        parsed = cfgmod.parse_config(cfg)
+        ec = cfgmod.experiment_config(parsed)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "simulate_density_paths", refuse)
+            assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
+                         "--out", str(tmp_path / "dead")]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "dead" / "prices.csv")))
+        res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), ec.t,
+                                     ec.delta_t, ec.n_paths, ec.seed)
+        ref = price_defaultable_zcb(ec.t, ec.T, res["theta_grid"], res["alpha"],
+                                    res["survival"], cli._recovery_from(parsed),
+                                    cli._discount_from(parsed, ec.t, ec.T),
+                                    r_t=parsed.rates.r0,
+                                    solver=cli._solver_from(parsed), tau=0.23)
+        prices = np.array([float(r["price"]) for r in rows])
+        assert np.abs(prices - ref).max() <= 1e-12
+    # k_tilde / lambda = e^{-lambda} B at tau < t: the linked prices vary by path
+    assert np.ptp(prices) > 1e-6
 
 
 def test_cli_runaway_intensity_is_classified(tmp_path, monkeypatch, capsys):
@@ -523,6 +587,18 @@ rates_correlated = true
 """
 
 
+def _noisy(text: str) -> str:
+    """The config with intensity noise, jumps and, if set, a rate loading."""
+    return text.replace("sigma = 0.0", "sigma = 0.001").replace("b = 0.0", "b = 1.0").replace(
+        "type = none", "varpi = 0.01").replace("rho0 = 0.0\n", "rho0 = 0.01\n")
+
+
+NOISY_PIDE = _noisy(TINY_PIDE)
+NOISY_CORRELATED = _noisy(CORRELATED)
+NOISY_LINKED = NOISY_CORRELATED.replace(
+    "R = 0.4", "recovery_type = intensity_linked\nf = identity")
+
+
 def test_cli_price_correlated_zero_noise_matches_independent(tmp_path):
     cfg = write(tmp_path, CORRELATED)
     out = str(tmp_path / "corr")
@@ -566,13 +642,13 @@ def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch
     # R_T = w0 + w1 e^{-lambda}, lambda constant: P = B (S(T)/S(t) + E[R] (1 - S(T)/S(t)))
     import densitylab.pide as pide
     solves = []
-    full_grid = pide.solve_cauchy
+    affine = pide.solve_cauchy_affine
 
     def counted(*args, **kwargs):
-        solves.append(1)
-        return full_grid(*args, **kwargs)
+        solves.append(kwargs.get("tilt", False))
+        return affine(*args, **kwargs)
 
-    monkeypatch.setattr(pide, "solve_cauchy", counted)
+    monkeypatch.setattr(pide, "solve_cauchy_affine", counted)
     cfg = write(tmp_path, CORRELATED.replace(
         "R = 0.4", "recovery_type = intensity_linked\nf = identity\nw0 = 0.3\nw1 = 0.3"))
     out = str(tmp_path / "linked")
@@ -584,4 +660,4 @@ def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch
     expected = np.exp(-0.05 * (T - t)) * (surv + (0.3 + 0.3 * np.exp(-lam)) * (1 - surv))
     assert float(rows[0]["price"]) == pytest.approx(expected, abs=2e-5)
     # Ktilde enters on [t, T] only: the two subgrid nodes that bracket it
-    assert len(solves) == 2
+    assert solves.count(True) == 2

@@ -1,9 +1,10 @@
 """Import hygiene of the `lab` commands.
 
-Only the 2-D PIDE routes need scipy, so the CLI must start without it, and
-a command must import nothing of its own once the CLI is loaded: whatever
-it needs is paid for at start-up, not inside the command.  Each case runs
-in a fresh interpreter, since the test session has imported scipy already.
+Only the 2-D PIDE oracles need scipy, and no command reaches them, so the
+CLI must start without it, and a command must import nothing of its own
+once the CLI is loaded: whatever it needs is paid for at start-up, not
+inside the command.  Each case runs in a fresh interpreter, since the
+test session has imported scipy already.
 """
 
 import json
@@ -75,6 +76,10 @@ n_steps = 8
 n_paths = 4
 """
 
+# the same with intensity-linked recovery, which reads the recovery kernel
+LINKED = PRICE.replace("regime = correlated\n", "regime = correlated\n"
+                       "recovery_type = intensity_linked\nf = identity\n")
+
 
 def _probe(argv: list[str]) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -97,25 +102,34 @@ def test_cli_import_loads_no_scipy():
 
 
 @pytest.mark.parametrize("command", ["experiment", "verify", "pide", "price_alive",
-                                     "price_defaulted"])
+                                     "price_defaulted", "price_linked_alive",
+                                     "price_linked_defaulted"])
 def test_commands_import_nothing_after_the_cli(tmp_path, command):
-    out = str(tmp_path / "out")
-    argv = {"experiment": ["experiment", "section7", "--config", _cfg(tmp_path, EXPERIMENT)],
-            "verify": ["verify"],
-            "pide": ["pide", "--theta", "2.0", "--config", _cfg(tmp_path, PIDE)],
-            "price_alive": ["price", "--config", _cfg(tmp_path, PRICE)],
-            "price_defaulted": ["price", "--status", "defaulted",
-                                "--config", _cfg(tmp_path, PRICE)]}[command]
-    result = _probe(argv + ["--out", out])
+    argv, text = {"experiment": (["experiment", "section7"], EXPERIMENT),
+                  "verify": (["verify"], None),
+                  "pide": (["pide", "--theta", "2.0"], PIDE),
+                  "price_alive": (["price"], PRICE),
+                  "price_defaulted": (["price", "--status", "defaulted"], PRICE),
+                  "price_linked_alive": (["price"], LINKED),
+                  "price_linked_defaulted": (["price", "--status", "defaulted"],
+                                             LINKED)}[command]
+    if text is not None:
+        argv = argv + ["--config", _cfg(tmp_path, text)]
+    result = _probe(argv + ["--out", str(tmp_path / "out")])
     assert result["rc"] == 0
     assert result["at_import"] == []
     assert result["in_command"] == []
 
 
-def test_picard_mode_loads_scipy_sparse_on_demand(tmp_path):
+def test_picard_mode_is_an_unknown_key(tmp_path):
+    # the Picard oracle is test-only: no config reaches it, or scipy
     cfg = _cfg(tmp_path, PIDE + "picard_mode = true\n")
-    result = _probe(["pide", "--theta", "2.0", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert result["rc"] == 0
+    out = tmp_path / "out"
+    result = _probe(["pide", "--theta", "2.0", "--config", cfg, "--out", str(out)])
+    assert result["rc"] == 1
     assert result["at_import"] == []
-    assert "scipy.sparse" in result["in_command"]
-    assert os.path.getsize(tmp_path / "out" / "kernel_grid.csv") > 0
+    assert result["in_command"] == []
+    assert not out.exists()
+    from densitylab.config import ConfigError, parse_config
+    with pytest.raises(ConfigError, match="\\[pide\\] unknown key 'picard_mode'"):
+        parse_config(cfg)

@@ -8,6 +8,7 @@ from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMe
 from densitylab.pide import (HV_THETA, CoefficientProvider, GridFunction,
                              OperatorCoefficients, OutOfGridError, PideInstabilityError,
                              PricingKernelSolver, StateGrid, _AffineSplit, _pad_extrapolate,
+                             _TiltedSplit,
                              _thomas_factor, _thomas_solve, apply_jump_operator,
                              compute_coefficients, solve_cauchy, solve_cauchy_affine,
                              solve_cauchy_picard)
@@ -260,17 +261,24 @@ def test_k_breve_deterministic_constant_rate():
 
 
 def test_k_tilde_matches_k_breve_for_zero_f():
+    # with f = none the recovery kernel's terminal y e^{-0} is k_breve's: the
+    # defaulted price reads k_breve's cache entries and solves nothing tilted
+    from densitylab.pricing import DeterministicRecovery, IntensityLinkedRecovery
+    from densitylab.pricing import price_defaultable_zcb
     rs = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01)
     grid = StateGrid(0.0, 0.1, 17, 0.0, 0.3, 17)
     solver = PricingKernelSolver(SEC7, rs, KERNEL, EXP_MEASURE, grid, T=1.0, n_steps=20)
-    f0 = lambda y: np.zeros_like(y)
-    a = solver.solution(0.8, 1.0, "y").values
-    b = solver.solution(0.8, 1.0, "y_exp_f", f=f0).values
-    assert np.array_equal(a, b)
-    # the shared entry is the affine solve; the 2-D solve of y e^{-0} agrees
-    full = solve_cauchy(lambda x, y: y * np.exp(-f0(y)), solver.provider(1.0), grid,
-                        0.8, 1.0, 20)
-    assert np.abs(a - full.values).max() <= 1e-12
+    alpha, surv = np.array([[0.09, 0.1]]), np.array([[0.9, 0.8]])
+    args = (0.8, 1.0, np.array([0.2, 0.4]), alpha, surv)
+    linked = price_defaultable_zcb(*args, IntensityLinkedRecovery(w0=0.3, w1=0.5, f="none"),
+                                   0.97, r_t=0.05, solver=solver, tau=0.3)
+    assert {terminal for _, _, terminal, _ in solver._cache} == {"y"}
+    det = price_defaultable_zcb(*args, DeterministicRecovery(0.8), 0.97, r_t=0.05,
+                                solver=solver, tau=0.3)
+    assert linked == pytest.approx(det, rel=1e-15)
+    # the shared entry is the affine solve; the 2-D solve of y agrees
+    full = solve_cauchy(lambda x, y: y, solver.provider(0.3), grid, 0.8, 1.0, 20)
+    assert np.abs(solver.solution(0.8, 0.3, "y").values - full.values).max() <= 1e-12
 
 
 def test_k_tilde_terminal_and_deterministic():
@@ -279,10 +287,9 @@ def test_k_tilde_terminal_and_deterministic():
     rs = VasicekSpec(kappa=1.0, delta=r, r0=r, rho0=0.0)
     grid = StateGrid(0.0, 0.1, 41, 0.0, 0.3, 61)
     solver = PricingKernelSolver(ms, rs, KERNEL, ZeroMeasure(), grid, T=1.0, n_steps=100)
-    f = lambda y: y
     lam = 0.1  # on the y-grid: 0.3/60 spacing puts 0.1 at node 20
-    assert solver.k_tilde(1.0, r, lam, 2.0, f) == pytest.approx(lam * np.exp(-lam), rel=1e-9)
-    val = solver.k_tilde(0.5, r, lam, 2.0, f)
+    assert solver.k_tilde(1.0, r, lam, 2.0) == pytest.approx(lam * np.exp(-lam), rel=1e-9)
+    val = solver.k_tilde(0.5, r, lam, 2.0)
     assert val == pytest.approx(lam * np.exp(-lam) * np.exp(-r * 0.5), rel=1e-4)
 
 
@@ -507,23 +514,29 @@ def test_picard_factors_once_for_a_constant_provider(monkeypatch):
     assert np.array_equal(once.values, per_level.values)
 
 
-def _closed_form_kernel(prov, grid, t, T, n_quad=40):
-    """K = e^{A(t) - B(t) x} (y + C(t)) with B = (1 - e^{-kappa (T - t)}) / kappa,
-    A = int_t^T [-kappa delta_hat B + a11 B^2 + sum w (e^{-B phi} - 1 + B phi)] ds,
-    C = int_t^T [a_drift - a12 B + sum w gamma (e^{-B phi} - 1)] ds,
-    with the sums over the same mark quadrature as the solver."""
+def _closed_form_kernel(prov, grid, t, T, n_quad=40, u=0.0):
+    """K = e^{A(t) - B(t) x - u y} (y + C(t)), the kernel with terminal
+    y e^{-u y} (Duffie, Pan & Singleton's extended transform at u_y = -u),
+    with B = (1 - e^{-kappa (T - t)}) / kappa,
+    A = int_t^T [-kappa delta_hat B + a11 B^2 + u (a22 - a_drift + a12 B)
+                 + sum w (e^{-B phi - u gamma} - 1 + B phi + u gamma)] ds,
+    C = int_t^T [a_drift - 2 u a22 - a12 B + sum w gamma (e^{-B phi - u gamma} - 1)] ds,
+    with the sums over the same mark quadrature as the solver; u = 0 gives
+    k_breve and u = 1 k_tilde."""
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     s_nodes = t + (T - t) * (nodes + 1.0) / 2.0
     a_int = c_int = 0.0
     for s, w_s in zip(s_nodes, weights * (T - t) / 2.0):
         c = prov(float(s))
         b = (1.0 - np.exp(-c.kappa * (T - s))) / c.kappa
-        e = np.exp(-b * c.jump_dx)
+        e = np.exp(-b * c.jump_dx - u * c.jump_dy)
         a_int += w_s * (-c.kappa * c.delta_hat * b + c.a11 * b ** 2
-                        + np.sum(c.jump_w * (e - 1.0 + b * c.jump_dx)))
-        c_int += w_s * (c.a_drift - c.a12 * b + np.sum(c.jump_w * c.jump_dy * (e - 1.0)))
+                        + u * (c.a22 - c.a_drift + c.a12 * b)
+                        + np.sum(c.jump_w * (e - 1.0 + b * c.jump_dx + u * c.jump_dy)))
+        c_int += w_s * (c.a_drift - 2.0 * u * c.a22 - c.a12 * b
+                        + np.sum(c.jump_w * c.jump_dy * (e - 1.0)))
     b_t = (1.0 - np.exp(-prov(t).kappa * (T - t))) / prov(t).kappa
-    return np.exp(a_int - b_t * grid.x)[:, None] * (grid.y[None, :] + c_int)
+    return np.exp(a_int - b_t * grid.x)[:, None] * np.exp(-u * grid.y) * (grid.y + c_int)
 
 
 def test_affine_route_matches_closed_form():
@@ -536,6 +549,54 @@ def test_affine_route_matches_closed_form():
     # both are spatial
     assert err[mid].max() < 5e-8, err[mid].max()
     assert err.max() < 2e-6, err.max()
+
+
+TILTED_CASES = {
+    # (provider, bound on the middle half of x, bound on the whole grid)
+    "theta_2": (AFFINE_CASES["defaults_correlated"], 5e-8, 2e-6),
+    "theta_20": (CoefficientProvider(KERNEL_SPEC, JUMPY_RATES, KERNEL, EXP_MEASURE,
+                                     theta=20.0), 5e-8, 2e-6),
+    "every_term_live": (_constant_provider, 5e-7, 2e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILTED_CASES))
+def test_tilted_route_matches_closed_form(case):
+    # measured: 1.4e-8 on the middle half and 5.3e-7 over the whole grid at
+    # theta = 2 and 20 (the 2-D route: 1.4e-5 and 2.5e-3); 1.8e-7 and 6.3e-7
+    # with a_drift, a22, a12 and large rate and intensity jumps all live
+    prov, mid_bound, bound = TILTED_CASES[case]
+    sol = solve_cauchy_affine(prov, PIDE_GRID, 0.5, 1.0, 200, tilt=True)
+    err = np.abs(sol.values - _closed_form_kernel(prov, PIDE_GRID, 0.5, 1.0, u=1.0))
+    mid = slice(PIDE_GRID.nx // 4, 3 * PIDE_GRID.nx // 4)
+    assert err[mid].max() < mid_bound, err[mid].max()
+    assert err.max() < bound, err.max()
+
+
+@pytest.mark.parametrize("case", ["defaults_correlated", "girsanov", "uncorrelated"])
+def test_2d_solve_converges_to_the_tilted_route(case):
+    # the 2-D grid differences e^{-y} in y, where the tilted route is exact
+    # in y, so their gap shrinks at first order in hy (measured 1.4e-4,
+    # 6.5e-5 and 2.6e-5 at ny = 16, 31, 61)
+    prov = AFFINE_CASES[case]
+    gaps = []
+    for ny in (16, 31, 61):
+        grid = StateGrid(-0.05, 0.15, 48, 0.0, 0.4, ny)
+        full = solve_cauchy(lambda x, y: y * np.exp(-y), prov, grid, 0.5, 1.0, 50)
+        tilted = solve_cauchy_affine(prov, grid, 0.5, 1.0, 50, tilt=True)
+        gaps.append(np.abs(full.values - tilted.values).max())
+    assert gaps[0] < 2e-4
+    assert gaps[0] / gaps[1] > 1.8 and gaps[1] / gaps[2] > 1.8, gaps
+
+
+def test_tilted_sup_finds_an_interior_peak():
+    # e^{-y} (F y + G) with (F, G) = (-5, -4) peaks in modulus at y* = 0.2,
+    # inside the grid, above every value at y_min and y_max
+    split = _TiltedSplit(PIDE_GRID, AFFINE_CASES["defaults_correlated"](0.5), "auto")
+    fg = np.tile([-5.0, -4.0], (PIDE_GRID.nx, 1))
+    fg[:4] = [0.0, 4.05]                    # F = 0: no stationary point, peak at y_min
+    fg[4:8] = [1.0, 0.0]
+    assert split.sup(fg) == pytest.approx(5.0 * np.exp(-0.2), rel=1e-14)
 
 
 def test_affine_route_instability_raises():

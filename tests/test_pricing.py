@@ -62,7 +62,7 @@ def test_kernel_k2_intensity_linked_zero_noise_closed_form():
     state = det_state(t)
     disc = constant_rate_discount(R_CONST, t, T)
     solver = zero_noise_solver(T)
-    rec = IntensityLinkedRecovery(w0=0.2, w1=0.5, f=lambda y: y)
+    rec = IntensityLinkedRecovery(w0=0.2, w1=0.5, f="identity")
     k2 = price(state, rec, disc, solver, tau=0.3)
     expected = np.exp(-R_CONST * (T - t)) * (0.2 + 0.5 * np.exp(-LAM))
     assert k2 == pytest.approx(expected, rel=1e-4)
@@ -157,6 +157,8 @@ def test_defaulted_after_t_rejected():
 def test_recovery_validation():
     with pytest.raises(ValueError, match="w0\\+w1"):
         IntensityLinkedRecovery(w0=0.7, w1=0.5)
+    with pytest.raises(ValueError, match="'identity' or 'none'"):
+        IntensityLinkedRecovery(w0=0.2, w1=0.5, f="square")
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         DeterministicRecovery(1.2)
 
