@@ -28,14 +28,17 @@ _N_CHANNELS = 4
 _MASK64 = (1 << 64) - 1
 
 
-def stream_key(seed: int, path: int, channel: int) -> np.ndarray:
-    """Philox key of the (seed, path, channel) stream: [seed, 4 path + channel] mod 2^64."""
+def _key_words(seed: int, path: int, channel: int) -> tuple[int, int]:
     if channel < 0 or channel >= _N_CHANNELS:
         raise ValueError(f"channel must be in [0, {_N_CHANNELS}), got {channel}")
     if path < 0:
         raise ValueError(f"path index must be nonnegative, got {path}")
-    return np.array([seed & _MASK64, (path * _N_CHANNELS + channel) & _MASK64],
-                    dtype=np.uint64)
+    return seed & _MASK64, (path * _N_CHANNELS + channel) & _MASK64
+
+
+def stream_key(seed: int, path: int, channel: int) -> np.ndarray:
+    """Philox key of the (seed, path, channel) stream: [seed, 4 path + channel] mod 2^64."""
+    return np.array(_key_words(seed, path, channel), dtype=np.uint64)
 
 
 def stream(seed: int, path: int, channel: int) -> np.random.Generator:
@@ -47,6 +50,15 @@ def stream(seed: int, path: int, channel: int) -> np.random.Generator:
     return Generator(Philox(key=stream_key(seed, path, channel)))
 
 
+# The state `rekey` assigns, with the key rewritten on each call.  The
+# Philox setter copies every word out of it, so one dict serves all calls;
+# it reads the words by index, so plain int lists do, and skip building
+# uint64 arrays.
+_START_STATE = {"bit_generator": "Philox",
+                "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def rekey(gen: np.random.Generator, seed: int, path: int, channel: int) -> np.random.Generator:
     """Reset a Philox-backed generator, in place, to the start of one stream.
 
@@ -56,13 +68,8 @@ def rekey(gen: np.random.Generator, seed: int, path: int, channel: int) -> np.ra
     Building a new Philox instead costs an OS-entropy seeding that the key
     then overrides.  Returns `gen`.
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": stream_key(seed, path, channel)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
+    _START_STATE["state"]["key"] = list(_key_words(seed, path, channel))
+    gen.bit_generator.state = _START_STATE
     return gen
 
 

@@ -256,35 +256,6 @@ def density(state: ForwardCurveState, survival: np.ndarray | None = None) -> np.
 
 
 # ---------------------------------------------------------------------------
-# immersion and the Azema survival process
-# ---------------------------------------------------------------------------
-
-def immersion_holds(spec: CoefficientSpec, tolerance: float = 1e-12,
-                    t_samples: np.ndarray | None = None,
-                    xi_samples: np.ndarray | None = None) -> bool:
-    """True iff sigma and gamma vanish for t > theta on the sample grid.
-
-    Vanishing coefficients beyond the diagonal freeze lambda_t(theta) for
-    t >= theta, the immersion (H-hypothesis) criterion.
-    """
-    ts = np.linspace(0.05, 3.0, 13) if t_samples is None else np.asarray(t_samples, dtype=float)
-    xs = np.array([0.0, 1e-3, 0.5, 2.0]) if xi_samples is None else np.asarray(xi_samples, dtype=float)
-    for t in ts:
-        theta = np.linspace(0.0, float(t) * (1 - 1e-9), 7)
-        sig = np.abs(np.asarray(spec.sigma_fn(float(t), theta[:, None], xs[None, :]), dtype=float))
-        gam = np.abs(np.asarray(spec.gamma_fn(float(t), theta[:, None], xs[None, :]), dtype=float))
-        if sig.max(initial=0.0) > tolerance or gam.max(initial=0.0) > tolerance:
-            return False
-    return True
-
-
-def azema_survival(state: ForwardCurveState) -> float:
-    """S_t = S_t(t), the survival process, read off the curve by interpolation."""
-    surv = csp(state)
-    return float(np.interp(state.t, np.asarray(state.theta_grid, dtype=float), surv))
-
-
-# ---------------------------------------------------------------------------
 # one step of the direct alpha scheme (the per-step reference)
 # ---------------------------------------------------------------------------
 
@@ -324,7 +295,7 @@ def _density_step_terms(spec: CoefficientSpec, measure: LevyMeasure, t: float,
 # ---------------------------------------------------------------------------
 
 PATH_CHUNK = 256         # paths per chunk of the two density-route engines
-INTENSITY_CHUNK = 512    # paths per chunk of `simulate_intensity_paths`
+INTENSITY_CHUNK = 512    # paths per chunk of the two intensity-route engines
 
 
 def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
@@ -668,3 +639,82 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
         out["probe_martingale"] = x_out
         out["probe_martingale_records"] = x_records
     return out
+
+
+def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
+                              measure: LevyMeasure, theta_grid: np.ndarray,
+                              probe_thetas: tuple[float, ...], t_end: float, dt: float,
+                              n_paths: int, seed: int,
+                              drift_multiplier: float = 1.0) -> dict:
+    """int_0^theta lambda_t and the control variate X at a few probes, no curves.
+
+    The final curve of `simulate_intensity_paths` is linear in the noise,
+
+        lambda_t = lambda_0 + sum_k [ dt (mu_k - comp_k) + dW_k sig_k
+                                      + (sum of step k's marks) gam_k ],
+
+    and so is its trapezoid integral on theta_grid up to a probe node.
+    Contracting each (steps x nodes) row table once with the trapezoid
+    weights up to every probe gives (steps x probes) tables, and a chunk's
+    integrals are two matrix products.  X is that engine's probe_martingale,
+    summed over the steps at once.  Each probe must be a node of
+    theta_grid.  The noise is `_path_noise`, in chunks of
+    `INTENSITY_CHUNK`, so both engines agree path by path up to rounding;
+    every sum runs within one path row, so a path's bits do not depend on
+    the chunk boundaries.
+    Clamping lambda at zero is not linear and stays with the curve engine.
+    """
+    if not spec.separable:
+        raise ValueError("vectorized engine requires separable coefficients")
+    grid = np.asarray(theta_grid, dtype=float)
+    probes = np.asarray(probe_thetas, dtype=float)
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9:
+        raise ValueError("t_end must be an integer number of dt steps")
+    nodes = np.abs(grid[None, :] - probes[:, None]).argmin(axis=1)
+    off_grid = ~np.isclose(grid[nodes], probes, rtol=1e-12, atol=1e-12)
+    if off_grid.any():
+        raise ValueError(f"probe maturity {float(probes[off_grid][0])!r} is not a node "
+                         "of theta_grid")
+
+    # trapezoid weights of int_0^{theta_j} on the grid, one column per probe
+    seg = (np.diff(grid) / 2.0)[:, None] * (np.arange(grid.size - 1)[:, None] < nodes)
+    weights = np.zeros((grid.size, probes.size))
+    weights[:-1] += seg
+    weights[1:] += seg
+
+    t_nodes = np.arange(n_steps) * dt
+    theta_t = np.maximum(grid[None, :] - t_nodes[:, None], 0.0)
+    sqrt_c0 = kernel.c0 ** 0.5
+    gam_slope_rows = spec.jump_slope * theta_t
+    mu_rows = drift_multiplier * drift_table(spec, kernel, measure, t_nodes, grid)
+    comp_rows = gam_slope_rows * measure.mark_moment(1)
+    lam0 = np.asarray(spec.lambda0_fn(grid), dtype=float)
+    const = (lam0 + dt * (mu_rows - comp_rows).sum(axis=0)) @ weights
+    a_sig = (sqrt_c0 * spec.sigma_slope * theta_t) @ weights
+    a_gam = gam_slope_rows @ weights
+
+    probe_tt = np.maximum(probes[None, :] - t_nodes[:, None], 0.0)
+    i_sig_p = sqrt_c0 * spec.sigma_slope * probe_tt ** 2 / 2.0     # (steps, n_probe)
+    g_half_p = spec.jump_slope * probe_tt ** 2 / 2.0
+    comp_x = dt * np.asarray(measure.one_minus_exp(g_half_p), dtype=float).sum(axis=0)
+
+    integrated = np.empty((n_paths, probes.size))
+    x_out = np.empty((n_paths, probes.size))
+    sqrt_dt = np.sqrt(dt)
+    for start in range(0, n_paths, INTENSITY_CHUNK):
+        stop = min(start + INTENSITY_CHUNK, n_paths)
+        normals, marks_data = _path_noise(measure, seed, range(start, stop), n_steps, dt)
+        dW = sqrt_dt * normals
+        jumps = _chunk_jumps(marks_data, n_steps)
+        mark_sums = _mark_sums(jumps, n_steps, stop - start)
+        # einsum, not BLAS matmul, whose sums change bits with the row count
+        integrated[start:stop] = (const + np.einsum("pk,kq->pq", dW, a_sig)
+                                  + np.einsum("kp,kq->pq", mark_sums, a_gam))
+        x = np.einsum("pk,kq->pq", dW, -i_sig_p) + comp_x
+        step = np.repeat(np.arange(n_steps), np.diff(jumps.bounds))
+        np.add.at(x, jumps.row, np.exp(-jumps.mark[:, None] * g_half_p[step]) - 1.0)
+        x_out[start:stop] = x
+
+    return {"probe_thetas": probes, "t": t_end, "integrated_intensity": integrated,
+            "probe_martingale": x_out}

@@ -424,36 +424,57 @@ def test_cli_constant_rate_commands_reject_rates_mode(tmp_path, capsys, argv, mo
 
 
 def test_cli_price_defaulted_reads_the_values_engine(tmp_path, monkeypatch):
-    # a defaulted price reads alpha and S at tau only: the values engine
-    # gives the prices of the curve engine's 2,161-node curves (measured
-    # 3.4e-15 at the default marks; at varpi = 0.01 the curve engine's own
-    # trapezoid error shows, 4.1e-12)
+    # a defaulted intensity-linked price reads alpha and S at tau only: the
+    # values engine gives the prices of the curve engine's 2,161-node curves
+    # (measured 3.4e-15 at the default marks; at varpi = 0.01 the curve
+    # engine's own trapezoid error shows, 4.1e-12)
     from densitylab.pricing import price_defaultable_zcb
     from densitylab.term_structure import simulate_density_paths
 
     def refuse(*args, **kwargs):
         raise AssertionError("density curve engine reached")
 
-    for text in (NOISY_CORRELATED, NOISY_LINKED):
-        cfg = write(tmp_path, text.replace("varpi = 0.01", "varpi = 0.001"))
-        parsed = cfgmod.parse_config(cfg)
-        ec = cfgmod.experiment_config(parsed)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "simulate_density_paths", refuse)
-            assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
-                         "--out", str(tmp_path / "dead")]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "dead" / "prices.csv")))
-        res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), ec.t,
-                                     ec.delta_t, ec.n_paths, ec.seed)
-        ref = price_defaultable_zcb(ec.t, ec.T, res["theta_grid"], res["alpha"],
-                                    res["survival"], cli._recovery_from(parsed),
-                                    cli._discount_from(parsed, ec.t, ec.T),
-                                    r_t=parsed.rates.r0,
-                                    solver=cli._solver_from(parsed), tau=0.23)
-        prices = np.array([float(r["price"]) for r in rows])
-        assert np.abs(prices - ref).max() <= 1e-12
+    cfg = write(tmp_path, NOISY_LINKED.replace("varpi = 0.01", "varpi = 0.001"))
+    parsed = cfgmod.parse_config(cfg)
+    ec = cfgmod.experiment_config(parsed)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "simulate_density_paths", refuse)
+        assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
+                     "--out", str(tmp_path / "dead")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "dead" / "prices.csv")))
+    res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), ec.t,
+                                 ec.delta_t, ec.n_paths, ec.seed)
+    ref = price_defaultable_zcb(ec.t, ec.T, res["theta_grid"], res["alpha"],
+                                res["survival"], cli._recovery_from(parsed),
+                                cli._discount_from(parsed, ec.t, ec.T),
+                                r_t=parsed.rates.r0,
+                                solver=cli._solver_from(parsed), tau=0.23)
+    prices = np.array([float(r["price"]) for r in rows])
+    assert np.abs(prices - ref).max() <= 1e-12
     # k_tilde / lambda = e^{-lambda} B at tau < t: the linked prices vary by path
     assert np.ptp(prices) > 1e-6
+
+
+def test_cli_price_defaulted_deterministic_recovery_is_the_recovered_bond(tmp_path,
+                                                                        monkeypatch):
+    # at tau <= t the intensity coefficients have vanished, so a correlated
+    # defaulted price is R B(t, T) on every path, as in the independent
+    # regime: nothing is simulated and no kernel is solved
+    from densitylab.rates import zcb_price
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated or solved")
+
+    for name in ("simulate_density_paths", "simulate_survival_values",
+                 "run_price_distribution", "_solver_from"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = write(tmp_path, NOISY_CORRELATED)
+    out = str(tmp_path / "dead")
+    assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
+                 "--out", out]) == 0
+    prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
+    bond = zcb_price(cfgmod.build_rate_spec(cfgmod.parse_config(cfg)), 0.5, 1.0, 0.05)
+    assert prices == [0.4 * bond] * 20
 
 
 def test_cli_runaway_intensity_is_classified(tmp_path, monkeypatch, capsys):
@@ -488,6 +509,18 @@ def test_verification_avoids_the_density_curve_engine(monkeypatch):
     density = next(c for c in checks if c["name"] == "density_martingale")
     # the figures the 501-node curve engine gave on the same sample
     assert density["detail"] == "theta=0.6: z=-1.25; theta=1.0: z=-1.38; theta=5.0: z=-1.42"
+
+
+def test_verification_avoids_the_intensity_curve_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("intensity curve engine reached")
+
+    monkeypatch.setattr(cli, "simulate_intensity_paths", refuse)
+    checks = run_verification(cfgmod.parse_config(None))
+    assert all(c["passed"] for c in checks), checks
+    survival = next(c for c in checks if c["name"] == "survival_martingale")
+    # the figures the 201-node curve engine gave on the same sample
+    assert survival["detail"] == "theta=1.0: z=+0.58; theta=2.0: z=+0.28"
 
 
 def test_verify_density_values_match_curve_engine():

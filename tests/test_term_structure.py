@@ -317,14 +317,6 @@ def test_route_consistency_refinement():
 
 # ------------------------------------------------------- azema / immersion
 
-def test_azema_survival_initial_and_deterministic():
-    grid = np.linspace(0.0, 5.0, 501)
-    state = ts.initial_forward_state(SEC7, grid)
-    assert ts.azema_survival(state) == pytest.approx(1.0)
-    state_half = ts.ForwardCurveState(0.5, grid, np.full_like(grid, 0.1))
-    assert ts.azema_survival(state_half) == pytest.approx(np.exp(-0.05), abs=1e-12)
-
-
 def test_azema_decomposition_residual_refines():
     # non-immersion spec (sigma constant): S_t(t) vs e^{-int lambda_diag} E(M)_t,
     # residual shrinks ~ O(dt) under noise-coupled refinement
@@ -351,14 +343,10 @@ def test_azema_decomposition_residual_refines():
             int_diag += 0.5 * dt * (lam_diag_before + lam_diag_after)
             i_sig_diag, _ = ts.cumulative_integrals(spec, t, t, 0.0)
             doleans *= 1.0 - float(i_sig_diag) * np.sqrt(dt) * normals[k]
-        return abs(ts.azema_survival(state) - np.exp(-int_diag) * doleans)
+        s_diag = float(np.interp(state.t, grid, ts.csp(state)))     # S_t(t)
+        return abs(s_diag - np.exp(-int_diag) * doleans)
 
     assert residual(4) / residual(2) > 1.5
-
-
-def test_immersion_holds_section7_and_fails_constant():
-    assert ts.immersion_holds(SEC7) is True
-    assert ts.immersion_holds(constant_sigma_spec(0.01)) is False
 
 
 def test_immersion_freeze_pathwise():
@@ -513,6 +501,21 @@ def test_path_noise_matches_fresh_streams(measure):
         assert sum(m.size for _, m, _ in marks_data) > 0
 
 
+def test_rekey_after_a_32_bit_draw_matches_a_fresh_stream():
+    gen = rng.stream(3, 0, rng.CHANNEL_GAUSSIAN)
+    gen.random(dtype=np.float32)               # keeps half a 64-bit word buffered
+    assert gen.bit_generator.state["has_uint32"] == 1
+    seed = rng.decorrelate(12345, 2)
+    fresh = rng.stream(seed, 5, rng.CHANNEL_POISSON_MARKS)
+    assert rng.rekey(gen, seed, 5, rng.CHANNEL_POISSON_MARKS) is gen
+    assert np.array_equal(gen.random(5, dtype=np.float32), fresh.random(5, dtype=np.float32))
+    assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
+    with pytest.raises(ValueError, match="channel must be in"):
+        rng.rekey(gen, seed, 5, 4)
+    with pytest.raises(ValueError, match="path index must be nonnegative"):
+        rng.rekey(gen, seed, -1, rng.CHANNEL_GAUSSIAN)
+
+
 def test_path_noise_builds_one_generator_per_call(monkeypatch):
     built = []
 
@@ -560,3 +563,39 @@ def test_intensity_engine_matches_per_path_reference_at_high_jump_activity(monke
         assert np.array_equal(res["records"][rt]["lam"], np.array(ref["records"][rt]))
         assert np.array_equal(res["probe_martingale_records"][rt],
                               np.array(ref["probe_martingale_records"][rt]))
+
+
+@pytest.mark.parametrize("kernel,measure,drift_multiplier", [
+    (DiracKernel(), EXP_MEASURE, 1.0),
+    (DiracKernel(c0=4.0), PointMassMeasure(z=30.0, location=0.2), 1.0),
+    (DiracKernel(), ZeroMeasure(), 1.0),
+    (DiracKernel(), HOT_MEASURE, 0.0),
+], ids=["exponential", "point_mass_c0_4", "none", "hot_without_drift"])
+def test_intensity_values_match_curve_engine(kernel, measure, drift_multiplier):
+    # int_0^theta lambda_t (trapezoid on the grid) and X, read off 201-node curves
+    spec = ts.CoefficientSpec.section7(sigma=0.01, b=1.0, lambda_bar=0.1)
+    grid = np.arange(0.0, 2.0 + 1e-12, 0.01)
+    probes, n_paths = (0.0, 0.5, 1.0, 2.0), 515           # across the 512-path chunk
+    engine_args = (spec, kernel, measure, grid)
+    kw = dict(t_end=0.5, dt=0.01, seed=21, drift_multiplier=drift_multiplier)
+    curves = ts.simulate_intensity_paths(*engine_args, n_paths=n_paths, probe_thetas=probes,
+                                         **kw)
+    values = ts.simulate_intensity_values(*engine_args, probes, n_paths=n_paths, **kw)
+    integrals = np.stack([np.trapezoid(curves["lam"][:, :j + 1], grid[:j + 1], axis=1)
+                          for j in np.rint(np.array(probes) / 0.01).astype(int)], axis=1)
+    assert np.abs(values["integrated_intensity"] - integrals).max() <= 1e-12
+    assert np.abs(values["probe_martingale"] - curves["probe_martingale"]).max() <= 1e-12
+    # a path's bits do not depend on the chunk it runs in
+    head = ts.simulate_intensity_values(*engine_args, probes, n_paths=3, **kw)
+    for key in ("integrated_intensity", "probe_martingale"):
+        assert np.array_equal(head[key], values[key][:3]), key
+
+
+def test_intensity_values_reject_off_grid_probes_and_non_separable_specs():
+    grid = np.arange(0.0, 2.0 + 1e-12, 0.01)
+    with pytest.raises(ValueError, match="probe maturity 1.005 is not a node of theta_grid"):
+        ts.simulate_intensity_values(SEC7, DiracKernel(), EXP_MEASURE, grid, (1.0, 1.005),
+                                     0.5, 0.01, 4, 1)
+    with pytest.raises(ValueError, match="separable"):
+        ts.simulate_intensity_values(constant_sigma_spec(0.01), DiracKernel(), ZeroMeasure(),
+                                     grid, (1.0,), 0.5, 0.01, 4, 1)
