@@ -32,7 +32,8 @@ solve per node and all paths at once, and interpolates them across theta;
 q2 enters only on [t, T], so Ktilde is solved only at the nodes that
 bracket it.  The theta-integrals use the trapezoid rule on the curve grid,
 with the flat-intensity tail S_t(theta_max) beyond the truncation point.
-After default it reads the kernels at theta = tau: one solve per kernel.
+After default an intensity-linked recovery reads the kernels at
+theta = tau, one solve per kernel; a deterministic one is R B(t, T).
 """
 
 from __future__ import annotations
@@ -162,7 +163,10 @@ def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.
     alpha and survival hold one path per row on `theta_grid`; every path
     shares the short rate r_t.  tau = None prices the alive bond,
     int_T^inf K1 dtheta + int_t^T K2 alpha/S_t dtheta; a default time
-    tau <= t prices K2(t, tau).  Returns one price per path.
+    tau <= t prices K2(t, tau) of an intensity-linked recovery.  (A
+    deterministic recovery R after default is worth R B(t, T): the
+    intensity coefficients have vanished at tau <= t.)  Returns one price
+    per path.
     """
     grid = np.asarray(theta_grid, dtype=float)
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
@@ -176,6 +180,9 @@ def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.
     if tau is not None:
         if tau > t + 1e-12:
             raise ValueError("default time must satisfy tau <= t")
+        if not linked:
+            raise ValueError("a deterministic recovery after default is worth R B(t, T); "
+                             "no kernel prices it")
         at_tau = np.array([float(tau)])
         s_tau = _interp_rows(at_tau, grid, survival)[:, 0]
         lam = _interp_rows(at_tau, grid, alpha)[:, 0] / np.maximum(s_tau, 1e-300)
@@ -184,12 +191,8 @@ def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.
         # below the floor the removable singularity at lambda -> 0+ takes
         # its deterministic limit
         live = lam >= LAMBDA_FLOOR
-        if linked:
-            weight = recovery.w0 + recovery.w1
-            k2 = recovery.w0 * k_breve(tau, lam[live]) + recovery.w1 * k_tilde(tau, lam[live])
-        else:
-            weight, k2 = recovery.rate, recovery.rate * k_breve(tau, lam[live])
-        prices = np.full(lam.size, weight * discount)
+        k2 = recovery.w0 * k_breve(tau, lam[live]) + recovery.w1 * k_tilde(tau, lam[live])
+        prices = np.full(lam.size, (recovery.w0 + recovery.w1) * discount)
         prices[live] = k2 / lam[live]
         return prices
 

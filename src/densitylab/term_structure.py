@@ -538,6 +538,39 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     return {"thetas": thetas, "t": t_end, "alpha": alpha_out, "survival": surv_out}
 
 
+class _IntensityTables(NamedTuple):
+    """Step tables (rows t_k = k dt) of the d = 0 Dirac intensity scheme."""
+
+    sig: np.ndarray          # (steps, nodes): sqrt(c0) sigma
+    gam: np.ndarray          # gamma per unit mark
+    mu: np.ndarray           # martingale drift
+    comp: np.ndarray         # jump compensator gamma E[xi]
+    i_sig: np.ndarray        # (steps, probes): sqrt(c0) I_sigma
+    g_half: np.ndarray       # I_gamma per unit mark
+    comp_x: np.ndarray       # -int (1 - e^{-xi I_gamma}) nu(dxi)
+
+
+def _intensity_tables(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
+                      grid: np.ndarray, probes: np.ndarray, n_steps: int,
+                      dt: float) -> _IntensityTables:
+    t_nodes = np.arange(n_steps) * dt
+    theta_t = np.maximum(grid[None, :] - t_nodes[:, None], 0.0)
+    sqrt_c0 = kernel.c0 ** 0.5
+    gam = spec.jump_slope * theta_t
+    mark_mean = measure.mark_moment(1) if measure.total_mass else 0.0
+    probe_tt = np.maximum(probes[None, :] - t_nodes[:, None], 0.0)
+    g_half = spec.jump_slope * probe_tt ** 2 / 2.0
+    if measure.total_mass:
+        comp_x = -np.asarray(measure.one_minus_exp(g_half), dtype=float)
+    else:
+        comp_x = np.zeros_like(g_half)
+    return _IntensityTables(sig=sqrt_c0 * spec.sigma_slope * theta_t, gam=gam,
+                            mu=drift_table(spec, kernel, measure, t_nodes, grid),
+                            comp=gam * mark_mean,
+                            i_sig=sqrt_c0 * spec.sigma_slope * probe_tt ** 2 / 2.0,
+                            g_half=g_half, comp_x=comp_x)
+
+
 def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
                              measure: LevyMeasure, theta_grid: np.ndarray,
                              t_end: float, dt: float, n_paths: int, seed: int,
@@ -568,24 +601,9 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
     if abs(n_steps * dt - t_end) > 1e-9:
         raise ValueError("t_end must be an integer number of dt steps")
 
-    t_nodes = np.arange(n_steps) * dt
-    theta_t = np.maximum(grid[None, :] - t_nodes[:, None], 0.0)
-    sqrt_c0 = kernel.c0 ** 0.5
-    sig_rows = sqrt_c0 * spec.sigma_slope * theta_t
-    gam_slope_rows = spec.jump_slope * theta_t
-    mu_rows = drift_multiplier * drift_table(spec, kernel, measure, t_nodes, grid)
-    mark_mean = measure.mark_moment(1) if measure.total_mass else 0.0
-    comp_rows = gam_slope_rows * mark_mean
-
     probes = np.asarray(probe_thetas, dtype=float)
-    if probes.size:
-        probe_tt = np.maximum(probes[None, :] - t_nodes[:, None], 0.0)
-        i_sig_p = sqrt_c0 * spec.sigma_slope * probe_tt ** 2 / 2.0     # (steps, n_probe)
-        g_half_p = spec.jump_slope * probe_tt ** 2 / 2.0
-        if measure.total_mass:
-            comp_x_p = -np.asarray(measure.one_minus_exp(g_half_p), dtype=float)
-        else:
-            comp_x_p = np.zeros_like(g_half_p)
+    tab = _intensity_tables(spec, kernel, measure, grid, probes, n_steps, dt)
+    mu_rows = drift_multiplier * tab.mu
 
     rec_steps = {int(round(rt / dt)): rt for rt in record_times}
     records = {rt: {"lam": np.empty((n_paths, grid.size))} for rt in record_times}
@@ -608,19 +626,19 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
         x_acc = np.zeros((p, probes.size)) if probes.size else None
         for k in range(n_steps):
             dW = sqrt_dt * normals[:, k]
-            lam = lam + (dt * mu_rows[k] - dt * comp_rows[k]) \
-                + np.multiply.outer(dW, sig_rows[k]) \
-                + np.multiply.outer(mark_sums[k], gam_slope_rows[k])
+            lam = lam + (dt * mu_rows[k] - dt * tab.comp[k]) \
+                + np.multiply.outer(dW, tab.sig[k]) \
+                + np.multiply.outer(mark_sums[k], tab.gam[k])
             neg += np.count_nonzero(lam < 0, axis=1)
             if clamp_lambda_at_zero:
                 lam = np.maximum(lam, 0.0)
             if probes.size:
-                x_acc += np.multiply.outer(dW, -i_sig_p[k]) - dt * comp_x_p[k]
+                x_acc += np.multiply.outer(dW, -tab.i_sig[k]) - dt * tab.comp_x[k]
                 lo, hi = jumps.bounds[k], jumps.bounds[k + 1]
                 if hi > lo:
                     xs = jumps.mark[lo:hi]
                     jumped, sums = _sum_by_row(
-                        jumps, lo, hi, np.exp(-np.multiply.outer(xs, g_half_p[k])) - 1.0)
+                        jumps, lo, hi, np.exp(-np.multiply.outer(xs, tab.g_half[k])) - 1.0)
                     x_acc[jumped] += sums
             if k + 1 in rec_steps:
                 rt = rec_steps[k + 1]
@@ -644,8 +662,7 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
 def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
                               measure: LevyMeasure, theta_grid: np.ndarray,
                               probe_thetas: tuple[float, ...], t_end: float, dt: float,
-                              n_paths: int, seed: int,
-                              drift_multiplier: float = 1.0) -> dict:
+                              n_paths: int, seed: int) -> dict:
     """int_0^theta lambda_t and the control variate X at a few probes, no curves.
 
     The final curve of `simulate_intensity_paths` is linear in the noise,
@@ -654,9 +671,10 @@ def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
                                       + (sum of step k's marks) gam_k ],
 
     and so is its trapezoid integral on theta_grid up to a probe node.
-    Contracting each (steps x nodes) row table once with the trapezoid
-    weights up to every probe gives (steps x probes) tables, and a chunk's
-    integrals are two matrix products.  X is that engine's probe_martingale,
+    Contracting each (steps x nodes) table of `_intensity_tables`, which
+    both engines read, once with the trapezoid weights up to every probe
+    gives (steps x probes) tables, and a chunk's integrals are two matrix
+    products.  X is that engine's probe_martingale,
     summed over the steps at once.  Each probe must be a node of
     theta_grid.  The noise is `_path_noise`, in chunks of
     `INTENSITY_CHUNK`, so both engines agree path by path up to rounding;
@@ -683,21 +701,12 @@ def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
     weights[:-1] += seg
     weights[1:] += seg
 
-    t_nodes = np.arange(n_steps) * dt
-    theta_t = np.maximum(grid[None, :] - t_nodes[:, None], 0.0)
-    sqrt_c0 = kernel.c0 ** 0.5
-    gam_slope_rows = spec.jump_slope * theta_t
-    mu_rows = drift_multiplier * drift_table(spec, kernel, measure, t_nodes, grid)
-    comp_rows = gam_slope_rows * measure.mark_moment(1)
+    tab = _intensity_tables(spec, kernel, measure, grid, probes, n_steps, dt)
     lam0 = np.asarray(spec.lambda0_fn(grid), dtype=float)
-    const = (lam0 + dt * (mu_rows - comp_rows).sum(axis=0)) @ weights
-    a_sig = (sqrt_c0 * spec.sigma_slope * theta_t) @ weights
-    a_gam = gam_slope_rows @ weights
-
-    probe_tt = np.maximum(probes[None, :] - t_nodes[:, None], 0.0)
-    i_sig_p = sqrt_c0 * spec.sigma_slope * probe_tt ** 2 / 2.0     # (steps, n_probe)
-    g_half_p = spec.jump_slope * probe_tt ** 2 / 2.0
-    comp_x = dt * np.asarray(measure.one_minus_exp(g_half_p), dtype=float).sum(axis=0)
+    const = (lam0 + dt * (tab.mu - tab.comp).sum(axis=0)) @ weights
+    a_sig = tab.sig @ weights
+    a_gam = tab.gam @ weights
+    comp_x = dt * tab.comp_x.sum(axis=0)
 
     integrated = np.empty((n_paths, probes.size))
     x_out = np.empty((n_paths, probes.size))
@@ -711,9 +720,9 @@ def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
         # einsum, not BLAS matmul, whose sums change bits with the row count
         integrated[start:stop] = (const + np.einsum("pk,kq->pq", dW, a_sig)
                                   + np.einsum("kp,kq->pq", mark_sums, a_gam))
-        x = np.einsum("pk,kq->pq", dW, -i_sig_p) + comp_x
+        x = np.einsum("pk,kq->pq", dW, -tab.i_sig) - comp_x
         step = np.repeat(np.arange(n_steps), np.diff(jumps.bounds))
-        np.add.at(x, jumps.row, np.exp(-jumps.mark[:, None] * g_half_p[step]) - 1.0)
+        np.add.at(x, jumps.row, np.exp(-jumps.mark[:, None] * tab.g_half[step]) - 1.0)
         x_out[start:stop] = x
 
     return {"probe_thetas": probes, "t": t_end, "integrated_intensity": integrated,

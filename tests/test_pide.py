@@ -263,8 +263,7 @@ def test_k_breve_deterministic_constant_rate():
 def test_k_tilde_matches_k_breve_for_zero_f():
     # with f = none the recovery kernel's terminal y e^{-0} is k_breve's: the
     # defaulted price reads k_breve's cache entries and solves nothing tilted
-    from densitylab.pricing import DeterministicRecovery, IntensityLinkedRecovery
-    from densitylab.pricing import price_defaultable_zcb
+    from densitylab.pricing import IntensityLinkedRecovery, price_defaultable_zcb
     rs = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01)
     grid = StateGrid(0.0, 0.1, 17, 0.0, 0.3, 17)
     solver = PricingKernelSolver(SEC7, rs, KERNEL, EXP_MEASURE, grid, T=1.0, n_steps=20)
@@ -273,9 +272,9 @@ def test_k_tilde_matches_k_breve_for_zero_f():
     linked = price_defaultable_zcb(*args, IntensityLinkedRecovery(w0=0.3, w1=0.5, f="none"),
                                    0.97, r_t=0.05, solver=solver, tau=0.3)
     assert {terminal for _, _, terminal, _ in solver._cache} == {"y"}
-    det = price_defaultable_zcb(*args, DeterministicRecovery(0.8), 0.97, r_t=0.05,
-                                solver=solver, tau=0.3)
-    assert linked == pytest.approx(det, rel=1e-15)
+    plain = price_defaultable_zcb(*args, IntensityLinkedRecovery(w0=0.8, w1=0.0, f="none"),
+                                  0.97, r_t=0.05, solver=solver, tau=0.3)
+    assert linked == pytest.approx(plain, rel=1e-15)
     # the shared entry is the affine solve; the 2-D solve of y agrees
     full = solve_cauchy(lambda x, y: y, solver.provider(0.3), grid, 0.8, 1.0, 20)
     assert np.abs(solver.solution(0.8, 0.3, "y").values - full.values).max() <= 1e-12

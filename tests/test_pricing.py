@@ -52,9 +52,10 @@ def test_kernel_k2_intensity_linked_w1_zero_reduces():
     solver = zero_noise_solver(1.0)
     det = DeterministicRecovery(0.3)
     linked = IntensityLinkedRecovery(w0=0.3, w1=0.0)
-    for kwargs in ({"tau": 0.3}, {"theta_stride": 500}):
-        assert price(state, linked, disc, solver, **kwargs) == pytest.approx(
-            price(state, det, disc, solver, **kwargs), rel=1e-12)
+    assert price(state, linked, disc, solver, theta_stride=500) == pytest.approx(
+        price(state, det, disc, solver, theta_stride=500), rel=1e-12)
+    # after default the deterministic recovery is R B(t, T), up to the PIDE
+    assert price(state, linked, disc, solver, tau=0.3) == pytest.approx(0.3 * disc, rel=1e-6)
 
 
 def test_kernel_k2_intensity_linked_zero_noise_closed_form():
@@ -73,7 +74,7 @@ def test_kernel_k2_rejects_nonpositive_intensity():
     state = DensityCurveState(0.5, grid, np.zeros_like(grid), np.ones_like(grid))
     solver = zero_noise_solver(1.0)
     with pytest.raises(KernelUndefinedError, match="nonpositive intensity"):
-        price(state, DeterministicRecovery(0.4), 0.97, solver, tau=0.3)
+        price(state, IntensityLinkedRecovery(w0=0.4, w1=0.0), 0.97, solver, tau=0.3)
 
 
 def test_kernel_k1_degenerate_survival():
@@ -115,7 +116,8 @@ def test_price_defaultable_zcb_defaulted_recovery_of_face():
     state = DensityCurveState(0.5, grid, np.full_like(grid, 0.1 * LAMBDA_FLOOR),
                               np.ones_like(grid))
     disc = constant_rate_discount(0.05, 0.5, 1.0)
-    out = price(state, DeterministicRecovery(0.4), disc, zero_noise_solver(1.0), tau=0.3)
+    out = price(state, IntensityLinkedRecovery(w0=0.1, w1=0.3), disc, zero_noise_solver(1.0),
+                tau=0.3)
     assert out == pytest.approx(0.4 * disc, abs=1e-12)
     assert out / disc == pytest.approx(0.4, abs=1e-12)
 
@@ -154,6 +156,13 @@ def test_defaulted_after_t_rejected():
         price(state, DeterministicRecovery(0.4), 0.97, zero_noise_solver(1.0), tau=0.7)
 
 
+def test_defaulted_deterministic_recovery_is_not_kernel_priced():
+    # `lab price` writes R B(t, T) for it in both regimes
+    with pytest.raises(ValueError, match="R B\\(t, T\\)"):
+        price(det_state(0.5), DeterministicRecovery(0.4), 0.97, zero_noise_solver(1.0),
+              tau=0.3)
+
+
 def test_recovery_validation():
     with pytest.raises(ValueError, match="w0\\+w1"):
         IntensityLinkedRecovery(w0=0.7, w1=0.5)
@@ -180,14 +189,15 @@ def test_batch_prices_each_path_as_alone():
     solver = zero_noise_solver(1.0)
     alpha = np.stack([low.alpha, high.alpha])
     surv = np.stack([low.survival, high.survival])
-    for rec in (DeterministicRecovery(0.4), IntensityLinkedRecovery(w0=0.2, w1=0.5)):
-        for kwargs in ({"tau": 0.3}, {"theta_stride": 500}):
-            batch = price_defaultable_zcb(t, 1.0, low.theta_grid, alpha, surv, rec, disc,
-                                          r_t=R_CONST, solver=solver, **kwargs)
-            alone = [price_defaultable_zcb(t, 1.0, low.theta_grid, a, s, rec, disc,
-                                           r_t=R_CONST, solver=solver, **kwargs)[0]
-                     for a, s in zip(alpha, surv)]
-            assert batch.tolist() == alone
+    linked = IntensityLinkedRecovery(w0=0.2, w1=0.5)
+    for rec, kwargs in ((DeterministicRecovery(0.4), {"theta_stride": 500}),
+                        (linked, {"theta_stride": 500}), (linked, {"tau": 0.3})):
+        batch = price_defaultable_zcb(t, 1.0, low.theta_grid, alpha, surv, rec, disc,
+                                      r_t=R_CONST, solver=solver, **kwargs)
+        alone = [price_defaultable_zcb(t, 1.0, low.theta_grid, a, s, rec, disc,
+                                       r_t=R_CONST, solver=solver, **kwargs)[0]
+                 for a, s in zip(alpha, surv)]
+        assert batch.tolist() == alone
 
 
 def test_interp_rows_is_np_interp_per_row():

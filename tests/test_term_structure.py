@@ -565,19 +565,19 @@ def test_intensity_engine_matches_per_path_reference_at_high_jump_activity(monke
                               np.array(ref["probe_martingale_records"][rt]))
 
 
-@pytest.mark.parametrize("kernel,measure,drift_multiplier", [
-    (DiracKernel(), EXP_MEASURE, 1.0),
-    (DiracKernel(c0=4.0), PointMassMeasure(z=30.0, location=0.2), 1.0),
-    (DiracKernel(), ZeroMeasure(), 1.0),
-    (DiracKernel(), HOT_MEASURE, 0.0),
-], ids=["exponential", "point_mass_c0_4", "none", "hot_without_drift"])
-def test_intensity_values_match_curve_engine(kernel, measure, drift_multiplier):
+@pytest.mark.parametrize("kernel,measure", [
+    (DiracKernel(), EXP_MEASURE),
+    (DiracKernel(c0=4.0), PointMassMeasure(z=30.0, location=0.2)),
+    (DiracKernel(), ZeroMeasure()),
+    (DiracKernel(), HOT_MEASURE),
+], ids=["exponential", "point_mass_c0_4", "none", "hot"])
+def test_intensity_values_match_curve_engine(kernel, measure):
     # int_0^theta lambda_t (trapezoid on the grid) and X, read off 201-node curves
     spec = ts.CoefficientSpec.section7(sigma=0.01, b=1.0, lambda_bar=0.1)
     grid = np.arange(0.0, 2.0 + 1e-12, 0.01)
     probes, n_paths = (0.0, 0.5, 1.0, 2.0), 515           # across the 512-path chunk
     engine_args = (spec, kernel, measure, grid)
-    kw = dict(t_end=0.5, dt=0.01, seed=21, drift_multiplier=drift_multiplier)
+    kw = dict(t_end=0.5, dt=0.01, seed=21)
     curves = ts.simulate_intensity_paths(*engine_args, n_paths=n_paths, probe_thetas=probes,
                                          **kw)
     values = ts.simulate_intensity_values(*engine_args, probes, n_paths=n_paths, **kw)
