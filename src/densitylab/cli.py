@@ -102,7 +102,6 @@ def _solver_from(cfg: cfgmod.Config) -> PricingKernelSolver:
     return PricingKernelSolver(cfgmod.build_model_spec(cfg), cfgmod.build_rate_spec(cfg),
                                cfgmod.build_kernel(cfg), cfgmod.build_measure(cfg),
                                grid, T=cfg.experiment.T, n_steps=cfg.pide.n_steps,
-                               ridge_eps=cfg.pide.ridge_eps,
                                rates_correlated=cfg.rates.rates_correlated)
 
 
@@ -173,11 +172,13 @@ def cmd_pide(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     sol = solver.solution(cfg.experiment.t, args.theta, "y")
     out_file = os.path.join(args.out, "kernel_grid.csv")
-    # the bytes of csv.writer rows of repr'd floats, built as one string
+    # the bytes of csv.writer rows of repr'd floats, built as one string:
+    # repr of a list of floats is their reprs joined by ", "
     ys = [repr(y) for y in solver.grid.y.tolist()]
     lines = ["x,y,K"]
     for x, k_row in zip(solver.grid.x.tolist(), sol.values.tolist()):
-        lines += [f"{x!r},{y},{k!r}" for y, k in zip(ys, k_row)]
+        x_ = f"{x!r},"
+        lines += [x_ + y + "," + k for y, k in zip(ys, repr(k_row)[1:-1].split(", "))]
     with open(out_file, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
     return _finish(args, cfg, [out_file])

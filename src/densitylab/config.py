@@ -72,12 +72,6 @@ def _pair(s) -> tuple[float, float]:
     return lo, hi
 
 
-def _ridge(s) -> Any:
-    if str(s).strip() == "auto":
-        return "auto"
-    return _nonnegative(float(s))
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     c0: float = 1.0
@@ -124,7 +118,6 @@ class PideConfig:
     x_range: tuple[float, float] = (-0.05, 0.15)
     y_range: tuple[float, float] = (0.0, 0.4)
     n_steps: int = 200
-    ridge_eps: Any = "auto"
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,6 @@ _SCHEMA: dict[str, dict[str, Any]] = {
         "x_range": _pair,
         "y_range": _pair,
         "n_steps": lambda s: int(_positive(int(s))),
-        "ridge_eps": _ridge,
     },
     "pricing": {
         "regime": _choice("independent", "correlated"),

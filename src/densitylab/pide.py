@@ -32,8 +32,11 @@ only: no command reaches them.  scipy is imported only by these 2-D
 routes, on first use (LAPACK `solve_banded` for the line solves,
 `scipy.sparse` and `splu` for the Picard oracle).
 The separable Dirac-kernel coefficients make the diffusion block rank one
-(a12^2 = 4 a11 a22); an optional ridge adds to a11 and a22 in that
-degenerate regime.
+(a12^2 = 4 a11 a22); on the 2-D grid an optional ridge adds to a11 and
+a22 in that degenerate regime.  Every march tabulates its schedule before
+the first step: the coefficients of all time levels come from one
+broadcast `compute_coefficients` call, and the levels' operator pieces
+are built from that table.
 
 Affine reduction: no coefficient depends on y, so with terminal y the
 kernel is exactly K = F(t, x) y + G(t, x), the extended transform of an
@@ -45,12 +48,15 @@ G terminal 0 and is driven by a_drift F, a12 F_x and
 int gamma (F(x + phi) - F) nu.  Its only implicit solve is I - w Ax on the
 rate axis, a strictly diagonally dominant M-matrix (nonnegative
 off-diagonals in Ax by the hybrid upwinding, row sums 1 + w x), so it is
-eliminated without pivoting: the factor is computed once per time level
-and weight, and both columns are swept on Python floats (`_thomas_factor`,
-`_thomas_solve`).  With terminal y e^{-y} the same holds under an
-exponential tilt, K = e^{-y} (F y + G) (the transform at u_y = -1): the
-y-pieces become exact maps of (F, G) (`_TiltedSplit`), and the rate axis
-is unchanged.  `PricingKernelSolver` solves both kernels on this 1-D
+eliminated without pivoting: the factors of all (level, weight) pairs of
+the march come from one elimination vectorised over them, and both
+columns are swept on Python floats (`_thomas_factor`, `_thomas_solve`).
+The rate shift of each mark node is the same at every level, so the
+explicit jump integral and mixed term act on each column as one
+correlation with a per-level kernel.  With terminal y e^{-y} the same
+holds under an exponential tilt, K = e^{-y} (F y + G) (the transform at
+u_y = -1): the y-pieces become exact maps of (F, G) (`_TiltedSplit`), and
+the rate axis is unchanged.  `PricingKernelSolver` solves both kernels on this 1-D
 route.
 
 The jump integral is compensated with nu(dxi) exactly as the operator is
@@ -64,7 +70,8 @@ the girsanov one at z = +0.01.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -174,7 +181,9 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class OperatorCoefficients:
-    """Snapshot of the operator at one (t, theta)."""
+    """Snapshot of the operator at one (t, theta), or a table of them: then
+    every field gains a leading axis over the time levels (the scalars are
+    (L,) arrays, the jump arrays (L, nodes)) and `level` reads a snapshot."""
 
     t: float
     theta: float
@@ -191,13 +200,20 @@ class OperatorCoefficients:
     def degenerate(self, tol: float = 1e-14) -> bool:
         return self.a11 * self.a22 <= self.a12 ** 2 / 4.0 + tol
 
+    def level(self, i: int) -> OperatorCoefficients:
+        """Snapshot i of a table."""
+        return OperatorCoefficients(*(float(v[i]) if np.ndim(v) == 1 else v[i]
+                                      for v in (getattr(self, f.name) for f in fields(self))))
+
 
 def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
                          kernel: DiracKernel, measure: LevyMeasure,
-                         t: float, theta: float,
+                         t, theta: float,
                          jump_compensator: str = "as_printed",
                          rates_correlated: bool = True) -> OperatorCoefficients:
-    """Operator coefficients at (t, theta) for the d = 0 Dirac field.
+    """Operator coefficients at (t, theta) for the d = 0 Dirac field; an
+    array of times gives their table in one call, bit for bit the
+    snapshots of the scalar calls.
 
     delta_hat = delta + kappa^{-1} c0 rho0 I_sigma(t, theta)
                 + kappa^{-1} int phi(xi) (e^{-I_gamma(t,theta,xi)} - 1) nu(dxi),
@@ -215,44 +231,51 @@ def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
     if not rates_correlated and rate_spec.phi0 != 0.0:
         raise ValueError("independent rates require phi0 = 0 (jump marks are shared)")
     c0 = kernel.c0
-    sig = float(np.asarray(model_spec.sigma_fn(t, theta, 0.0), dtype=float))
-    i_sig, _ = cumulative_integrals(model_spec, t, theta, 0.0)
-    i_sig = float(np.asarray(i_sig, dtype=float))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+
+    def levels(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+
+    sig = levels(model_spec.sigma_fn(ts, theta, 0.0))
+    i_sig = levels(cumulative_integrals(model_spec, ts, theta, 0.0)[0])
     coupling = i_sig if rates_correlated else 0.0
 
     a11 = 0.5 * c0 * rate_spec.rho0 ** 2
-    a22 = 0.5 * c0 * sig ** 2
+    a22 = 0.5 * c0 * np.float_power(sig, 2)     # the bits of a float's sig ** 2
     a12 = c0 * sig * rate_spec.rho0 if rates_correlated else 0.0
 
     if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
-        nodes = np.zeros(0)
-        weights = np.zeros(0)
+        nodes = weights = np.zeros(0)
+        gam_vals = np.zeros((ts.size, 0))
         phi_term = 0.0
         jump_mc = 0.0
     else:
         nodes, weights = measure.quadrature()
-        _, i_gam = cumulative_integrals(model_spec, t, theta, nodes)
+        _, i_gam = cumulative_integrals(model_spec, ts[:, None], theta, nodes)
         i_gam = np.asarray(i_gam, dtype=float)
         phi_vals = rate_spec.phi0 * nodes
-        phi_term = float(np.sum(weights * phi_vals * (np.exp(-i_gam) - 1.0)))
-        gam_vals = np.asarray(model_spec.gamma_fn(t, theta, nodes), dtype=float)
-        jump_mc = float(np.sum(weights * gam_vals * (1.0 - np.exp(-i_gam))))
+        phi_term = np.sum(weights * phi_vals * (np.exp(-i_gam) - 1.0), axis=-1)
+        gam_vals = np.broadcast_to(np.asarray(model_spec.gamma_fn(ts[:, None], theta, nodes),
+                                              dtype=float), i_gam.shape)
+        jump_mc = np.sum(weights * gam_vals * (1.0 - np.exp(-i_gam)), axis=-1)
         if jump_compensator == "girsanov":
             weights = weights * np.exp(-i_gam)
 
     delta_hat = rate_spec.delta + (c0 * rate_spec.rho0 * coupling + phi_term) / rate_spec.kappa
-    mu = float(np.asarray(mc_drift(model_spec, kernel, measure, t, theta), dtype=float))
+    mu = mc_drift(model_spec, kernel, measure, ts, theta)
     a_drift = mu - c0 * sig * i_sig - jump_mc
 
-    jump_dx = rate_spec.phi0 * nodes
-    jump_dy = np.asarray(model_spec.gamma_fn(t, theta, nodes), dtype=float) if nodes.size \
-        else np.zeros(0)
-    return OperatorCoefficients(t, theta, rate_spec.kappa, delta_hat, a_drift,
-                                a11, a22, a12, jump_dx, jump_dy, weights)
+    jumps = gam_vals.shape
+    table = OperatorCoefficients(ts, levels(theta), levels(rate_spec.kappa), levels(delta_hat),
+                                 levels(a_drift), levels(a11), levels(a22), levels(a12),
+                                 np.broadcast_to(rate_spec.phi0 * nodes, jumps), gam_vals,
+                                 np.broadcast_to(weights, jumps))
+    return table if np.ndim(t) else table.level(0)
 
 
 class CoefficientProvider:
-    """Maps t to operator coefficients for a fixed theta slice."""
+    """Maps t, or an array of times, to operator coefficients for a fixed
+    theta slice (`compute_coefficients`)."""
 
     def __init__(self, model_spec: CoefficientSpec, rate_spec: VasicekSpec,
                  kernel: DiracKernel, measure: LevyMeasure, theta: float,
@@ -265,7 +288,7 @@ class CoefficientProvider:
         self.jump_compensator = jump_compensator
         self.rates_correlated = rates_correlated
 
-    def __call__(self, t: float) -> OperatorCoefficients:
+    def __call__(self, t) -> OperatorCoefficients:
         return compute_coefficients(self.model_spec, self.rate_spec, self.kernel,
                                     self.measure, t, self.theta, self.jump_compensator,
                                     self.rates_correlated)
@@ -280,19 +303,31 @@ class CoefficientProvider:
         return slope != 0.0 or (jslope != 0.0 and has_jumps)
 
 
+def _coefficient_table(provider: Callable[[float], OperatorCoefficients],
+                       times: np.ndarray) -> OperatorCoefficients:
+    """The coefficients at every time of `times` as one table: one call of a
+    CoefficientProvider, the stacked snapshots of any other provider."""
+    if isinstance(provider, CoefficientProvider):
+        return provider(times)
+    snapshots = [provider(t) for t in times]
+    return OperatorCoefficients(*(np.array([getattr(c, f.name) for c in snapshots])
+                                  for f in fields(OperatorCoefficients)))
+
+
 # ---------------------------------------------------------------------------
 # discrete operators
 # ---------------------------------------------------------------------------
 #
 # A tridiagonal 1-D operator is held as a (3, n) array in the banded layout
 # of scipy.linalg.solve_banded: ab[0, 1:] is the superdiagonal, ab[1] the
-# diagonal and ab[2, :-1] the subdiagonal.
+# diagonal and ab[2, :-1] the subdiagonal.  Stacks of them, one per time
+# level, are (..., 3, n).
 
 def _banded(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    ab = np.zeros((3, main.size))
-    ab[0, 1:] = upper
-    ab[1] = main
-    ab[2, :-1] = lower
+    ab = np.zeros(main.shape[:-1] + (3, main.shape[-1]))
+    ab[..., 0, 1:] = upper
+    ab[..., 1, :] = main
+    ab[..., 2, :-1] = lower
     return ab
 
 
@@ -310,33 +345,42 @@ def _band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
     return sp.diags([ab[2, :-1], ab[1], ab[0, 1:]], [-1, 0, 1], format="csr")
 
 
-def _thomas_factor(ab: np.ndarray) -> tuple[list[float], list[float], list[float]]:
-    """Elimination of a banded tridiagonal matrix without pivoting.
+def _thomas_factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elimination without pivoting of a (..., 3, n) stack of banded
+    tridiagonal matrices, vectorised over the stack.
 
-    Returns (multipliers, pivots, superdiagonal) as Python floats for
-    `_thomas_solve`.  Meant for strictly diagonally dominant M-matrices,
-    whose pivots stay positive; a non-positive (or NaN) pivot raises
-    PideInstabilityError.
+    Returns (multipliers, pivots, superdiagonal) for `_thomas_solve`; each
+    element is the scalar recurrence's IEEE result.  Meant for strictly
+    diagonally dominant M-matrices, whose pivots stay positive;
+    `_check_pivots` raises on one that is not.
     """
-    sub, diag, sup = ab[2, :-1].tolist(), ab[1].tolist(), ab[0, 1:].tolist()
-    mult, piv = [], [diag[0]]
-    for lo, d, up in zip(sub, diag[1:], sup):
-        if not piv[-1] > 0.0:
-            break
-        m = lo / piv[-1]
-        mult.append(m)
-        piv.append(d - m * up)
-    if not piv[-1] > 0.0:      # the first bad pivot ends the elimination
+    sub, diag, sup = ab[..., 2, :-1], ab[..., 1, :], ab[..., 0, 1:]
+    mult = np.empty(sub.shape)
+    piv = np.empty(diag.shape)
+    piv[..., 0] = diag[..., 0]
+    with np.errstate(all="ignore"):     # nothing past a bad pivot is read
+        for i in range(1, diag.shape[-1]):
+            mult[..., i - 1] = sub[..., i - 1] / piv[..., i - 1]
+            piv[..., i] = diag[..., i] - mult[..., i - 1] * sup[..., i - 1]
+    return mult, piv, sup.copy()     # not a view that keeps the stack alive
+
+
+def _check_pivots(piv: np.ndarray) -> None:
+    """PideInstabilityError at the first non-positive (or NaN) pivot of one
+    elimination."""
+    bad = np.flatnonzero(~(piv > 0.0))
+    if bad.size:
+        row = int(bad[0])
         raise PideInstabilityError(
-            f"rate-axis implicit system has pivot {piv[-1]!r} at row {len(piv) - 1}: "
+            f"rate-axis implicit system has pivot {float(piv[row])!r} at row {row}: "
             f"I - w Ax is not diagonally dominant; retry with more time steps")
-    return mult, piv, sup
 
 
-def _thomas_solve(factor: tuple[list[float], list[float], list[float]],
+def _thomas_solve(factor: tuple[np.ndarray, np.ndarray, np.ndarray],
                   rhs: np.ndarray) -> np.ndarray:
-    """Solve with a `_thomas_factor` for the two columns of an (n, 2) rhs."""
-    mult, piv, sup = factor
+    """Solve with one system's `_thomas_factor` for the two columns of an
+    (n, 2) rhs, swept on Python floats."""
+    mult, piv, sup = (a.tolist() for a in factor)
     f, g = rhs.T.tolist()
     pf, pg = f[0], g[0]
     for i, m in enumerate(mult, 1):
@@ -370,21 +414,22 @@ def _second_diff(n: int, h: float) -> np.ndarray:
     return _banded(lower, main, upper)
 
 
-def _drift_matrix(n: int, h: float, vel: np.ndarray, diff: float) -> np.ndarray:
+def _drift_matrix(n: int, h: float, vel: np.ndarray, diff) -> np.ndarray:
     """vel * d/dx with hybrid differencing: central where 2 diff >= |vel| h,
     one-sided in the upwind direction elsewhere (monotone for coarse cells).
     Edge rows are one-sided inward; a last row whose upwind neighbour lies
-    off the grid is dropped."""
+    off the grid is dropped.  vel (..., n) and diff (...) may carry leading
+    level axes, giving a (..., 3, n) stack."""
     i = np.arange(n)
-    central = 2.0 * diff >= np.abs(vel) * h
+    central = 2.0 * np.asarray(diff)[..., None] >= np.abs(vel) * h
     fwd = (i == 0) | (~central & (vel > 0))
     bwd = ~fwd & ((i == n - 1) | (~central & (vel < 0)))
     ctr = ~fwd & ~bwd
     fwd &= i < n - 1
     g = vel / h
     main = np.where(fwd, -g, np.where(bwd, g, 0.0))
-    upper = np.where(fwd, g, np.where(ctr, 0.5 * g, 0.0))[:-1]
-    lower = np.where(bwd, -g, np.where(ctr, -0.5 * g, 0.0))[1:]
+    upper = np.where(fwd, g, np.where(ctr, 0.5 * g, 0.0))[..., :-1]
+    lower = np.where(bwd, -g, np.where(ctr, -0.5 * g, 0.0))[..., 1:]
     return _banded(lower, main, upper)
 
 
@@ -491,37 +536,6 @@ def apply_jump_operator(values: np.ndarray, grid: StateGrid,
     return out
 
 
-def _affine_jump_operator(fg: np.ndarray, grid: StateGrid, coeffs: OperatorCoefficients,
-                          tilt: bool = False) -> np.ndarray:
-    """The jump integral of K = F y + G, returned as its (F, G) columns.
-
-    The y-shift of a function linear in y is exact, so node q maps F to
-    F(x + dx_q) - F - dx_q F_x and G to the same x-shift of G plus
-    dy_q (F(x + dx_q) - F).  All nodes are gathered in one indexing step.
-    With `tilt`, K = e^{-y} (F y + G): the shifted columns carry the
-    factor e^{-dy_q}, and both columns gain dy_q times themselves.
-    """
-    if coeffs.jump_w.size == 0:
-        return np.zeros_like(fg)
-    nx = grid.nx
-    sx = coeffs.jump_dx / grid.hx
-    ix0 = np.floor(sx).astype(int)
-    wx = (sx - ix0)[:, None, None]
-    px = int(np.ceil(np.abs(sx).max())) + 1
-    rows = px + ix0[:, None] + np.arange(nx)
-    padded = _pad_extrapolate(fg, px, 0)
-    shifted = (1 - wx) * padded[rows] + wx * padded[rows + 1]    # (nodes, nx, 2)
-    kx = np.gradient(fg, grid.hx, axis=0, edge_order=1)
-    w = coeffs.jump_w
-    mass = w.sum()
-    if tilt:
-        shifted *= np.exp(-coeffs.jump_dy)[:, None, None]
-        mass -= w @ coeffs.jump_dy
-    out = np.tensordot(w, shifted, 1) - (w @ coeffs.jump_dx) * kx - mass * fg
-    out[:, 1] += (w * coeffs.jump_dy) @ (shifted[:, :, 0] - fg[:, 0])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # backward Cauchy solve
 # ---------------------------------------------------------------------------
@@ -530,44 +544,52 @@ HV_THETA = 0.5 + np.sqrt(3.0) / 6.0
 
 
 class _SplitOperator:
-    """One time level of the ADI splitting F = F0 + F1 + F2 on the 2-D grid:
-    F1 = Ax and F2 = Ay are stepped implicitly, F0 (mixed term + jump
-    integral) is explicit.  Banded forms of I - w A are cached per weight w."""
+    """The ADI splitting F = F0 + F1 + F2 on the 2-D grid, level by level
+    from the coefficient table: F1 = Ax and F2 = Ay are stepped
+    implicitly, F0 (mixed term + jump integral, `apply_jump_operator`) is
+    explicit.  A level's axis operators and banded I - w A are built when
+    the march first reaches it (`solves` is not needed ahead) and dropped
+    two levels later."""
 
-    def __init__(self, grid: StateGrid, coeffs: OperatorCoefficients,
-                 ridge_eps: float | str):
+    def __init__(self, grid: StateGrid, table: OperatorCoefficients,
+                 solves: set[tuple[int, float]], ridge_eps: float | str = "auto"):
         self.grid = grid
-        self.coeffs = coeffs
-        self.ops = axis_operators(grid, coeffs, ridge_eps)
-        # per (axis, w): the banded I - w A, or its elimination factor
-        self._implicit: dict[tuple[int, float], object] = {}
+        self.table = table
+        self.ridge_eps = ridge_eps
+        # level -> (coefficients, axis operators, {(axis, w): banded I - w A})
+        self._live: dict[int, tuple[OperatorCoefficients, AxisOperators, dict]] = {}
 
-    def f0(self, v: np.ndarray) -> np.ndarray:
-        out = apply_jump_operator(v, self.grid, self.coeffs)
-        if self.coeffs.a12:
-            out += self.coeffs.a12 * _band_apply(self.ops.dx, _band_apply(self.ops.dy, v.T).T)
+    def _level(self, lvl: int):
+        if lvl not in self._live:
+            if len(self._live) == 2:        # the march holds two levels at a time
+                del self._live[next(iter(self._live))]
+            coeffs = self.table.level(lvl)
+            self._live[lvl] = (coeffs, axis_operators(self.grid, coeffs, self.ridge_eps), {})
+        return self._live[lvl]
+
+    def f0(self, lvl: int, v: np.ndarray) -> np.ndarray:
+        coeffs, ops, _ = self._level(lvl)
+        out = apply_jump_operator(v, self.grid, coeffs)
+        if coeffs.a12:
+            out += coeffs.a12 * _band_apply(ops.dx, _band_apply(ops.dy, v.T).T)
         return out
 
-    def f1(self, v: np.ndarray) -> np.ndarray:
-        return _band_apply(self.ops.ax, v)
+    def f1(self, lvl: int, v: np.ndarray) -> np.ndarray:
+        return _band_apply(self._level(lvl)[1].ax, v)
 
-    def f2(self, v: np.ndarray) -> np.ndarray:
-        return _band_apply(self.ops.ay, v.T).T
+    def f2(self, lvl: int, v: np.ndarray) -> np.ndarray:
+        return _band_apply(self._level(lvl)[1].ay, v.T).T
 
-    def system(self, axis: int, w: float) -> np.ndarray:
-        """Banded form of I - w A_axis."""
-        ab = -w * (self.ops.ax if axis == 0 else self.ops.ay)
-        ab[1] += 1.0
-        return ab
-
-    def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
+    def solve(self, axis: int, lvl: int, w: float, rhs: np.ndarray) -> np.ndarray:
         """(I - w A_axis)^{-1} applied along `axis`: one tridiagonal solve
         with a right-hand side per grid line."""
         from scipy.linalg import solve_banded
-        key = (axis, w)
-        if key not in self._implicit:
-            self._implicit[key] = self.system(axis, w)
-        ab = self._implicit[key]
+        _, ops, systems = self._level(lvl)
+        if (axis, w) not in systems:
+            ab = -w * (ops.ax if axis == 0 else ops.ay)
+            ab[1] += 1.0
+            systems[axis, w] = ab
+        ab = systems[axis, w]
         if axis == 0:
             return solve_banded((1, 1), ab, rhs, check_finite=False)
         return solve_banded((1, 1), ab, rhs.T, check_finite=False).T
@@ -576,34 +598,100 @@ class _SplitOperator:
         return float(np.abs(v).max())
 
 
-class _AffineSplit(_SplitOperator):
+class _AffineSplit:
     """The same splitting on K = F(x) y + G(x), held as the (nx, 2) array
-    of columns (F, G).  Every y-piece of the 2-D scheme is exact on
-    functions linear in y (but for the y-drift's dropped edge row, which
-    multiplies a_drift, zero up to quadrature), so the y-axis collapses:
-    Ay K = a_drift F feeds G, the mixed term contributes a12 Dx F to G,
-    and the jump integral is `_affine_jump_operator`.  The rate-axis solve
-    is a Thomas elimination whose factor is cached per weight."""
+    of columns (F, G), with every level's pieces built before the march.
+    Every y-piece of the 2-D scheme is exact on functions linear in y (but
+    for the y-drift's dropped edge row, which multiplies a_drift, zero up
+    to quadrature), so the y-axis collapses: Ay K = a_drift F feeds G.
 
-    def f0(self, v: np.ndarray) -> np.ndarray:
-        out = _affine_jump_operator(v, self.grid, self.coeffs)
-        if self.coeffs.a12:
-            out[:, 1] += self.coeffs.a12 * _band_apply(self.ops.dx, v[:, 0])
+    Rate axis: Ax for all levels as one (L, 3, nx) stack, without the
+    ridge, which regularises only the 2-D grid's degenerate diffusion
+    block; `_thomas_factor` eliminates I - w Ax for the (level, w) pairs
+    the march solves with, all at once.
+
+    F0: rate shift q moves x by the same phi_q at every level; only its
+    weight depends on t.  So the jump integral, with its compensator
+    (-phi F_x by the central difference, -mass K) and the mixed term
+    a12 Dx F in G, is a correlation of each linearly extrapolated column
+    with a (2 px + 1)-tap kernel per level: column F with k0, column G
+    with k0 plus F with k1, where node q puts its weight c_q at taps
+    px + floor(phi_q / hx) and the next, split linearly.  For K = F y + G,
+    c_q = w_q in k0 and w_q gamma_q in k1 (the y-shift of F y)."""
+
+    tilt = False
+
+    def __init__(self, grid: StateGrid, table: OperatorCoefficients,
+                 solves: set[tuple[int, float]]):
+        self.grid = grid
+        nx, hx, x = grid.nx, grid.hx, grid.x
+        self.ax = table.a11[:, None, None] * _second_diff(nx, hx) \
+            + _drift_matrix(nx, hx, table.kappa[:, None] * (table.delta_hat[:, None] - x),
+                            table.a11)
+        self.ax[:, 1] -= x
+        pairs = sorted(solves)
+        self._pair = {pair: i for i, pair in enumerate(pairs)}
+        weights = np.array([w for _, w in pairs])
+        systems = -weights[:, None, None] * self.ax[[lvl for lvl, _ in pairs]]
+        systems[:, 1] += 1.0
+        self._factors = _thomas_factor(systems)
+        self._stable = np.all(self._factors[1] > 0.0, axis=1)
+        self.a22, self.a_drift = table.a22, table.a_drift
+        self.px, self.k0, self.k1 = self._kernels(table)
+
+    def _kernels(self, table: OperatorCoefficients) -> tuple[int, np.ndarray, np.ndarray]:
+        hx = self.grid.hx
+        w, dx, dy = table.jump_w, table.jump_dx, table.jump_dy
+        sx = dx / hx
+        px = int(np.ceil(np.abs(sx).max(initial=0.0))) + 1
+        n_levels, taps = w.shape[0], 2 * px + 1
+        ix0 = np.floor(sx)
+        frac = sx - ix0
+        tap = (np.arange(n_levels)[:, None] * taps + px + ix0.astype(int)).ravel()
+        taps_at = np.concatenate((tap, tap + 1))
+        shifted = w * np.exp(-dy) if self.tilt else w
+
+        def spread(c):
+            weights = np.concatenate(((c * (1 - frac)).ravel(), (c * frac).ravel()))
+            sums = np.bincount(taps_at, weights, minlength=n_levels * taps)
+            return sums.astype(float).reshape(n_levels, taps)   # float also with no nodes
+
+        k0, k1 = spread(shifted), spread(shifted * dy)
+        w_dy = (w * dy).sum(axis=1)
+        k0[:, px] -= w.sum(axis=1) - w_dy if self.tilt else w.sum(axis=1)
+        k1[:, px] -= w_dy
+        slope0 = ((w * dx).sum(axis=1) + (table.a12 if self.tilt else 0.0)) / (2.0 * hx)
+        k0[:, px + 1] -= slope0
+        k0[:, px - 1] += slope0
+        slope1 = table.a12 / (2.0 * hx)
+        k1[:, px + 1] += slope1
+        k1[:, px - 1] -= slope1
+        return px, k0, k1
+
+    def f0(self, lvl: int, v: np.ndarray) -> np.ndarray:
+        f, g = _pad_extrapolate(v.T, 0, self.px)
+        k0, k1 = self.k0[lvl], self.k1[lvl]
+        out = np.empty_like(v)
+        out[:, 0] = np.correlate(f, k0)
+        out[:, 1] = np.correlate(g, k0) + np.correlate(f, k1)
         return out
 
-    def f2(self, v: np.ndarray) -> np.ndarray:
+    def f1(self, lvl: int, v: np.ndarray) -> np.ndarray:
+        return _band_apply(self.ax[lvl], v)
+
+    def f2(self, lvl: int, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        out[:, 1] = self.coeffs.a_drift * v[:, 0]
+        out[:, 1] = self.a_drift[lvl] * v[:, 0]
         return out
 
-    def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
+    def solve(self, axis: int, lvl: int, w: float, rhs: np.ndarray) -> np.ndarray:
         if axis == 0:
-            key = (0, w)
-            if key not in self._implicit:
-                self._implicit[key] = _thomas_factor(self.system(0, w))
-            return _thomas_solve(self._implicit[key], rhs)
+            i = self._pair[lvl, w]
+            if not self._stable[i]:
+                _check_pivots(self._factors[1][i])
+            return _thomas_solve(tuple(a[i] for a in self._factors), rhs)
         out = rhs.copy()
-        out[:, 1] += w * self.coeffs.a_drift * rhs[:, 0]
+        out[:, 1] += w * self.a_drift[lvl] * rhs[:, 0]
         return out
 
     def sup(self, v: np.ndarray) -> float:
@@ -621,31 +709,24 @@ class _TiltedSplit(_AffineSplit):
     jump integral maps (F, G) at node (phi, gamma) to
     (e^{-gamma} F(x + phi) - F - phi F_x + gamma F,
      e^{-gamma} (G(x + phi) + gamma F(x + phi)) - G - phi G_x - gamma F + gamma G).
-    The y-pieces read a22 without the ridge, which regularises only the
-    2-D grid's degenerate diffusion block."""
+    In the correlation kernels the shifted weights carry e^{-gamma_q}, the
+    centre tap of k0 gains sum w gamma and k0 also holds -a12 Dx."""
 
-    def f0(self, v: np.ndarray) -> np.ndarray:
-        out = _affine_jump_operator(v, self.grid, self.coeffs, tilt=True)
-        if self.coeffs.a12:
-            dx = self.coeffs.a12 * _band_apply(self.ops.dx, v)
-            out[:, 0] -= dx[:, 0]
-            out[:, 1] += dx[:, 0] - dx[:, 1]
-        return out
+    tilt = True
 
-    def _y_rates(self) -> tuple[float, float]:
-        c = self.coeffs
-        return c.a22 - c.a_drift, c.a_drift - 2.0 * c.a22
+    def _y_rates(self, lvl: int) -> tuple[float, float]:
+        return self.a22[lvl] - self.a_drift[lvl], self.a_drift[lvl] - 2.0 * self.a22[lvl]
 
-    def f2(self, v: np.ndarray) -> np.ndarray:
-        d, e = self._y_rates()
+    def f2(self, lvl: int, v: np.ndarray) -> np.ndarray:
+        d, e = self._y_rates(lvl)
         out = d * v
         out[:, 1] += e * v[:, 0]
         return out
 
-    def solve(self, axis: int, rhs: np.ndarray, w: float) -> np.ndarray:
+    def solve(self, axis: int, lvl: int, w: float, rhs: np.ndarray) -> np.ndarray:
         if axis == 0:
-            return super().solve(0, rhs, w)
-        d, e = self._y_rates()
+            return super().solve(0, lvl, w, rhs)
+        d, e = self._y_rates(lvl)
         out = rhs / (1.0 - w * d)
         out[:, 1] += w * e * out[:, 0] / (1.0 - w * d)
         return out
@@ -660,11 +741,10 @@ class _TiltedSplit(_AffineSplit):
         return float(max(np.abs(np.exp(-y) * (f * y + g)).max() for y in (lo, hi, y_star)))
 
 
-def _hv_march(values: np.ndarray, split: type[_SplitOperator],
+def _hv_march(values: np.ndarray, split: Callable[..., _SplitOperator | _AffineSplit],
               provider: Callable[[float], OperatorCoefficients], grid: StateGrid,
               t_start: float, T: float, n_steps: int, theta_scheme: float,
-              rannacher: int, ridge_eps: float | str,
-              time_dependent: bool | None) -> np.ndarray:
+              rannacher: int, time_dependent: bool | None) -> np.ndarray:
     """March dK/dt - x K + A K = 0 backward from the terminal `values`.
 
     Hundsdorfer-Verwer ADI in time-to-maturity: with F = F0 + F1 + F2 as in
@@ -679,9 +759,14 @@ def _hv_march(values: np.ndarray, split: type[_SplitOperator],
     and Z2 is the new value.  theta_scheme is the HV theta (the default
     1/2 + sqrt(3)/6 is unconditionally stable with the mixed term explicit);
     the first `rannacher` steps are damping steps taken with theta = 1,
-    which damps stiff modes harder and stays second order.  `time_dependent`
-    (default: the provider's own flag) decides whether the 1-D pieces are
-    rebuilt at every level.  Raises PideInstabilityError if the sup norm
+    which damps stiff modes harder and stays second order.
+
+    The operator schedule is tabulated before the first step: the
+    coefficients of every time level in one table (`_coefficient_table`),
+    and from it `split(grid, table, solves)`, given the (level, weight)
+    pairs of the implicit stages.  With `time_dependent` False (default:
+    the provider's own flag) the table holds the level at T alone and
+    every step reads it.  Raises PideInstabilityError if the sup norm
     breaches the discounted growth bound.
     """
     if T <= t_start:
@@ -692,27 +777,30 @@ def _hv_march(values: np.ndarray, split: type[_SplitOperator],
         time_dependent = getattr(provider, "time_dependent", True)
     dt = (T - t_start) / n_steps
     times = t_start + dt * np.arange(n_steps + 1)
+    level = list(range(n_steps + 1)) if time_dependent else [0] * (n_steps + 1)
+    weight = [(1.0 if (n_steps - 1 - k) < rannacher else theta_scheme) * dt
+              for k in range(n_steps)]
+    ops = split(grid, _coefficient_table(provider, times if time_dependent else times[-1:]),
+                set(zip(level, weight)))
 
-    old = split(grid, provider(times[n_steps]), ridge_eps)
-    sup0 = old.sup(values)
+    old = level[n_steps]
+    sup0 = ops.sup(values)
     growth = np.exp(max(-grid.x_min, 0.0) * dt)
     for k in range(n_steps - 1, -1, -1):
-        t_new = times[k]
-        new = split(grid, provider(t_new), ridge_eps) if time_dependent else old
-        w = (1.0 if (n_steps - 1 - k) < rannacher else theta_scheme) * dt
-        f1, f2 = old.f1(values), old.f2(values)
-        f_old = old.f0(values) + f1 + f2
+        new, w = level[k], weight[k]
+        f1, f2 = ops.f1(old, values), ops.f2(old, values)
+        f_old = ops.f0(old, values) + f1 + f2
         y0 = values + dt * f_old
-        y = new.solve(0, y0 - w * f1, w)
-        y = new.solve(1, y - w * f2, w)
-        g1, g2 = new.f1(y), new.f2(y)
-        z0 = y0 + 0.5 * dt * (new.f0(y) + g1 + g2 - f_old)
-        values = new.solve(0, z0 - w * g1, w)
-        values = new.solve(1, values - w * g2, w)
+        y = ops.solve(0, new, w, y0 - w * f1)
+        y = ops.solve(1, new, w, y - w * f2)
+        g1, g2 = ops.f1(new, y), ops.f2(new, y)
+        z0 = y0 + 0.5 * dt * (ops.f0(new, y) + g1 + g2 - f_old)
+        values = ops.solve(0, new, w, z0 - w * g1)
+        values = ops.solve(1, new, w, values - w * g2)
         bound = sup0 * growth ** (n_steps - k) * 1.5 + 1e-9
-        if not np.all(np.isfinite(values)) or new.sup(values) > bound:
+        if not np.all(np.isfinite(values)) or ops.sup(values) > bound:
             raise PideInstabilityError(
-                f"instability detected at t = {t_new:.6g}: sup |K| exceeds the "
+                f"instability detected at t = {times[k]:.6g}: sup |K| exceeds the "
                 f"discounted bound; retry with n_steps > {2 * n_steps}")
         old = new
     return values
@@ -731,14 +819,14 @@ def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
     xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
     values = np.asarray(terminal(xx, yy) if callable(terminal) else terminal, dtype=float)
     values = np.broadcast_to(values, (grid.nx, grid.ny)).copy()
-    values = _hv_march(values, _SplitOperator, provider, grid, t_start, T, n_steps,
-                       theta_scheme, rannacher, ridge_eps, time_dependent)
+    values = _hv_march(values, partial(_SplitOperator, ridge_eps=ridge_eps), provider, grid,
+                       t_start, T, n_steps, theta_scheme, rannacher, time_dependent)
     return GridFunction(values, grid, t_start)
 
 
 def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
                         grid: StateGrid, t_start: float, T: float, n_steps: int,
-                        ridge_eps: float | str = "auto", tilt: bool = False) -> GridFunction:
+                        tilt: bool = False) -> GridFunction:
     """The kernel with terminal y, marched as K = F(t, x) y + G(t, x);
     with `tilt`, the kernel with terminal y e^{-y}, as K = e^{-y} (F y + G).
 
@@ -752,7 +840,7 @@ def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
     fg[:, 0] = 1.0
     if t_start != T:
         fg = _hv_march(fg, _TiltedSplit if tilt else _AffineSplit, provider, grid,
-                       t_start, T, n_steps, HV_THETA, 2, ridge_eps, None)
+                       t_start, T, n_steps, HV_THETA, 2, None)
     values = fg[:, :1] * grid.y + fg[:, 1:]
     if tilt:
         values *= np.exp(-grid.y)
@@ -829,7 +917,7 @@ class PricingKernelSolver:
 
     def __init__(self, model_spec: CoefficientSpec, rate_spec: VasicekSpec,
                  kernel: DiracKernel, measure: LevyMeasure, grid: StateGrid,
-                 T: float, n_steps: int = 200, ridge_eps: float | str = "auto",
+                 T: float, n_steps: int = 200,
                  jump_compensator: str = "as_printed", rates_correlated: bool = True):
         self.model_spec = model_spec
         self.rate_spec = rate_spec
@@ -838,7 +926,6 @@ class PricingKernelSolver:
         self.grid = grid
         self.T = T
         self.n_steps = n_steps
-        self.ridge_eps = ridge_eps
         self.jump_compensator = jump_compensator
         self.rates_correlated = rates_correlated
         self._cache: dict[tuple, GridFunction] = {}
@@ -857,7 +944,6 @@ class PricingKernelSolver:
         if key not in self._cache:
             self._cache[key] = solve_cauchy_affine(self.provider(theta), self.grid, t,
                                                    self.T, self.n_steps,
-                                                   ridge_eps=self.ridge_eps,
                                                    tilt=terminal == "y_exp_y")
         return self._cache[key]
 
@@ -930,9 +1016,8 @@ def simulate_kernel_expectation(model_spec: CoefficientSpec, rate_spec: VasicekS
         xe = np.asarray(measure.xi_exp(big_g), dtype=float)   # int xi e^{-xi G} nu
         lam_comp = gam_slope * xe
     # reversion level evaluated at step midpoints (second-order in the drift)
-    delta_hats = np.array([compute_coefficients(model_spec, rate_spec, kernel, measure,
-                                                float(tn + dt / 2.0), theta).delta_hat
-                           for tn in t_nodes])
+    delta_hats = compute_coefficients(model_spec, rate_spec, kernel, measure,
+                                      t_nodes + dt / 2.0, theta).delta_hat
 
     total = 0.0
     total_sq = 0.0

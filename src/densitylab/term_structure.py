@@ -105,29 +105,36 @@ class CoefficientSpec:
         )
 
 
-def cumulative_integrals(spec: CoefficientSpec, t: float, theta, xi,
+def cumulative_integrals(spec: CoefficientSpec, t, theta, xi,
                          n_quad: int = 257) -> tuple[np.ndarray, np.ndarray]:
     """(I_sigma, I_gamma): integrals of the coefficients over v in [0, theta].
 
-    Closed form for separable coefficients (slope * ((theta-t)^+)^2 / 2,
+    t, theta and xi broadcast together, so a column of times tabulates
+    them.  Closed form for separable coefficients (slope * ((theta-t)^+)^2 / 2,
     gamma additionally scaled by xi), composite trapezoid otherwise.
     """
-    theta_b, xi_b = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                        np.asarray(xi, dtype=float))
+    t_b, theta_b, xi_b = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                             np.asarray(theta, dtype=float),
+                                             np.asarray(xi, dtype=float))
     if np.any(theta_b < 0):
         raise ValueError("theta must be nonnegative")
     if spec.separable:
-        half_sq = np.maximum(theta_b - t, 0.0) ** 2 / 2.0
+        lag = np.maximum(theta_b - t_b, 0.0)
+        # a scalar (theta, xi) squares with C pow, as numpy scalars do, and
+        # np.float_power keeps those bits over a column of times; arrays of
+        # theta or xi square as lag * lag
+        scalar = np.ndim(theta) == 0 and np.ndim(xi) == 0
+        half_sq = (np.float_power(lag, 2) if scalar else lag ** 2) / 2.0
         i_sigma = spec.sigma_slope * half_sq
         i_gamma = spec.jump_slope * half_sq * xi_b
     else:
         v = np.linspace(0.0, 1.0, n_quad)
         pts = theta_b[..., None] * v                       # (..., n_quad)
-        sig = np.asarray(spec.sigma_fn(t, pts, xi_b[..., None]), dtype=float)
-        gam = np.asarray(spec.gamma_fn(t, pts, xi_b[..., None]), dtype=float)
+        sig = np.asarray(spec.sigma_fn(t_b[..., None], pts, xi_b[..., None]), dtype=float)
+        gam = np.asarray(spec.gamma_fn(t_b[..., None], pts, xi_b[..., None]), dtype=float)
         i_sigma = np.trapezoid(np.broadcast_to(sig, pts.shape), pts, axis=-1)
         i_gamma = np.trapezoid(np.broadcast_to(gam, pts.shape), pts, axis=-1)
-    if np.ndim(theta) == 0 and np.ndim(xi) == 0:
+    if np.ndim(t) == 0 and np.ndim(theta) == 0 and np.ndim(xi) == 0:
         return float(i_sigma), float(i_gamma)
     return i_sigma, i_gamma
 
@@ -137,34 +144,36 @@ def cumulative_integrals(spec: CoefficientSpec, t: float, theta, xi,
 # ---------------------------------------------------------------------------
 
 def mc_drift(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
-             t: float, theta):
+             t, theta):
     """Drift mu_t(theta) enforced by the martingale condition.
 
     Gaussian part: c0 sigma_t(theta) I_sigma(t, theta), the Dirac field's
     collapse of the kernel-weighted double integral.  Jump part: integral
     of gamma (1 - e^{-I_gamma}) against nu, closed form for separable gamma.
+    t and theta broadcast together; both scalar give a float.
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    t_arr, theta_arr = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                                           np.atleast_1d(np.asarray(theta, dtype=float)))
 
-    sig = np.asarray(spec.sigma_fn(t, theta_arr, 0.0), dtype=float)
-    i_sig, _ = cumulative_integrals(spec, t, theta_arr, 0.0)
+    sig = np.asarray(spec.sigma_fn(t_arr, theta_arr, 0.0), dtype=float)
+    i_sig, _ = cumulative_integrals(spec, t_arr, theta_arr, 0.0)
     gauss = kernel.c0 * sig * np.asarray(i_sig, dtype=float)
 
     if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
         jump = np.zeros_like(theta_arr)
     elif spec.separable:
-        slope = spec.jump_slope * np.maximum(theta_arr - t, 0.0)
-        g_half = spec.jump_slope * np.maximum(theta_arr - t, 0.0) ** 2 / 2.0
+        slope = spec.jump_slope * np.maximum(theta_arr - t_arr, 0.0)
+        g_half = spec.jump_slope * np.maximum(theta_arr - t_arr, 0.0) ** 2 / 2.0
         jump = slope * (measure.mark_moment(1) - np.asarray(measure.xi_exp(g_half), dtype=float))
     else:
         q_nodes, q_wts = measure.quadrature()
-        gam = np.asarray(spec.gamma_fn(t, theta_arr[:, None], q_nodes[None, :]), dtype=float)
-        _, i_gam = cumulative_integrals(spec, t, theta_arr[:, None], q_nodes[None, :])
-        jump = np.sum(q_wts[None, :] * gam * (1.0 - np.exp(-np.asarray(i_gam, dtype=float))),
-                      axis=1)
+        gam = np.asarray(spec.gamma_fn(t_arr[..., None], theta_arr[..., None], q_nodes),
+                         dtype=float)
+        _, i_gam = cumulative_integrals(spec, t_arr[..., None], theta_arr[..., None], q_nodes)
+        jump = np.sum(q_wts * gam * (1.0 - np.exp(-np.asarray(i_gam, dtype=float))), axis=-1)
 
     out = gauss + jump
-    return out if np.ndim(theta) else float(out[0])
+    return out if np.ndim(t) or np.ndim(theta) else float(out[0])
 
 
 def drift_table(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
@@ -300,7 +309,8 @@ INTENSITY_CHUNK = 512    # paths per chunk of the two intensity-route engines
 
 def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
                 dt: float) -> tuple[np.ndarray, list[tuple]]:
-    """Pre-draw per-path noise: (P, n_steps) normals plus grouped jump marks.
+    """Pre-draw per-path noise: (P, n_steps) normals plus, per path, the
+    per-step jump counts and the marks in draw order.
 
     Path p's normals, per-step jump counts and marks are the draws of
     `rng.stream(seed, p, channel)` on the Gaussian, Poisson-count and mark
@@ -311,8 +321,7 @@ def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
     normals = np.empty((n_paths, n_steps))
     marks_data: list[tuple] = []
     mass = measure.total_mass
-    empty = (np.zeros(n_steps, dtype=np.int64), np.zeros(0),
-             np.zeros(n_steps + 1, dtype=np.int64))
+    empty = (np.zeros(n_steps, dtype=np.int64), np.zeros(0))
     gen = stream(seed, 0, CHANNEL_GAUSSIAN)
     for i, p in enumerate(paths):
         normals[i] = rekey(gen, seed, p, CHANNEL_GAUSSIAN).standard_normal(n_steps)
@@ -320,8 +329,7 @@ def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
             counts = rekey(gen, seed, p, CHANNEL_POISSON_COUNT).poisson(mass * dt, size=n_steps)
             marks = measure.sample_marks(int(counts.sum()),
                                          rekey(gen, seed, p, CHANNEL_POISSON_MARKS))
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            marks_data.append((counts, marks, offsets))
+            marks_data.append((counts, marks))
         else:
             marks_data.append(empty)
     return normals, marks_data
@@ -345,13 +353,13 @@ class _Jumps(NamedTuple):
 
 
 def _chunk_jumps(marks_data: list[tuple], n_steps: int) -> _Jumps:
-    counts = np.stack([c for c, _, _ in marks_data])           # (rows, steps)
+    counts = np.stack([c for c, _ in marks_data])           # (rows, steps)
     ev_step = np.repeat(np.tile(np.arange(n_steps), counts.shape[0]), counts.ravel())
     order = np.argsort(ev_step, kind="stable")
     group_step, group_row = np.nonzero(counts.T)
     group_size = counts.T[group_step, group_row]
     return _Jumps(row=np.repeat(group_row, group_size),
-                  mark=np.concatenate([m for _, m, _ in marks_data])[order],
+                  mark=np.concatenate([m for _, m in marks_data])[order],
                   bounds=np.concatenate([[0], np.cumsum(counts.sum(axis=0))]),
                   group=np.repeat(np.arange(group_size.size), group_size),
                   group_step=group_step, group_row=group_row, group_size=group_size)

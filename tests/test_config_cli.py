@@ -373,6 +373,16 @@ def test_cli_pide_instability_is_classified(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_pide_rejects_ridge_eps(tmp_path, capsys):
+    # the ridge regularises only the 2-D grid's degenerate diffusion block,
+    # which no command reaches, so the key is rejected by name
+    cfg = write(tmp_path, TINY_PIDE.replace("n_steps = 10\n", "n_steps = 10\nridge_eps = 0\n"))
+    out = str(tmp_path / "pide")
+    assert main(["pide", "--config", cfg, "--out", out]) == 1
+    assert "[pide] unknown key 'ridge_eps'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_k_breve_routes_avoid_the_2d_solve(tmp_path, monkeypatch):
     # both kernels, k_tilde (recovery f = identity) included, take the 1-D route
     import densitylab.pide as pide

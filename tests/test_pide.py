@@ -7,8 +7,8 @@ from densitylab.kernels import DiracKernel
 from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
 from densitylab.pide import (HV_THETA, CoefficientProvider, GridFunction,
                              OperatorCoefficients, OutOfGridError, PideInstabilityError,
-                             PricingKernelSolver, StateGrid, _AffineSplit, _pad_extrapolate,
-                             _TiltedSplit,
+                             PricingKernelSolver, StateGrid, _AffineSplit, _check_pivots,
+                             _coefficient_table, _pad_extrapolate, _TiltedSplit,
                              _thomas_factor, _thomas_solve, apply_jump_operator,
                              compute_coefficients, solve_cauchy, solve_cauchy_affine,
                              solve_cauchy_picard)
@@ -513,6 +513,104 @@ def test_picard_factors_once_for_a_constant_provider(monkeypatch):
     assert np.array_equal(once.values, per_level.values)
 
 
+PARITY_CASES = {**AFFINE_CASES,
+                "quadrature": CoefficientProvider(constant_sigma_spec(0.02), JUMPY_RATES, KERNEL,
+                                                  EXP_MEASURE, theta=1.0)}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_coefficient_table_matches_per_level_coefficients(case):
+    # one broadcast call over every level (the quadrature branch for the
+    # non-separable constant-sigma spec) gives the bits of per-level calls,
+    # past theta too, where (theta - t)^+ is zero
+    prov = PARITY_CASES[case]
+    times = np.linspace(0.0, 2.5, 201)
+    table = _coefficient_table(prov, times)
+    for k, t in enumerate(times):
+        snap, ref = table.level(k), prov(t)
+        for name in ("t", "theta", "kappa", "delta_hat", "a_drift", "a11", "a22", "a12"):
+            assert getattr(snap, name) == getattr(ref, name), (name, t)
+            assert isinstance(getattr(snap, name), float)
+        for name in ("jump_dx", "jump_dy", "jump_w"):
+            assert np.array_equal(getattr(snap, name), getattr(ref, name)), (name, t)
+
+
+@pytest.mark.parametrize("tilt", [False, True])
+def test_affine_route_evaluates_coefficients_once_per_march(monkeypatch, tilt):
+    import densitylab.pide as pide
+
+    calls = []
+    original = pide.compute_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[4]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pide, "compute_coefficients", counted)
+    prov = AFFINE_CASES["defaults_correlated"]
+    assert prov.time_dependent
+    sol = solve_cauchy_affine(prov, PIDE_GRID, 0.5, 1.0, 40, tilt=tilt)
+    assert calls == [(41,)]
+    assert np.all(np.isfinite(sol.values))
+
+
+@pytest.mark.parametrize("tilt", [False, True])
+def test_affine_route_time_order(tilt):
+    # as test_adi_time_order_with_explicit_jump_integral, on the 1-D route:
+    # an off-by-one level in the tabulated schedule would leave it first order
+    prov = _correlated_jump_provider(0.01)
+    grid = StateGrid(-0.02, 0.12, 40, 0.0, 0.35, 40)
+    interior = (slice(8, 32), slice(8, 32))
+
+    def solve(n):
+        return solve_cauchy_affine(prov, grid, 0.5, 1.0, n, tilt=tilt).values[interior]
+
+    ref = solve(800)
+    err = {n: np.abs(solve(n) - ref).max() for n in (25, 100)}
+    assert err[25] / err[100] >= 8.0, err
+
+
+def _loop_affine_f0(fg, grid, c, tilt):
+    # F0 of the affine routes node by node (the gather that the correlation
+    # kernels replaced): shifted columns, central F_x, mass and mixed term;
+    # 40 cells of padding cover both cases' rate reach (at most 36 cells)
+    padded = _pad_extrapolate(fg, 40, 0)
+    kx = np.gradient(fg, grid.hx, axis=0, edge_order=1)
+    out = np.zeros_like(fg)
+    for w, dx, dy in zip(c.jump_w, c.jump_dx, c.jump_dy):
+        s = dx / grid.hx
+        i0 = int(np.floor(s))
+        shifted = (1 - (s - i0)) * padded[40 + i0:40 + i0 + grid.nx] \
+            + (s - i0) * padded[41 + i0:41 + i0 + grid.nx]
+        if tilt:
+            shifted = shifted * np.exp(-dy)
+            out += w * dy * fg
+        out += w * (shifted - dx * kx - fg)
+        out[:, 1] += w * dy * (shifted[:, 0] - fg[:, 0])
+    if tilt:
+        out[:, 0] -= c.a12 * kx[:, 0]
+        out[:, 1] += c.a12 * (kx[:, 0] - kx[:, 1])
+    else:
+        out[:, 1] += c.a12 * kx[:, 0]
+    return out
+
+
+@pytest.mark.parametrize("tilt", [False, True])
+@pytest.mark.parametrize("case", ["defaults_correlated", "time_independent"])
+def test_affine_jump_correlation_matches_node_loop(case, tilt):
+    prov = AFFINE_CASES[case]
+    table = _coefficient_table(prov, np.array([0.5, 0.8]))
+    split = (_TiltedSplit if tilt else _AffineSplit)(PIDE_GRID, table, {(0, 1e-3)})
+    fg = np.random.default_rng(11).standard_normal((PIDE_GRID.nx, 2))
+    for lvl in (0, 1):
+        c = table.level(lvl)
+        ref = _loop_affine_f0(fg, PIDE_GRID, c, tilt)
+        # summation order differs: bound by eps times the sum of |terms|
+        scale = (np.abs(c.jump_w).sum() * (1 + np.abs(c.jump_dy).max(initial=0.0))
+                 + (np.abs(c.jump_w * c.jump_dx).sum() + abs(c.a12)) / PIDE_GRID.hx)
+        assert np.abs(split.f0(lvl, fg) - ref).max() <= 1e-14 * scale * np.abs(fg).max()
+
+
 def _closed_form_kernel(prov, grid, t, T, n_quad=40, u=0.0):
     """K = e^{A(t) - B(t) x - u y} (y + C(t)), the kernel with terminal
     y e^{-u y} (Duffie, Pan & Singleton's extended transform at u_y = -u),
@@ -591,7 +689,8 @@ def test_2d_solve_converges_to_the_tilted_route(case):
 def test_tilted_sup_finds_an_interior_peak():
     # e^{-y} (F y + G) with (F, G) = (-5, -4) peaks in modulus at y* = 0.2,
     # inside the grid, above every value at y_min and y_max
-    split = _TiltedSplit(PIDE_GRID, AFFINE_CASES["defaults_correlated"](0.5), "auto")
+    table = _coefficient_table(AFFINE_CASES["defaults_correlated"], np.array([0.5]))
+    split = _TiltedSplit(PIDE_GRID, table, {(0, 1e-3)})
     fg = np.tile([-5.0, -4.0], (PIDE_GRID.nx, 1))
     fg[:4] = [0.0, 4.05]                    # F = 0: no stationary point, peak at y_min
     fg[4:8] = [1.0, 0.0]
@@ -617,6 +716,10 @@ def test_affine_route_instability_raises():
     assert np.abs(sol.values - grid.y * np.exp(-grid.x[:, None])).max() < 1e-6
     with pytest.raises(PideInstabilityError, match="n_steps"):
         solve_cauchy_affine(wild(0.01), grid, 0.0, 1.0, 4)
+    # I - w Ax = diag(1 + w x) with nothing else live: a rate axis reaching
+    # below -1/w loses the positive pivots the elimination relies on
+    with pytest.raises(PideInstabilityError, match="pivot -49.0 at row 0"):
+        solve_cauchy_affine(zero_coeffs, StateGrid(-50.0, 0.0, 16, 0.0, 0.3, 16), 0.0, 1.0, 1)
 
 
 # ------------------------------------------------- rate-axis elimination
@@ -634,11 +737,13 @@ def test_thomas_solve_matches_lapack_on_the_kernel_system(t, weight):
     # weights the HV march uses
     dt = 0.5 / 200
     w = HV_THETA * dt if weight == "hv" else dt
-    split = _AffineSplit(PIDE_GRID, AFFINE_CASES["defaults_correlated"](t), "auto")
-    ab = split.system(0, w)
+    table = _coefficient_table(AFFINE_CASES["defaults_correlated"], np.array([t]))
+    split = _AffineSplit(PIDE_GRID, table, {(0, w)})
+    ab = -w * split.ax[0]
+    ab[1] += 1.0
     rhs = np.random.default_rng(5).standard_normal((PIDE_GRID.nx, 2))
     ref = _banded_reference(ab, rhs)
-    x = _thomas_solve(_thomas_factor(ab), rhs)
+    x = split.solve(0, 0, w, rhs)
     assert x.shape == rhs.shape
     assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -663,16 +768,19 @@ def test_thomas_factor_rejects_a_non_positive_pivot(bad):
     ab = np.zeros((3, 6))
     ab[1] = 2.0
     ab[1, 3] = bad
-    with pytest.raises(PideInstabilityError, match="pivot"):
-        _thomas_factor(ab)
+    with pytest.raises(PideInstabilityError, match="pivot .* at row 3"):
+        _check_pivots(_thomas_factor(ab)[1])
 
 
 def test_affine_route_caches_one_factor_per_level_and_weight():
-    split = _AffineSplit(PIDE_GRID, AFFINE_CASES["defaults_correlated"](0.5), "auto")
-    rhs = np.ones((PIDE_GRID.nx, 2))
-    first = split.solve(0, rhs, 1e-3)
-    factor = split._implicit[(0, 1e-3)]
-    assert np.array_equal(split.solve(0, rhs, 1e-3), first)
-    assert split._implicit[(0, 1e-3)] is factor
-    split.solve(0, rhs, 2e-3)
-    assert len(split._implicit) == 2
+    # the march's (level, weight) pairs are eliminated together, each to the
+    # bits of its own elimination
+    table = _coefficient_table(AFFINE_CASES["defaults_correlated"], np.array([0.5, 0.75]))
+    pairs = {(0, 1e-3), (1, 1e-3), (1, 2e-3)}
+    split = _AffineSplit(PIDE_GRID, table, pairs)
+    assert split._factors[1].shape == (len(pairs), PIDE_GRID.nx)
+    rhs = np.random.default_rng(3).standard_normal((PIDE_GRID.nx, 2))
+    for lvl, w in pairs:
+        ab = -w * split.ax[lvl]
+        ab[1] += 1.0
+        assert np.array_equal(split.solve(0, lvl, w, rhs), _thomas_solve(_thomas_factor(ab), rhs))
