@@ -172,15 +172,15 @@ def cmd_pide(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     sol = solver.solution(cfg.experiment.t, args.theta, "y")
     out_file = os.path.join(args.out, "kernel_grid.csv")
-    # the bytes of csv.writer rows of repr'd floats, built as one string:
-    # repr of a list of floats is their reprs joined by ", "
-    ys = [repr(y) for y in solver.grid.y.tolist()]
-    lines = ["x,y,K"]
-    for x, k_row in zip(solver.grid.x.tolist(), sol.values.tolist()):
-        x_ = f"{x!r},"
-        lines += [x_ + y + "," + k for y, k in zip(ys, repr(k_row)[1:-1].split(", "))]
+    # the bytes of csv.writer rows of repr'd floats, written one x-row at a
+    # time: repr of a list of floats is their reprs joined by ", "
+    ys = [f",{y!r}," for y in solver.grid.y.tolist()]
     with open(out_file, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write("x,y,K\r\n")
+        for x, k_row in zip(solver.grid.x.tolist(), sol.values.tolist()):
+            x_ = repr(x)
+            fh.write("".join([x_ + y + k + "\r\n"
+                              for y, k in zip(ys, repr(k_row)[1:-1].split(", "))]))
     return _finish(args, cfg, [out_file])
 
 

@@ -220,13 +220,31 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return float(1.06 * samples.std(ddof=1) * k ** (-0.2))
 
 
+KDE_BLOCK_ROWS = 32
+
+
 def kde(samples: np.ndarray, x_grid: np.ndarray) -> np.ndarray:
-    """Gaussian kernel density estimate on x_grid."""
+    """Gaussian kernel density estimate on x_grid.
+
+    Scratch memory is KDE_BLOCK_ROWS x samples floats, whatever the grid size.
+    """
     samples = np.asarray(samples, dtype=float)
     h = silverman_bandwidth(samples)
     x = np.asarray(x_grid, dtype=float)
-    z = (x[:, None] - samples[None, :]) / h
-    return np.exp(-0.5 * z ** 2).sum(axis=1) / (samples.size * h * np.sqrt(2.0 * np.pi))
+    sums = np.empty(x.size)
+    buf = np.empty((min(KDE_BLOCK_ROWS, x.size), samples.size))
+    # grid rows in blocks through one buffer: each row's operations and
+    # pairwise sum are the one-shot (grid x samples) formula's, bit for bit
+    for start in range(0, x.size, KDE_BLOCK_ROWS):
+        x_blk = x[start:start + KDE_BLOCK_ROWS]
+        z = buf[:x_blk.size]
+        np.subtract.outer(x_blk, samples, out=z)
+        z /= h
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        z.sum(axis=1, out=sums[start:start + x_blk.size])
+    return sums / (samples.size * h * np.sqrt(2.0 * np.pi))
 
 
 def kde_grid(samples: np.ndarray, n_points: int = 401, pad_bandwidths: float = 10.0) -> np.ndarray:

@@ -376,11 +376,12 @@ def _check_pivots(piv: np.ndarray) -> None:
             f"I - w Ax is not diagonally dominant; retry with more time steps")
 
 
-def _thomas_solve(factor: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _thomas_solve(factor: tuple[list[float], list[float], list[float]],
                   rhs: np.ndarray) -> np.ndarray:
     """Solve with one system's `_thomas_factor` for the two columns of an
-    (n, 2) rhs, swept on Python floats."""
-    mult, piv, sup = (a.tolist() for a in factor)
+    (n, 2) rhs, swept on Python floats (pass the factors as lists: indexing
+    arrays element by element is slower)."""
+    mult, piv, sup = factor
     f, g = rhs.T.tolist()
     pf, pg = f[0], g[0]
     for i, m in enumerate(mult, 1):
@@ -391,7 +392,7 @@ def _thomas_solve(factor: tuple[np.ndarray, np.ndarray, np.ndarray],
     for i in range(len(mult) - 1, -1, -1):
         pf = f[i] = (f[i] - sup[i] * pf) / piv[i]
         pg = g[i] = (g[i] - sup[i] * pg) / piv[i]
-    return np.column_stack((f, g))
+    return np.array((f, g)).T
 
 
 def _first_diff(n: int, h: float) -> np.ndarray:
@@ -636,6 +637,7 @@ class _AffineSplit:
         systems[:, 1] += 1.0
         self._factors = _thomas_factor(systems)
         self._stable = np.all(self._factors[1] > 0.0, axis=1)
+        self._listed = (None, None)     # (pair, its factors as lists): a step solves twice
         self.a22, self.a_drift = table.a22, table.a_drift
         self.px, self.k0, self.k1 = self._kernels(table)
 
@@ -669,7 +671,14 @@ class _AffineSplit:
         return px, k0, k1
 
     def f0(self, lvl: int, v: np.ndarray) -> np.ndarray:
-        f, g = _pad_extrapolate(v.T, 0, self.px)
+        # both columns linearly extrapolated px cells past each x-edge
+        px, nx = self.px, v.shape[0]
+        k = np.arange(1, px + 1)
+        padded = np.empty((2, nx + 2 * px))
+        padded[:, px:px + nx] = v.T
+        padded[:, :px][:, ::-1] = v[:1].T - k * (v[1:2].T - v[:1].T)
+        padded[:, px + nx:] = v[-1:].T + k * (v[-1:].T - v[-2:-1].T)
+        f, g = padded
         k0, k1 = self.k0[lvl], self.k1[lvl]
         out = np.empty_like(v)
         out[:, 0] = np.correlate(f, k0)
@@ -689,7 +698,9 @@ class _AffineSplit:
             i = self._pair[lvl, w]
             if not self._stable[i]:
                 _check_pivots(self._factors[1][i])
-            return _thomas_solve(tuple(a[i] for a in self._factors), rhs)
+            if self._listed[0] != i:
+                self._listed = i, tuple(a[i].tolist() for a in self._factors)
+            return _thomas_solve(self._listed[1], rhs)
         out = rhs.copy()
         out[:, 1] += w * self.a_drift[lvl] * rhs[:, 0]
         return out

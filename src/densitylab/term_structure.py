@@ -179,8 +179,8 @@ def mc_drift(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
 def drift_table(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
                 t_grid: np.ndarray, theta_grid: np.ndarray) -> np.ndarray:
     """mu on a (t, theta) product grid, computed once and shared by all paths."""
-    return np.stack([np.atleast_1d(mc_drift(spec, kernel, measure, float(t), theta_grid))
-                     for t in np.asarray(t_grid, dtype=float)])
+    t_col = np.asarray(t_grid, dtype=float)[:, None]
+    return mc_drift(spec, kernel, measure, t_col, np.atleast_1d(theta_grid))
 
 
 # ---------------------------------------------------------------------------

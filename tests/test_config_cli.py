@@ -225,8 +225,9 @@ def test_cli_pide_grid_csv(tmp_path):
 
 
 def test_cli_pide_grid_csv_has_csv_writer_bytes(tmp_path):
-    # the grid is written as one string; it must carry the bytes csv.writer
-    # gives the same repr'd values (CRLF line ends, no quoting)
+    # the grid is written one x-row at a time without csv.writer; it must
+    # carry the bytes csv.writer gives the same repr'd values (CRLF line
+    # ends, no quoting)
     import io
 
     cfg = write(tmp_path, TINY_PIDE)

@@ -1,9 +1,12 @@
 """Experiment harness: price distribution, KDE, sweeps, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from densitylab.experiments import (ExperimentConfig, kde, kde_grid, pricing_window,
+from densitylab.experiments import (KDE_BLOCK_ROWS, ExperimentConfig, kde, kde_grid,
+                                    pricing_window,
                                     run_price_distribution, sample_skewness,
                                     silverman_bandwidth, sweep)
 from densitylab.pricing import price_pre_default_independent
@@ -195,6 +198,36 @@ def test_kde_normalizes_to_one():
     f = kde(samples, x)
     mass = np.trapezoid(f, x)
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def _one_shot_kde(samples, x):
+    # the whole (grid x samples) matrix at once
+    h = silverman_bandwidth(samples)
+    z = (x[:, None] - samples[None, :]) / h
+    return np.exp(-0.5 * z ** 2).sum(axis=1) / (samples.size * h * np.sqrt(2.0 * np.pi))
+
+
+@pytest.mark.parametrize("n_samples", [2, 10_000])
+@pytest.mark.parametrize("n_points", [1, KDE_BLOCK_ROWS - 1, KDE_BLOCK_ROWS,
+                                      KDE_BLOCK_ROWS + 1, 401])
+def test_kde_blocks_equal_the_one_shot_formula(n_points, n_samples):
+    samples = np.random.Generator(np.random.Philox(key=9)).normal(0.95, 0.01, n_samples)
+    x = kde_grid(samples, n_points=n_points)
+    assert np.array_equal(kde(samples, x), _one_shot_kde(samples, x))
+
+
+def test_kde_scratch_memory_is_bounded_by_the_block():
+    # numpy reports its buffers to tracemalloc; one (grid x samples)
+    # temporary alone would be 32 MB here
+    samples = np.random.Generator(np.random.Philox(key=10)).normal(0.95, 0.01, 10_000)
+    x = kde_grid(samples, n_points=401)
+    tracemalloc.start()
+    try:
+        kde(samples, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 # -------------------------------------------------------------------- sweep

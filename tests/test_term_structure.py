@@ -78,6 +78,23 @@ def test_mc_drift_jump_part_closed_form_vs_quadrature():
     assert mu_q == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("spec", [SEC7, ts.CoefficientSpec(SEC7.sigma_fn, SEC7.gamma_fn,
+                                                              SEC7.lambda0_fn)],
+                         ids=["separable", "quadrature"])
+@pytest.mark.parametrize("measure", [EXP_MEASURE, PointMassMeasure(z=2.0, location=0.5),
+                                     ZeroMeasure()], ids=["exponential", "point_mass", "zero"])
+def test_drift_table_equals_the_per_t_loop(spec, measure):
+    # one mc_drift call on a column of times, against one call per time;
+    # small grids, as the quadrature route holds a (t, theta, mark, 257) array
+    t_grid = np.arange(6) * 0.1
+    theta_grid = np.arange(0.0, 2.0 + 1e-12, 0.25)
+    loop = np.stack([np.atleast_1d(ts.mc_drift(spec, DiracKernel(c0=2.0), measure, float(t),
+                                               theta_grid)) for t in t_grid])
+    table = ts.drift_table(spec, DiracKernel(c0=2.0), measure, t_grid, theta_grid)
+    assert table.shape == (t_grid.size, theta_grid.size)
+    assert np.array_equal(table, loop)
+
+
 # ------------------------------------------------------------ intensity route
 
 def test_intensity_paths_no_noise_is_identity():
