@@ -16,6 +16,7 @@ import locale  # noqa: F401  (argparse's gettext imports it when the first parse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import config as cfgmod
 from .experiments import (kde, kde_grid, run_price_distribution, sample_skewness, sweep,
                           write_kde_csv, write_prices_csv, write_sweep_csv)
 from .manifest import write_manifest
-from .pide import PideInstabilityError, PricingKernelSolver, StateGrid
+from .pide import CoefficientProvider, PideInstabilityError, PricingKernelSolver, StateGrid
 from .pricing import DeterministicRecovery, IntensityLinkedRecovery, price_defaultable_zcb
 from .rates import adjudicate_vasicek_formula, constant_rate_discount, zcb_price
 from .term_structure import (simulate_density_paths, simulate_intensity_paths,
@@ -54,6 +55,7 @@ def _finish(args, cfg: cfgmod.Config, outputs: list[str]) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    cfgmod.require_pide_unread(cfg)
     if args.route == "density":
         cfgmod.require_density_route(cfg)
     cfgmod.require_closed_form_measure(cfg)
@@ -95,6 +97,13 @@ def _recovery_from(cfg: cfgmod.Config):
     return IntensityLinkedRecovery(w0=cfg.pricing.w0, w1=cfg.pricing.w1, f=cfg.pricing.f)
 
 
+def _coefficients_from(cfg: cfgmod.Config) -> partial[CoefficientProvider]:
+    """theta -> the configured kernels' CoefficientProvider."""
+    return partial(CoefficientProvider, cfgmod.build_model_spec(cfg),
+                   cfgmod.build_rate_spec(cfg), cfgmod.build_kernel(cfg),
+                   cfgmod.build_measure(cfg), rates_correlated=cfg.rates.rates_correlated)
+
+
 def _solver_from(cfg: cfgmod.Config) -> PricingKernelSolver:
     cfgmod.require_jump_reach_on_grid(cfg)
     grid = StateGrid(cfg.pide.x_range[0], cfg.pide.x_range[1], cfg.pide.nx,
@@ -126,29 +135,30 @@ def _tau_from(args, t: float) -> float | None:
 
 def cmd_price(args) -> int:
     cfg = _load(args)
+    cfgmod.require_pide_unread(cfg)
     cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg)
     t, T = ec.t, ec.T
     tau = _tau_from(args, t)
     # a deterministic recovery R after default is worth R B(t, T) in both
     # regimes: at tau <= t the intensity coefficients have vanished
-    needs_solver = (cfg.pricing.recovery_type != "deterministic"
-                    or (cfg.pricing.regime == "correlated" and tau is None))
-    if not needs_solver:
+    kernel_priced = (cfg.pricing.recovery_type != "deterministic"
+                     or (cfg.pricing.regime == "correlated" and tau is None))
+    if not kernel_priced:
         cfgmod.require_closed_form_measure(cfg)
-    solver = _solver_from(cfg) if needs_solver else None
     recovery = _recovery_from(cfg)
     discount = _discount_from(cfg, t, T)
 
     path_ids = np.arange(ec.n_paths)
-    if needs_solver:
+    if kernel_priced:
         # alive prices integrate whole curves; defaulted ones read alpha, S at tau
         engine, grid = ((simulate_density_paths, ec.theta_grid()) if tau is None
                         else (simulate_survival_values, np.array([tau])))
         res = engine(ec.spec(), ec.measure(), grid, t, ec.delta_t, ec.n_paths, ec.seed,
                      jump_sign_convention=ec.jump_sign_convention)
         prices = price_defaultable_zcb(t, T, grid, res["alpha"], res["survival"], recovery,
-                                       discount, r_t=cfg.rates.r0, solver=solver, tau=tau)
+                                       discount, r_t=cfg.rates.r0,
+                                       coefficients=_coefficients_from(cfg), tau=tau)
     elif tau is None:
         sample = run_price_distribution(ec, discount)
         path_ids, prices = sample.path_ids, sample.prices
@@ -188,6 +198,7 @@ def cmd_pide(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load(args)
+    cfgmod.require_pide_unread(cfg)
     cfgmod.require_density_route(cfg)
     cfgmod.require_closed_form_measure(cfg)
     cfgmod.require_constant_rate(cfg)
@@ -225,6 +236,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_kde(args) -> int:
     cfg = _load(args)
+    cfgmod.require_pide_unread(cfg)
     os.makedirs(args.out, exist_ok=True)
     with open(args.prices, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -323,6 +335,7 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
+    cfgmod.require_pide_unread(cfg)
     cfgmod.require_density_route(cfg)
     cfgmod.require_closed_form_measure(cfg)
     cfgmod.require_constant_rate(cfg)
@@ -356,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price", help="price the defaultable bond per path",
                        description="Price the defaultable zero-coupon bond on every "
                        "simulated path at the observation time t.  [rates] r0 is the "
-                       "short rate observed at t, shared by every path.")
+                       "short rate observed at t, shared by every path.  The kernels "
+                       "are read from their closed-form affine transform.")
     _add_common(p)
     p.add_argument("--status", choices=["alive", "defaulted"], default="alive",
                    help="alive prices the pre-default bond; defaulted prices the "

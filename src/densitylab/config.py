@@ -294,9 +294,10 @@ def require_density_route(cfg: Config) -> None:
 
     `experiment`, `price`, `verify` and `simulate --route density`
     simulate the direct density scheme with a unit-variance Brownian
-    driver and exponential jump marks (`ExperimentConfig.measure`); only
-    `pide` and `simulate --route intensity` read `[kernel] c0` and a
-    point mass.
+    driver and exponential jump marks (`ExperimentConfig.measure`), and
+    never clamp an intensity; only `pide` and `simulate --route intensity`
+    read `[kernel] c0` and a point mass, and only the latter
+    `[model] clamp_lambda_at_zero`.
     """
     if cfg.kernel.c0 != 1.0:
         raise ConfigError(f"[kernel] c0 = {cfg.kernel.c0!r} is not used by the density "
@@ -308,20 +309,25 @@ def require_density_route(cfg: Config) -> None:
                           "route (experiment, price, verify, simulate --route density), "
                           "which simulates exponential marks; only pide and "
                           "simulate --route intensity read it")
+    if cfg.model.clamp_lambda_at_zero:
+        raise ConfigError("[model] clamp_lambda_at_zero = true is not used by the density "
+                          "route (experiment, price, verify, simulate --route density), "
+                          "which evolves alpha and S directly; only "
+                          "simulate --route intensity reads it")
 
 
 def require_closed_form_measure(cfg: Config) -> None:
     """Reject a jump quadrature that a Monte Carlo route would ignore.
 
-    `[levy_measure] quadrature_nodes` sets the PIDE's jump quadrature;
-    the density and intensity routes use the measure's closed forms.
+    `[levy_measure] quadrature_nodes` sets the pricing kernels' jump
+    quadrature; the density and intensity routes use the measure's closed
+    forms.
     """
     nodes = cfg.levy_measure.quadrature_nodes
     if nodes != MeasureConfig.quadrature_nodes:
         raise ConfigError(f"[levy_measure] quadrature_nodes = {nodes} is read only by the "
-                          "PIDE jump quadrature (pide, and price when it solves the "
-                          "pricing-kernel equation); the Monte Carlo routes use "
-                          "closed forms")
+                          "kernels' jump quadrature (pide, and price when it reads the "
+                          "pricing kernels); the Monte Carlo routes use closed forms")
 
 
 def require_constant_rate(cfg: Config) -> None:
@@ -334,6 +340,21 @@ def require_constant_rate(cfg: Config) -> None:
         raise ConfigError(f"[rates] mode = {cfg.rates.mode} is not used by experiment and "
                           "verify, which discount at the constant [rates] r; only price "
                           "and pide read it")
+
+
+def require_pide_unread(cfg: Config) -> None:
+    """Reject a `[pide]` value that every command but `pide` would ignore.
+
+    Only `pide` marches the pricing-kernel equation on the state grid;
+    `price` reads the kernels' closed-form transform, and the other
+    commands solve nothing.
+    """
+    for f in fields(PideConfig):
+        value = getattr(cfg.pide, f.name)
+        if value != f.default:
+            shown = f"{value[0]!r},{value[1]!r}" if isinstance(value, tuple) else value
+            raise ConfigError(f"[pide] {f.name} = {shown} is read only by pide, which "
+                              "solves the pricing-kernel equation on the state grid")
 
 
 def build_measure(cfg: Config):

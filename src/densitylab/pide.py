@@ -1,4 +1,4 @@
-"""Pricing-kernel PIDE solver on a 2-D (rate, intensity) state grid.
+"""Pricing kernels on a (rate, intensity) state grid, and their closed form.
 
 For a fixed maturity argument theta, the pricing kernel K(t, x, y) solves
 the backward Cauchy problem
@@ -10,67 +10,43 @@ the backward Cauchy problem
                 + int [K(t, x + phi_t(xi), y + gamma_t(theta, xi)) - K
                        - phi_t(xi) K_x - gamma_t(theta, xi) K_y] nu(dxi),
 
-with terminal condition y (first kernel) or y e^{-y} (recovery kernel).
-delta_hat absorbs the Girsanov drift of the rate under the
-survival-reweighted measure; a(t, theta) vanishes identically when the
-intensity drift satisfies the martingale condition.
+with terminal condition y (k_breve) or y e^{-y} (k_tilde, the recovery
+kernel).  delta_hat absorbs the Girsanov drift of the rate under the
+survival-reweighted measure; a(t, theta) vanishes when the intensity
+drift satisfies the martingale condition.
 
-Space: the local operator splits as L = Ax (x) I + I (x) Ay + a12 Dx (x) Dy,
-with Ax = a11 Dxx + drift_x - diag(x) on the rate axis and
-Ay = a22 Dyy + drift_y on the intensity axis (central differences, hybrid
-central/upwind drift); the nonlocal jump integral uses mark-space
-quadrature, bilinear shifts and linear extrapolation beyond the grid.
+Closed form: no coefficient depends on y and the rate is Vasicek, so the
+kernel with terminal y e^{-u y} is the extended transform of an affine
+jump-diffusion (Duffie, Pan & Singleton 2000), K = e^{A - B x - u y} (y + C)
+(`kernel_transform`).  The bond prices read it.
 
-Time: Hundsdorfer-Verwer ADI (In 't Hout & Welfert 2009; In 't Hout &
-Toivanen 2018 for the explicit jump integral).  Ax and Ay are stepped
-implicitly by tridiagonal solves along grid lines, held as (3, n) banded
-arrays; the mixed term and the jump integral are explicit.  On the 2-D
-grid this is `solve_cauchy`; the implicit-Euler Picard iteration
-(`solve_cauchy_picard`) assembles the same pieces into one sparse 2-D
-matrix and factorises it with SuperLU.  Both are oracles of the tests
-only: no command reaches them.  scipy is imported only by these 2-D
-routes, on first use (LAPACK `solve_banded` for the line solves,
-`scipy.sparse` and `splu` for the Picard oracle).
-The separable Dirac-kernel coefficients make the diffusion block rank one
-(a12^2 = 4 a11 a22); on the 2-D grid an optional ridge adds to a11 and
-a22 in that degenerate regime.  Every march tabulates its schedule before
-the first step: the coefficients of all time levels come from one
-broadcast `compute_coefficients` call, and the levels' operator pieces
-are built from that table.
+March: L = Ax (x) I + I (x) Ay + a12 Dx (x) Dy, Ax = a11 Dxx + drift_x - diag(x)
+on the rate axis, Ay = a22 Dyy + drift_y (central differences, hybrid
+central/upwind drift, (3, n) banded arrays); the jump integral uses
+mark-space quadrature, shifted copies and linear extrapolation beyond the
+grid.  Time steps are Hundsdorfer-Verwer ADI (In 't Hout & Welfert 2009;
+In 't Hout & Toivanen 2018), the mixed term and jump integral explicit,
+from a table of every level's coefficients (one `compute_coefficients`
+call).  Each y-piece of the scheme is exact on K = F(t, x) y + G(t, x), so
+`solve_cauchy_affine` marches (F, G) as one (nx, 2) array on the rate
+axis (`_AffineSplit`; `_TiltedSplit` for K = e^{-y} (F y + G)).
+`PricingKernelSolver` solves both kernels this way for `lab pide`, and the
+tests pin it to the closed form.  The 2-D march (`solve_cauchy`, with an
+optional ridge for the rank-one diffusion block of separable coefficients)
+and an implicit-Euler Picard iteration factorised with SuperLU
+(`solve_cauchy_picard`) are test oracles; only they import scipy.
 
-Affine reduction: no coefficient depends on y, so with terminal y the
-kernel is exactly K = F(t, x) y + G(t, x), the extended transform of an
-affine jump-diffusion (Duffie, Pan & Singleton 2000).  Every y-piece of
-the discrete scheme is exact on functions linear in y, so
-`solve_cauchy_affine` marches the pair (F, G) as one (nx, 2) array
-through the same HV stages and lifts it onto the grid: F has terminal 1,
-G terminal 0 and is driven by a_drift F, a12 F_x and
-int gamma (F(x + phi) - F) nu.  Its only implicit solve is I - w Ax on the
-rate axis, a strictly diagonally dominant M-matrix (nonnegative
-off-diagonals in Ax by the hybrid upwinding, row sums 1 + w x), so it is
-eliminated without pivoting: the factors of all (level, weight) pairs of
-the march come from one elimination vectorised over them, and both
-columns are swept on Python floats (`_thomas_factor`, `_thomas_solve`).
-The rate shift of each mark node is the same at every level, so the
-explicit jump integral and mixed term act on each column as one
-correlation with a per-level kernel.  With terminal y e^{-y} the same
-holds under an exponential tilt, K = e^{-y} (F y + G) (the transform at
-u_y = -1): the y-pieces become exact maps of (F, G) (`_TiltedSplit`), and
-the rate axis is unchanged.  `PricingKernelSolver` solves both kernels on this 1-D
-route.
-
-The jump integral is compensated with nu(dxi) exactly as the operator is
-printed; the reweighted compensator e^{-I_gamma} nu is available through
-`jump_compensator="girsanov"`.  They are not interchangeable: 400k-path
-Monte Carlo of the reweighted expectation at (x, y) = (0.05, 0.1) cannot
-tell them apart for k_breve, nor for k_tilde up to theta = 5 (|z| < 0.5),
-but at theta = 20 it puts the as-printed k_tilde at z = -20.4 (1.4%) and
-the girsanov one at z = +0.01.
+The jump integral is compensated with nu(dxi) as the operator is printed;
+`jump_compensator="girsanov"` gives the reweighted e^{-I_gamma} nu.  They
+differ: 400k-path Monte Carlo of the reweighted expectation at
+(x, y) = (0.05, 0.1) cannot tell them apart for k_breve, nor for k_tilde up
+to theta = 5 (|z| < 0.5), but at theta = 20 it puts the as-printed k_tilde
+at z = -20.4 (1.4%) and the girsanov one at z = +0.01.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
@@ -208,12 +184,12 @@ class OperatorCoefficients:
 
 def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
                          kernel: DiracKernel, measure: LevyMeasure,
-                         t, theta: float,
+                         t, theta,
                          jump_compensator: str = "as_printed",
                          rates_correlated: bool = True) -> OperatorCoefficients:
-    """Operator coefficients at (t, theta) for the d = 0 Dirac field; an
-    array of times gives their table in one call, bit for bit the
-    snapshots of the scalar calls.
+    """Operator coefficients at (t, theta) for the d = 0 Dirac field; arrays
+    of t and theta broadcast to their table (the jump arrays with a trailing
+    mark axis), bit for bit the snapshots of the scalar calls.
 
     delta_hat = delta + kappa^{-1} c0 rho0 I_sigma(t, theta)
                 + kappa^{-1} int phi(xi) (e^{-I_gamma(t,theta,xi)} - 1) nu(dxi),
@@ -231,7 +207,8 @@ def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
     if not rates_correlated and rate_spec.phi0 != 0.0:
         raise ValueError("independent rates require phi0 = 0 (jump marks are shared)")
     c0 = kernel.c0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)), theta)[0]
+    th = np.asarray(theta, dtype=float)[..., None]      # against the marks
 
     def levels(v):
         return np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
@@ -246,16 +223,16 @@ def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
 
     if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
         nodes = weights = np.zeros(0)
-        gam_vals = np.zeros((ts.size, 0))
+        gam_vals = np.zeros(ts.shape + (0,))
         phi_term = 0.0
         jump_mc = 0.0
     else:
         nodes, weights = measure.quadrature()
-        _, i_gam = cumulative_integrals(model_spec, ts[:, None], theta, nodes)
+        _, i_gam = cumulative_integrals(model_spec, ts[..., None], th, nodes)
         i_gam = np.asarray(i_gam, dtype=float)
         phi_vals = rate_spec.phi0 * nodes
         phi_term = np.sum(weights * phi_vals * (np.exp(-i_gam) - 1.0), axis=-1)
-        gam_vals = np.broadcast_to(np.asarray(model_spec.gamma_fn(ts[:, None], theta, nodes),
+        gam_vals = np.broadcast_to(np.asarray(model_spec.gamma_fn(ts[..., None], th, nodes),
                                               dtype=float), i_gam.shape)
         jump_mc = np.sum(weights * gam_vals * (1.0 - np.exp(-i_gam)), axis=-1)
         if jump_compensator == "girsanov":
@@ -270,23 +247,21 @@ def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
                                  levels(a_drift), levels(a11), levels(a22), levels(a12),
                                  np.broadcast_to(rate_spec.phi0 * nodes, jumps), gam_vals,
                                  np.broadcast_to(weights, jumps))
-    return table if np.ndim(t) else table.level(0)
+    return table if np.ndim(t) or np.ndim(theta) else table.level(0)
 
 
+@dataclass(frozen=True, eq=False)
 class CoefficientProvider:
     """Maps t, or an array of times, to operator coefficients for a fixed
-    theta slice (`compute_coefficients`)."""
+    theta slice, or an array of them (`compute_coefficients`)."""
 
-    def __init__(self, model_spec: CoefficientSpec, rate_spec: VasicekSpec,
-                 kernel: DiracKernel, measure: LevyMeasure, theta: float,
-                 jump_compensator: str = "as_printed", rates_correlated: bool = True):
-        self.model_spec = model_spec
-        self.rate_spec = rate_spec
-        self.kernel = kernel
-        self.measure = measure
-        self.theta = theta
-        self.jump_compensator = jump_compensator
-        self.rates_correlated = rates_correlated
+    model_spec: CoefficientSpec
+    rate_spec: VasicekSpec
+    kernel: DiracKernel
+    measure: LevyMeasure
+    theta: float | np.ndarray
+    jump_compensator: str = "as_printed"
+    rates_correlated: bool = True
 
     def __call__(self, t) -> OperatorCoefficients:
         return compute_coefficients(self.model_spec, self.rate_spec, self.kernel,
@@ -312,6 +287,49 @@ def _coefficient_table(provider: Callable[[float], OperatorCoefficients],
     snapshots = [provider(t) for t in times]
     return OperatorCoefficients(*(np.array([getattr(c, f.name) for c in snapshots])
                                   for f in fields(OperatorCoefficients)))
+
+
+TRANSFORM_NODES = 40     # Gauss-Legendre nodes of the transform's time integrals
+THETA_BLOCK = 32         # theta slices per coefficient table of the transform
+
+
+def kernel_transform(provider: Callable[[float], OperatorCoefficients], t: float, T: float,
+                     u: int = 0, n_quad: int = TRANSFORM_NODES):
+    """(A, B, C) of K = e^{A - B x - u y} (y + C), the kernel with terminal
+    y e^{-u y} (u = 0: k_breve, u = 1: k_tilde).  B = (1 - e^{-kappa (T - t)}) / kappa
+    and, with B at s in place of t and the sums over the solver's marks,
+
+        A = int_t^T [-kappa delta_hat B + a11 B^2 + u (a22 - a_drift + a12 B)
+                     + sum w (e^{-B phi - u gamma} - 1 + B phi + u gamma)] ds,
+        C = int_t^T [a_drift - 2 u a22 - a12 B + sum w gamma (e^{-B phi - u gamma} - 1)] ds,
+
+    by Gauss-Legendre on [t, T], second order in n_quad through the kink of
+    (theta - s)^+ at s = theta.  `provider` gives the coefficients of one
+    theta (then A and C are floats), or is a CoefficientProvider of an
+    array of theta, tabulated THETA_BLOCK slices at a time.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    s, w = t + (T - t) * (x + 1.0) / 2.0, w * (T - t) / 2.0
+    th = getattr(provider, "theta", None)
+    tables = ((replace(provider, theta=th[i:i + THETA_BLOCK])(s[:, None])
+               for i in range(0, len(th), THETA_BLOCK))
+              if isinstance(provider, CoefficientProvider) and np.ndim(th)
+              else [_coefficient_table(provider, s)])
+    a, c = [], []
+    for k in tables:        # one table alive at a time
+        b = (1.0 - np.exp(-k.kappa * (T - k.t))) / k.kappa
+        bx, uy = b[..., None] * k.jump_dx, u * k.jump_dy
+        e = np.exp(-bx - uy) - 1.0
+        da = (-k.kappa * k.delta_hat * b + k.a11 * b ** 2 + u * (k.a22 - k.a_drift + k.a12 * b)
+              + np.sum(k.jump_w * (e + bx + uy), axis=-1))
+        dc = k.a_drift - 2.0 * u * k.a22 - k.a12 * b + np.sum(k.jump_w * k.jump_dy * e, axis=-1)
+        # node by node, so that each theta sums in the same order in any block
+        a.append(sum(wk * row for wk, row in zip(w, da)))
+        c.append(sum(wk * row for wk, row in zip(w, dc)))
+    b_t = float((1.0 - np.exp(-k.kappa.flat[0] * (T - t))) / k.kappa.flat[0])
+    if np.ndim(a[0]) == 0:
+        return float(a[0]), b_t, float(c[0])
+    return np.concatenate(a), b_t, np.concatenate(c)
 
 
 # ---------------------------------------------------------------------------
@@ -912,57 +930,38 @@ def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: 
 
 
 # ---------------------------------------------------------------------------
-# pricing-kernel solver with caching
+# pricing-kernel solver
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class PricingKernelSolver:
-    """Solves and caches the two pricing kernels on one state grid.
+    """The two pricing kernels marched on one state grid (`lab pide`):
+    terminal y (k_breve, the discounted expected terminal intensity under
+    the survival-reweighted measure) and y e^{-y} (k_tilde, the
+    recovery-weighted kernel), on the 1-D route `solve_cauchy_affine`.
+    `provider(theta)` gives their coefficients for `kernel_transform`."""
 
-    k_breve(t, r, lam, theta): terminal y (discounted expected terminal
-    intensity under the survival-reweighted measure); k_tilde: the
-    recovery-weighted terminal y e^{-y}.  Both are solved on the 1-D
-    rate-axis route `solve_cauchy_affine`, k_tilde with its exponential
-    tilt, and read by `GridFunction.interp`, so r and lam may be arrays
-    of queries.
-    """
+    model_spec: CoefficientSpec
+    rate_spec: VasicekSpec
+    kernel: DiracKernel
+    measure: LevyMeasure
+    grid: StateGrid
+    T: float
+    n_steps: int = 200
+    jump_compensator: str = "as_printed"
+    rates_correlated: bool = True
 
-    def __init__(self, model_spec: CoefficientSpec, rate_spec: VasicekSpec,
-                 kernel: DiracKernel, measure: LevyMeasure, grid: StateGrid,
-                 T: float, n_steps: int = 200,
-                 jump_compensator: str = "as_printed", rates_correlated: bool = True):
-        self.model_spec = model_spec
-        self.rate_spec = rate_spec
-        self.kernel = kernel
-        self.measure = measure
-        self.grid = grid
-        self.T = T
-        self.n_steps = n_steps
-        self.jump_compensator = jump_compensator
-        self.rates_correlated = rates_correlated
-        self._cache: dict[tuple, GridFunction] = {}
-
-    def provider(self, theta: float) -> CoefficientProvider:
+    def provider(self, theta) -> CoefficientProvider:
         return CoefficientProvider(self.model_spec, self.rate_spec, self.kernel,
                                    self.measure, theta, self.jump_compensator,
                                    self.rates_correlated)
 
     def solution(self, t: float, theta: float, terminal: str = "y") -> GridFunction:
-        """The kernel at (t, theta) on the grid: terminal "y" is k_breve,
-        "y_exp_y" (y e^{-y}) is k_tilde."""
+        """k_breve (terminal "y") or k_tilde ("y_exp_y") at (t, theta)."""
         if terminal not in ("y", "y_exp_y"):
             raise ValueError(f"unknown terminal {terminal!r}")
-        key = (round(t, 12), round(theta, 12), terminal, self.T)
-        if key not in self._cache:
-            self._cache[key] = solve_cauchy_affine(self.provider(theta), self.grid, t,
-                                                   self.T, self.n_steps,
-                                                   tilt=terminal == "y_exp_y")
-        return self._cache[key]
-
-    def k_breve(self, t: float, r, lam, theta: float):
-        return self.solution(t, theta, "y").interp(r, lam)
-
-    def k_tilde(self, t: float, r, lam, theta: float):
-        return self.solution(t, theta, "y_exp_y").interp(r, lam)
+        return solve_cauchy_affine(self.provider(theta), self.grid, t, self.T, self.n_steps,
+                                   tilt=terminal == "y_exp_y")
 
 
 def default_grid_for(rate_spec: VasicekSpec, lam0: float, T: float,

@@ -8,16 +8,13 @@ the price splits into
                 + int_t^T K2(t, theta) alpha_t(theta) / S_t dtheta
     defaulted:  K2(t, tau),
 
-with K1 the discounted-density kernel and K2 the recovery kernel.  What
-each (regime, status) reads:
+with K1 the discounted-density kernel and K2 the recovery kernel:
 
 * independent rates, deterministic recovery: K1 = alpha_t(theta) B(t,T) / S_t
-  and K2 = R B(t,T).  Before default the price is the closed pre-default
-  form P = B(t,T) (1 - (1-R) int_t^T alpha / int_t^inf alpha), which
-  `experiments.run_price_distribution` reads off two survival values per
-  path; `price_pre_default_independent` evaluates it on a whole curve and
-  is the oracle of that shortcut.  After default the price R B(t,T) reads no
-  curve at all.
+  and K2 = R B(t,T), so P = B(t,T) (1 - (1-R) int_t^T alpha / int_t^inf alpha),
+  which `experiments.run_price_distribution` reads off two survival values
+  per path (`price_pre_default_independent`, on a whole curve, is its
+  oracle); after default R B(t,T) reads no curve.
 * correlated rates, deterministic recovery: K1 = S_t(theta)/S_t *
   Kbreve(t, r_t, lambda_t(theta)) and K2 = R Kbreve / lambda_t(theta).
 * intensity-linked recovery R_T = w0 + w1 e^{-f(lambda)}:
@@ -25,24 +22,24 @@ each (regime, status) reads:
   terminal y e^{-y} for f = identity and is Kbreve for f = none.
 
 `price_defaultable_zcb` prices the last two regimes for a batch of curves
-(one row per path) with the PIDE kernels of `pide.PricingKernelSolver`.
-For the alive bond it reads the ratios q1 = Kbreve/lambda and
-q2 = Ktilde/lambda at every `theta_stride`-th node from t on, one backward
-solve per node and all paths at once, and interpolates them across theta;
-q2 enters only on [t, T], so Ktilde is solved only at the nodes that
-bracket it.  The theta-integrals use the trapezoid rule on the curve grid,
-with the flat-intensity tail S_t(theta_max) beyond the truncation point.
+(one row per path) from the kernels' affine transform
+(`pide.kernel_transform`), so they are linear in the curves:
+S Kbreve = e^{A - B r} (alpha + C S) at every node from t on.  lambda =
+alpha / S is formed only where Ktilde needs e^{-lambda}, on [t, T], and at
+the last node, whose flat-intensity tail S_t(theta_max) carries
+Kbreve / lambda.  The theta-integrals are trapezoidal on the curve grid.
 After default an intensity-linked recovery reads the kernels at
-theta = tau, one solve per kernel; a deterministic one is R B(t, T).
+theta = tau; a deterministic one is R B(t, T).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .pide import PricingKernelSolver
+from .pide import CoefficientProvider, kernel_transform
 from .term_structure import DensityCurveState
 
 
@@ -156,26 +153,28 @@ def price_pre_default_independent(t: float, T: float, state: DensityCurveState,
 
 def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.ndarray,
                           survival: np.ndarray, recovery: RecoveryModel, discount: float,
-                          *, r_t: float, solver: PricingKernelSolver,
-                          tau: float | None = None, theta_stride: int = 50) -> np.ndarray:
-    """Defaultable zero-coupon bond prices of a batch of (alpha, S) curves.
+                          *, r_t: float, coefficients: Callable[..., CoefficientProvider],
+                          tau: float | None = None) -> np.ndarray:
+    """Defaultable zero-coupon bond prices of a batch of (alpha, S) curves,
+    one path per row on `theta_grid`, all at the short rate r_t.
 
-    alpha and survival hold one path per row on `theta_grid`; every path
-    shares the short rate r_t.  tau = None prices the alive bond,
-    int_T^inf K1 dtheta + int_t^T K2 alpha/S_t dtheta; a default time
-    tau <= t prices K2(t, tau) of an intensity-linked recovery.  (A
-    deterministic recovery R after default is worth R B(t, T): the
-    intensity coefficients have vanished at tau <= t.)  Returns one price
+    `coefficients` maps an array of theta to their CoefficientProvider
+    (`PricingKernelSolver.provider`, say).  tau = None prices the alive
+    bond; a default time tau <= t prices K2(t, tau) of an intensity-linked
+    recovery (a deterministic one is worth R B(t, T)).  Below LAMBDA_FLOOR,
+    K / lambda takes its deterministic limit `discount`.  Returns one price
     per path.
     """
     grid = np.asarray(theta_grid, dtype=float)
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     survival = np.atleast_2d(np.asarray(survival, dtype=float))
     linked = isinstance(recovery, IntensityLinkedRecovery)
-    k_breve = lambda theta, lam: solver.k_breve(t, r_t, lam, theta)
-    k_tilde = lambda theta, lam: solver.k_tilde(t, r_t, lam, theta)
-    if linked and recovery.f == "none":          # terminal y e^{-0} = y
-        k_tilde = k_breve
+    tilted = linked and recovery.f == "identity"      # f = none: terminal y e^{-0} = y
+
+    def transform(thetas: np.ndarray, u: int):
+        """e^{A - B r_t} and C over `thetas`."""
+        a_, b_, c_ = kernel_transform(coefficients(thetas), t, T, u)
+        return np.exp(a_ - b_ * r_t), c_
 
     if tau is not None:
         if tau > t + 1e-12:
@@ -188,12 +187,16 @@ def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.
         lam = _interp_rows(at_tau, grid, alpha)[:, 0] / np.maximum(s_tau, 1e-300)
         if np.any(lam <= 0):
             raise KernelUndefinedError("kernel undefined at nonpositive intensity")
-        # below the floor the removable singularity at lambda -> 0+ takes
-        # its deterministic limit
         live = lam >= LAMBDA_FLOOR
-        k2 = recovery.w0 * k_breve(tau, lam[live]) + recovery.w1 * k_tilde(tau, lam[live])
-        prices = np.full(lam.size, (recovery.w0 + recovery.w1) * discount)
-        prices[live] = k2 / lam[live]
+        lam = lam[live]
+
+        def over_lambda(u: int) -> np.ndarray:      # K / lambda at theta = tau
+            disc, c = transform(at_tau, u)
+            return disc * np.exp(-u * lam) * (lam + c) / lam
+
+        q1 = over_lambda(0)
+        prices = np.full(live.size, (recovery.w0 + recovery.w1) * discount)
+        prices[live] = recovery.w0 * q1 + recovery.w1 * (over_lambda(1) if tilted else q1)
         return prices
 
     end = grid[-1]
@@ -202,40 +205,27 @@ def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.
     if np.any(s_t <= 0):
         raise DegenerateSurvivalError("degenerate survival: S_t <= 0")
 
-    # One backward solve per subgrid theta, read for every path.  The
-    # expensive, slowly varying factor q(theta) = K(t, r, lambda(theta)) /
-    # lambda(theta) (a discount-like ratio, exactly the discount when noise
-    # is off) is interpolated across theta; the curve factors alpha, S
-    # enter at every node, so curve shape costs nothing in accuracy.
     first = int(np.searchsorted(grid, t - 1e-12))
-    sub_idx = np.arange(first, grid.size, theta_stride)
-    if sub_idx.size == 0 or sub_idx[-1] != grid.size - 1:
-        sub_idx = np.append(sub_idx, grid.size - 1)
-
-    def q_ratio(nodes: np.ndarray, kernel) -> np.ndarray:
-        out = np.empty((alpha.shape[0], nodes.size))
-        for c, j in enumerate(nodes):
-            s = survival[:, j]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = np.where(s > 0, alpha[:, j] / np.maximum(s, 1e-300), 0.0)
-                lam_c = np.clip(lam, solver.grid.y_min, solver.grid.y_max)
-                out[:, c] = np.where(lam < LAMBDA_FLOOR, discount,
-                                     kernel(float(grid[j]), lam_c) / lam_c)
-        return out
-
-    g, a = grid[first:], alpha[:, first:]
-    q1 = _interp_rows(g, grid[sub_idx], q_ratio(sub_idx, k_breve))
+    g, a, s = grid[first:], alpha[:, first:], survival[:, first:]
+    disc0, c0 = transform(g, 0)
+    k1 = disc0 * (a + c0 * s)                   # S Kbreve at every node
     # theta in [t, T] and theta >= T, as slices: they keep the rows C-ordered
     window = slice(np.searchsorted(g, t), np.searchsorted(g, T, side="right"))
     beyond = slice(np.searchsorted(g, T), None)
-    if linked:
-        bracket = sub_idx[:int(np.searchsorted(grid[sub_idx], T)) + 1]
-        q2 = _interp_rows(g[window], grid[bracket], q_ratio(bracket, k_tilde))
-        k2 = recovery.w0 * q1[:, window] + recovery.w1 * q2
+    if tilted:
+        disc1, c1 = transform(g[window], 1)
+        a_w, s_w = a[:, window], s[:, window]
+        lam = np.divide(a_w, s_w, out=np.zeros_like(a_w), where=s_w > 0)
+        k2 = recovery.w0 * k1[:, window] + recovery.w1 * disc1 * np.exp(-lam) * (a_w + c1 * s_w)
     else:
-        k2 = recovery.rate * q1[:, window]
+        k2 = (recovery.w0 + recovery.w1 if linked else recovery.rate) * k1[:, window]
 
-    tail = survival[:, -1] / s_t * q1[:, -1]
-    leg1 = np.trapezoid(a[:, beyond] * q1[:, beyond] / s_t[:, None], g[beyond], axis=1) + tail
-    leg2 = np.trapezoid(k2 * a[:, window] / s_t[:, None], g[window], axis=1)
+    # the flat-intensity tail S_t(theta_max) carries Kbreve / lambda of the last node
+    s_end, a_end = s[:, -1], a[:, -1]
+    lam = np.divide(a_end, s_end, out=np.zeros_like(a_end), where=s_end > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_end = np.where(lam < LAMBDA_FLOOR, discount, disc0[-1] * (1.0 + c0[-1] / lam))
+    tail = s_end * q_end / s_t
+    leg1 = np.trapezoid(k1[:, beyond] / s_t[:, None], g[beyond], axis=1) + tail
+    leg2 = np.trapezoid(k2 / s_t[:, None], g[window], axis=1)
     return leg1 + leg2

@@ -105,17 +105,28 @@ class CoefficientSpec:
         )
 
 
+# Most elements per array of the quadrature route of `cumulative_integrals`
+# (32 MB of floats): a column of times against a theta row and the marks
+# would otherwise build arrays of hundreds of MB.
+QUADRATURE_CAP = 2 ** 22
+
+
 def cumulative_integrals(spec: CoefficientSpec, t, theta, xi,
                          n_quad: int = 257) -> tuple[np.ndarray, np.ndarray]:
     """(I_sigma, I_gamma): integrals of the coefficients over v in [0, theta].
 
     t, theta and xi broadcast together, so a column of times tabulates
     them.  Closed form for separable coefficients (slope * ((theta-t)^+)^2 / 2,
-    gamma additionally scaled by xi), composite trapezoid otherwise.
+    gamma additionally scaled by xi), composite trapezoid otherwise, which
+    raises ValueError before allocating more than QUADRATURE_CAP elements.
     """
     t_b, theta_b, xi_b = np.broadcast_arrays(np.asarray(t, dtype=float),
                                              np.asarray(theta, dtype=float),
                                              np.asarray(xi, dtype=float))
+    if not spec.separable and theta_b.size * n_quad > QUADRATURE_CAP:
+        raise ValueError(f"the quadrature of {theta_b.shape} coefficient integrals at "
+                         f"{n_quad} points would hold {theta_b.size * n_quad:,} elements "
+                         f"per array, above the cap of {QUADRATURE_CAP:,}")
     if np.any(theta_b < 0):
         raise ValueError("theta must be nonnegative")
     if spec.separable:

@@ -319,8 +319,8 @@ def test_criterion_8_invariant_suite(varpi_cells):
                                  n_steps=100)
     indep = price_pre_default_independent(0.5, 1.0, st, 0.4, 0.05)
     corr = price_defaultable_zcb(0.5, 1.0, tgrid, st.alpha[None], st.survival[None],
-                                 DeterministicRecovery(0.4), disc, r_t=0.05, solver=solver,
-                                 theta_stride=500)[0]
+                                 DeterministicRecovery(0.4), disc, r_t=0.05,
+                                 coefficients=solver.provider)[0]
     checks["regime_consistency"] = abs(corr - indep) < 1e-6
 
     # immersion freeze: lambda_t(theta) bitwise constant for t >= theta

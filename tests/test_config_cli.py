@@ -24,7 +24,8 @@ n_paths = 50
 seed = 11
 """
 
-TINY_PIDE = """
+# noise-free kernels; `lab price` reads them without a grid
+TINY_KERNELS = """
 [model]
 sigma = 0.0
 b = 0.0
@@ -32,18 +33,20 @@ b = 0.0
 [levy_measure]
 type = none
 
+[experiment]
+t = 0.5
+T = 1.0
+n_paths = 20
+seed = 7
+"""
+
+TINY_PIDE = TINY_KERNELS + """
 [pide]
 nx = 16
 ny = 16
 x_range = 0.0,0.1
 y_range = 0.0,0.3
 n_steps = 10
-
-[experiment]
-t = 0.5
-T = 1.0
-n_paths = 20
-seed = 7
 """
 
 
@@ -332,8 +335,7 @@ JUMPY_RATES = "[rates]\nmode = vasicek_jumps\nrho0 = 0.01\nphi0 = 0.5\nrates_cor
 @pytest.mark.parametrize("argv,extra", [
     (["pide"], "[levy_measure]\ntype = point_mass\n"),
     (["pide"], "[levy_measure]\nquadrature_nodes = 64\n"),
-    (["price"], "[levy_measure]\nquadrature_nodes = 64\n\n[pricing]\nregime = correlated\n"),
-], ids=["pide-point_mass", "pide-64_nodes", "price_correlated-64_nodes"])
+], ids=["pide-point_mass", "pide-64_nodes"])
 def test_cli_rejects_jump_reach_off_the_x_grid(tmp_path, monkeypatch, capsys, argv, extra):
     # r0 + phi0 * (largest node) is 0.55 for the unit point mass and 0.167
     # for 64 Laguerre nodes, both beyond the default x-range (-0.05, 0.15)
@@ -347,6 +349,47 @@ def test_cli_rejects_jump_reach_off_the_x_grid(tmp_path, monkeypatch, capsys, ar
     assert capsys.readouterr().err.startswith(
         "error: [pide] x_range = -0.05,0.15 does not hold the rate-jump reach")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "section7"], ["simulate", "--route", "density"],
+    ["simulate", "--route", "intensity"], ["verify"], ["price"],
+    ["price", "--status", "defaulted"], ["kde", "--prices", "unread.csv"],
+], ids=["experiment", "simulate_density", "simulate_intensity", "verify", "price",
+        "price_defaulted", "kde"])
+@pytest.mark.parametrize("extra,message", [
+    ("nx = 16\n", "[pide] nx = 16"),
+    ("x_range = -0.05,0.1\n", "[pide] x_range = -0.05,0.1"),
+], ids=["nx", "x_range"])
+def test_cli_rejects_pide_values_where_unread(tmp_path, monkeypatch, capsys, argv, extra,
+                                             message):
+    # only `lab pide` marches on the state grid: correlated `lab price`
+    # reads the kernels' transform, which has no grid or x-range to hold
+    # the rate-jump reach
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel solver built")
+
+    monkeypatch.setattr(cli, "PricingKernelSolver", refuse)
+    cfg = write(tmp_path, TINY + "[pricing]\nregime = correlated\n\n[pide]\n" + extra)
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} is read only by pide")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "section7"], ["simulate", "--route", "density"], ["verify"], ["price"],
+], ids=["experiment", "simulate_density", "verify", "price"])
+def test_cli_density_route_rejects_clamp_lambda_at_zero(tmp_path, capsys, argv):
+    cfg = write(tmp_path, TINY.replace("b = 0.0\n", "b = 0.0\nclamp_lambda_at_zero = true\n"))
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [model] clamp_lambda_at_zero = true is not used by the density route")
+    assert not os.path.exists(out)
+    # the intensity route reads it
+    assert main(["simulate", "--route", "intensity", "--paths", "2", "--config", cfg,
+                 "--out", out]) == 0
 
 
 def test_jump_reach_check_accepts_the_pide_kernel_config(tmp_path):
@@ -396,9 +439,9 @@ def test_k_breve_routes_avoid_the_2d_solve(tmp_path, monkeypatch):
     cfg = write(tmp_path, NOISY_PIDE)
     assert main(["pide", "--config", cfg, "--out", str(tmp_path / "pide")]) == 0
     solver = cli._solver_from(cfgmod.parse_config(cfg))
-    k = solver.k_breve(0.5, 0.05, 0.1, 2.0)
+    k = solver.solution(0.5, 2.0, "y").interp(0.05, 0.1)
     assert 0.0 < k < 0.1
-    k_tilde = solver.k_tilde(0.5, 0.05, 0.1, 2.0)
+    k_tilde = solver.solution(0.5, 2.0, "y_exp_y").interp(0.05, 0.1)
     assert 0.0 < k_tilde < k * np.exp(-0.1) * 1.01
     for status in ("alive", "defaulted"):
         assert main(["price", "--status", status, "--config", write(tmp_path, NOISY_LINKED),
@@ -459,7 +502,7 @@ def test_cli_price_defaulted_reads_the_values_engine(tmp_path, monkeypatch):
                                 res["survival"], cli._recovery_from(parsed),
                                 cli._discount_from(parsed, ec.t, ec.T),
                                 r_t=parsed.rates.r0,
-                                solver=cli._solver_from(parsed), tau=0.23)
+                                coefficients=cli._coefficients_from(parsed), tau=0.23)
     prices = np.array([float(r["price"]) for r in rows])
     assert np.abs(prices - ref).max() <= 1e-12
     # k_tilde / lambda = e^{-lambda} B at tau < t: the linked prices vary by path
@@ -616,7 +659,7 @@ def test_verification_records_paper_exact_adjudication(tmp_path):
     assert "FAILED adjudication" in adj["detail"]
 
 
-CORRELATED = TINY_PIDE + """
+CORRELATED = TINY_KERNELS + """
 [pricing]
 regime = correlated
 R = 0.4
@@ -684,15 +727,15 @@ def test_cli_price_defaulted_tau_defaults_to_a_quarter(tmp_path, capsys):
 
 def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch):
     # R_T = w0 + w1 e^{-lambda}, lambda constant: P = B (S(T)/S(t) + E[R] (1 - S(T)/S(t)))
-    import densitylab.pide as pide
-    solves = []
-    affine = pide.solve_cauchy_affine
+    import densitylab.pricing as pricing
+    transforms = []
+    transform = pricing.kernel_transform
 
-    def counted(*args, **kwargs):
-        solves.append(kwargs.get("tilt", False))
-        return affine(*args, **kwargs)
+    def counted(provider, t, T, u=0):
+        transforms.append((u, np.size(provider.theta)))
+        return transform(provider, t, T, u)
 
-    monkeypatch.setattr(pide, "solve_cauchy_affine", counted)
+    monkeypatch.setattr(pricing, "kernel_transform", counted)
     cfg = write(tmp_path, CORRELATED.replace(
         "R = 0.4", "recovery_type = intensity_linked\nf = identity\nw0 = 0.3\nw1 = 0.3"))
     out = str(tmp_path / "linked")
@@ -703,5 +746,45 @@ def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch
     surv = np.exp(-lam * (T - t))
     expected = np.exp(-0.05 * (T - t)) * (surv + (0.3 + 0.3 * np.exp(-lam)) * (1 - surv))
     assert float(rows[0]["price"]) == pytest.approx(expected, abs=2e-5)
-    # Ktilde enters on [t, T] only: the two subgrid nodes that bracket it
-    assert solves.count(True) == 2
+    # Kbreve at every node from t on, Ktilde on the 51 nodes of [t, T] only
+    assert transforms == [(0, 2111), (1, 51)]
+
+
+@pytest.mark.parametrize("text,argv", [
+    (NOISY_CORRELATED, []), (NOISY_LINKED, []), (NOISY_LINKED, ["--status", "defaulted"]),
+], ids=["correlated_alive", "linked_alive", "linked_defaulted"])
+def test_cli_price_marches_nothing(tmp_path, monkeypatch, text, argv):
+    import densitylab.pide as pide
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pricing-kernel equation marched")
+
+    monkeypatch.setattr(pide, "_hv_march", refuse)
+    for name in ("StateGrid", "PricingKernelSolver"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = str(tmp_path / "prices")
+    assert main(["price", "--config", write(tmp_path, text), "--out", out, *argv]) == 0
+    prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
+    assert len(prices) == 20 and all(0.0 < p < 1.0 for p in prices)
+
+
+def test_cli_price_defaulted_linked_is_the_bond_times_the_recovery(tmp_path):
+    # at tau <= t the kernels' C vanishes and e^{A - B r0} is the Vasicek
+    # bond: each path's price is P(t, T; r0) (w0 + w1 e^{-lambda_t(tau)})
+    from densitylab.rates import zcb_price
+    from densitylab.term_structure import simulate_survival_values
+    cfg = write(tmp_path, NOISY_LINKED.replace("f = identity", "f = identity\nw0 = 0.2\nw1 = 0.5"))
+    parsed = cfgmod.parse_config(cfg)
+    out = str(tmp_path / "dead")
+    assert main(["price", "--status", "defaulted", "--tau", "0.25", "--config", cfg,
+                 "--out", out]) == 0
+    prices = np.array([float(r["price"])
+                       for r in csv.DictReader(open(os.path.join(out, "prices.csv")))])
+    ec = cfgmod.experiment_config(parsed)
+    res = simulate_survival_values(ec.spec(), ec.measure(), np.array([0.25]), ec.t, ec.delta_t,
+                                   ec.n_paths, ec.seed)
+    lam = res["alpha"][:, 0] / res["survival"][:, 0]
+    bond = zcb_price(cfgmod.build_rate_spec(parsed), ec.t, ec.T, parsed.rates.r0,
+                     formula="standard")
+    assert np.abs(prices - bond * (0.2 + 0.5 * np.exp(-lam))).max() <= 1e-12
+    assert np.ptp(lam) > 1e-4

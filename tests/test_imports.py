@@ -58,7 +58,7 @@ ny = 16
 n_steps = 8
 """
 
-# correlated Vasicek rates, deterministic recovery, on a small kernel grid
+# correlated Vasicek rates, deterministic recovery
 PRICE = """
 [rates]
 mode = vasicek
@@ -66,11 +66,6 @@ rates_correlated = true
 
 [pricing]
 regime = correlated
-
-[pide]
-nx = 16
-ny = 16
-n_steps = 8
 
 [experiment]
 n_paths = 4

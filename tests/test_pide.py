@@ -10,9 +10,9 @@ from densitylab.pide import (HV_THETA, CoefficientProvider, GridFunction,
                              PricingKernelSolver, StateGrid, _AffineSplit, _check_pivots,
                              _coefficient_table, _pad_extrapolate, _TiltedSplit,
                              _thomas_factor, _thomas_solve, apply_jump_operator,
-                             compute_coefficients, solve_cauchy, solve_cauchy_affine,
-                             solve_cauchy_picard)
-from densitylab.rates import VasicekSpec, zcb_closed_form
+                             compute_coefficients, kernel_transform, solve_cauchy,
+                             solve_cauchy_affine, solve_cauchy_picard)
+from densitylab.rates import VasicekSpec, zcb_closed_form, zcb_price
 from densitylab.term_structure import CoefficientSpec
 
 
@@ -246,7 +246,8 @@ def test_k_breve_terminal_identity():
     rs = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01)
     grid = StateGrid(0.0, 0.1, 17, 0.0, 0.3, 17)
     solver = PricingKernelSolver(SEC7, rs, KERNEL, EXP_MEASURE, grid, T=1.0)
-    assert solver.k_breve(1.0, 0.05, 0.1234, 2.0) == pytest.approx(0.1234, abs=1e-12)
+    assert solver.solution(1.0, 2.0, "y").interp(0.05, 0.1234) == pytest.approx(0.1234,
+                                                                             abs=1e-12)
 
 
 def test_k_breve_deterministic_constant_rate():
@@ -256,24 +257,32 @@ def test_k_breve_deterministic_constant_rate():
     rs = VasicekSpec(kappa=1.0, delta=r, r0=r, rho0=0.0)
     grid = StateGrid(0.0, 0.1, 41, 0.0, 0.3, 31)
     solver = PricingKernelSolver(ms, rs, KERNEL, ZeroMeasure(), grid, T=1.0, n_steps=100)
-    val = solver.k_breve(0.5, r, 0.1, 2.0)
+    val = solver.solution(0.5, 2.0, "y").interp(r, 0.1)
     assert val == pytest.approx(0.1 * np.exp(-r * 0.5), rel=1e-5)
 
 
-def test_k_tilde_matches_k_breve_for_zero_f():
+def test_k_tilde_matches_k_breve_for_zero_f(monkeypatch):
     # with f = none the recovery kernel's terminal y e^{-0} is k_breve's: the
-    # defaulted price reads k_breve's cache entries and solves nothing tilted
+    # defaulted price reads k_breve's transform (u = 0) and nothing tilted
+    import densitylab.pricing as pricing
     from densitylab.pricing import IntensityLinkedRecovery, price_defaultable_zcb
     rs = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01)
     grid = StateGrid(0.0, 0.1, 17, 0.0, 0.3, 17)
     solver = PricingKernelSolver(SEC7, rs, KERNEL, EXP_MEASURE, grid, T=1.0, n_steps=20)
     alpha, surv = np.array([[0.09, 0.1]]), np.array([[0.9, 0.8]])
     args = (0.8, 1.0, np.array([0.2, 0.4]), alpha, surv)
+    u_read = []
+
+    def recorded(provider, t, T, u=0):
+        u_read.append(u)
+        return kernel_transform(provider, t, T, u)
+
+    monkeypatch.setattr(pricing, "kernel_transform", recorded)
     linked = price_defaultable_zcb(*args, IntensityLinkedRecovery(w0=0.3, w1=0.5, f="none"),
-                                   0.97, r_t=0.05, solver=solver, tau=0.3)
-    assert {terminal for _, _, terminal, _ in solver._cache} == {"y"}
+                                   0.97, r_t=0.05, coefficients=solver.provider, tau=0.3)
+    assert u_read == [0]
     plain = price_defaultable_zcb(*args, IntensityLinkedRecovery(w0=0.8, w1=0.0, f="none"),
-                                  0.97, r_t=0.05, solver=solver, tau=0.3)
+                                  0.97, r_t=0.05, coefficients=solver.provider, tau=0.3)
     assert linked == pytest.approx(plain, rel=1e-15)
     # the shared entry is the affine solve; the 2-D solve of y agrees
     full = solve_cauchy(lambda x, y: y, solver.provider(0.3), grid, 0.8, 1.0, 20)
@@ -287,8 +296,9 @@ def test_k_tilde_terminal_and_deterministic():
     grid = StateGrid(0.0, 0.1, 41, 0.0, 0.3, 61)
     solver = PricingKernelSolver(ms, rs, KERNEL, ZeroMeasure(), grid, T=1.0, n_steps=100)
     lam = 0.1  # on the y-grid: 0.3/60 spacing puts 0.1 at node 20
-    assert solver.k_tilde(1.0, r, lam, 2.0) == pytest.approx(lam * np.exp(-lam), rel=1e-9)
-    val = solver.k_tilde(0.5, r, lam, 2.0)
+    k_tilde = lambda t: solver.solution(t, 2.0, "y_exp_y").interp(r, lam)
+    assert k_tilde(1.0) == pytest.approx(lam * np.exp(-lam), rel=1e-9)
+    val = k_tilde(0.5)
     assert val == pytest.approx(lam * np.exp(-lam) * np.exp(-r * 0.5), rel=1e-4)
 
 
@@ -358,7 +368,7 @@ def test_uncorrelated_kernel_factorizes():
     grid = StateGrid(-0.1, 0.2, 64, 0.0, 0.3, 17)
     solver = PricingKernelSolver(ms, rs, KERNEL, ZeroMeasure(), grid, T=1.0,
                                  n_steps=100, rates_correlated=False)
-    val = solver.k_breve(0.0, 0.05, 0.1, 2.0)
+    val = solver.solution(0.0, 2.0, "y").interp(0.05, 0.1)
     assert val == pytest.approx(0.1 * zcb_closed_form(rs, 0.0, 1.0, 0.05), rel=1e-4)
 
 
@@ -413,7 +423,7 @@ def test_kernel_identity_forward_monte_carlo():
 
     state_grid = default_grid_for(rs, 0.1, T, 0.01, theta, meas, nx=96, ny=96)
     solver = PricingKernelSolver(ms, rs, KERNEL, meas, state_grid, T=T, n_steps=100)
-    rhs = np.exp(-0.1 * theta) * solver.k_breve(0.0, rs.r0, 0.1, theta)
+    rhs = np.exp(-0.1 * theta) * solver.solution(0.0, theta, "y").interp(rs.r0, 0.1)
     assert abs(rhs - mc) < 3 * se, (rhs, mc, se)
 
 
@@ -611,35 +621,17 @@ def test_affine_jump_correlation_matches_node_loop(case, tilt):
         assert np.abs(split.f0(lvl, fg) - ref).max() <= 1e-14 * scale * np.abs(fg).max()
 
 
-def _closed_form_kernel(prov, grid, t, T, n_quad=40, u=0.0):
-    """K = e^{A(t) - B(t) x - u y} (y + C(t)), the kernel with terminal
-    y e^{-u y} (Duffie, Pan & Singleton's extended transform at u_y = -u),
-    with B = (1 - e^{-kappa (T - t)}) / kappa,
-    A = int_t^T [-kappa delta_hat B + a11 B^2 + u (a22 - a_drift + a12 B)
-                 + sum w (e^{-B phi - u gamma} - 1 + B phi + u gamma)] ds,
-    C = int_t^T [a_drift - 2 u a22 - a12 B + sum w gamma (e^{-B phi - u gamma} - 1)] ds,
-    with the sums over the same mark quadrature as the solver; u = 0 gives
-    k_breve and u = 1 k_tilde."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    s_nodes = t + (T - t) * (nodes + 1.0) / 2.0
-    a_int = c_int = 0.0
-    for s, w_s in zip(s_nodes, weights * (T - t) / 2.0):
-        c = prov(float(s))
-        b = (1.0 - np.exp(-c.kappa * (T - s))) / c.kappa
-        e = np.exp(-b * c.jump_dx - u * c.jump_dy)
-        a_int += w_s * (-c.kappa * c.delta_hat * b + c.a11 * b ** 2
-                        + u * (c.a22 - c.a_drift + c.a12 * b)
-                        + np.sum(c.jump_w * (e - 1.0 + b * c.jump_dx + u * c.jump_dy)))
-        c_int += w_s * (c.a_drift - 2.0 * u * c.a22 - c.a12 * b
-                        + np.sum(c.jump_w * c.jump_dy * (e - 1.0)))
-    b_t = (1.0 - np.exp(-prov(t).kappa * (T - t))) / prov(t).kappa
-    return np.exp(a_int - b_t * grid.x)[:, None] * np.exp(-u * grid.y) * (grid.y + c_int)
+def _kernel_on_grid(prov, grid, t, T, u=0):
+    """The kernel with terminal y e^{-u y} from its affine transform,
+    e^{A - B x - u y} (y + C), on the grid: u = 0 is k_breve, u = 1 k_tilde."""
+    a, b, c = kernel_transform(prov, t, T, u)
+    return np.exp(a - b * grid.x)[:, None] * np.exp(-u * grid.y) * (grid.y + c)
 
 
 def test_affine_route_matches_closed_form():
     prov = AFFINE_CASES["defaults_correlated"]
     sol = solve_cauchy_affine(prov, PIDE_GRID, 0.5, 1.0, 200)
-    err = np.abs(sol.values - _closed_form_kernel(prov, PIDE_GRID, 0.5, 1.0))
+    err = np.abs(sol.values - _kernel_on_grid(prov, PIDE_GRID, 0.5, 1.0))
     mid = slice(PIDE_GRID.nx // 4, 3 * PIDE_GRID.nx // 4)
     # measured: 2.1e-8 on the middle half of the x-grid, 8.0e-7 at the
     # x-edges (linear extrapolation of e^{-Bx}); the same at 800 steps, so
@@ -664,10 +656,83 @@ def test_tilted_route_matches_closed_form(case):
     # with a_drift, a22, a12 and large rate and intensity jumps all live
     prov, mid_bound, bound = TILTED_CASES[case]
     sol = solve_cauchy_affine(prov, PIDE_GRID, 0.5, 1.0, 200, tilt=True)
-    err = np.abs(sol.values - _closed_form_kernel(prov, PIDE_GRID, 0.5, 1.0, u=1.0))
+    err = np.abs(sol.values - _kernel_on_grid(prov, PIDE_GRID, 0.5, 1.0, u=1))
     mid = slice(PIDE_GRID.nx // 4, 3 * PIDE_GRID.nx // 4)
     assert err[mid].max() < mid_bound, err[mid].max()
     assert err.max() < bound, err.max()
+
+
+def _price_window_provider(theta=None) -> CoefficientProvider:
+    """The correlated `lab price` kernels at the defaults over the alive
+    price's theta window: the 2,111 curve nodes from t = 0.5 on."""
+    from densitylab.experiments import ExperimentConfig
+    if theta is None:
+        theta = ExperimentConfig().theta_grid()
+        theta = theta[theta >= 0.5 - 1e-12]
+    rates = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01)
+    return CoefficientProvider(KERNEL_SPEC, rates, KERNEL, EXP_MEASURE, theta)
+
+
+@pytest.mark.parametrize("u", [0, 1])
+def test_transform_quadrature_converges_in_the_node_count(u):
+    # the kink of (theta - s)^+ at s = theta inside [t, T] leaves
+    # Gauss-Legendre second order, not spectral: measured 6.7e-11 from 40
+    # to 160 nodes for A (u = 1) and C, 2.5e-10 at 20 nodes
+    prov = _price_window_provider()
+    assert prov.theta.size == 2111
+    a, b, c = kernel_transform(prov, 0.5, 1.0, u)
+    a_ref, b_ref, c_ref = kernel_transform(prov, 0.5, 1.0, u, n_quad=160)
+    assert b == b_ref
+    assert np.abs(a - a_ref).max() < 2e-10
+    assert np.abs(c - c_ref).max() < 2e-10
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_transform_blocks_equal_one_block(monkeypatch, block):
+    import densitylab.pide as pide
+    prov = _price_window_provider()
+    blocked = [kernel_transform(prov, 0.5, 1.0, u) for u in (0, 1)]
+    monkeypatch.setattr(pide, "THETA_BLOCK", block)
+    for u, ref in zip((0, 1), blocked):
+        other = kernel_transform(prov, 0.5, 1.0, u)
+        assert all(np.array_equal(x, y) for x, y in zip(ref, other))
+
+
+def test_transform_traced_memory_is_bounded_by_the_block():
+    import tracemalloc
+    prov = _price_window_provider()
+    tracemalloc.start()
+    try:
+        kernel_transform(prov, 0.5, 1.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+@pytest.mark.parametrize("correlated", [True, False])
+def test_transform_before_t_is_the_vasicek_bond(correlated):
+    # at theta <= t every intensity coefficient has vanished: C = 0, and
+    # e^{A - B r} is the standard Vasicek bond
+    rates = VasicekSpec(kappa=1.3, delta=0.06, r0=0.04, rho0=0.02)
+    prov = CoefficientProvider(KERNEL_SPEC, rates, KERNEL, EXP_MEASURE,
+                               np.array([0.0, 0.2, 0.5]), rates_correlated=correlated)
+    a, b, c = kernel_transform(prov, 0.5, 1.0, 0)
+    assert np.all(c == 0.0)
+    for r in (-0.01, 0.04, 0.1):
+        bond = zcb_price(rates, 0.5, 1.0, r, formula="standard")
+        assert np.abs(np.exp(a - b * r) / bond - 1.0).max() < 1e-14
+
+
+def test_transform_of_a_theta_array_matches_one_theta_providers():
+    # the (s, theta) table of an array of theta against each theta alone
+    thetas = np.array([0.3, 0.5, 0.77, 1.0, 2.0, 20.0])
+    table = kernel_transform(_price_window_provider(thetas), 0.5, 1.0, 1)
+    for k, theta in enumerate(thetas):
+        alone = kernel_transform(_price_window_provider(float(theta)), 0.5, 1.0, 1)
+        assert isinstance(alone[0], float)
+        assert alone[0] == pytest.approx(table[0][k], rel=1e-13, abs=1e-16)
+        assert alone[2] == pytest.approx(table[2][k], rel=1e-13, abs=1e-16)
 
 
 @pytest.mark.parametrize("case", ["defaults_correlated", "girsanov", "uncorrelated"])

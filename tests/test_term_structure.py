@@ -95,6 +95,28 @@ def test_drift_table_equals_the_per_t_loop(spec, measure):
     assert np.array_equal(table, loop)
 
 
+def test_quadrature_route_refuses_arrays_above_the_cap():
+    # 50 times x 201 theta x 32 marks at 257 points would build 661-MB
+    # arrays; the route names the count and allocates nothing first
+    import tracemalloc
+    spec = ts.CoefficientSpec(SEC7.sigma_fn, SEC7.gamma_fn, SEC7.lambda0_fn)
+    t_col = (np.arange(50) * 0.01)[:, None, None]
+    theta = np.linspace(0.0, 2.0, 201)[:, None]
+    marks = np.linspace(0.0, 1.0, 32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="82,651,200 elements per array, above the cap"):
+            ts.cumulative_integrals(spec, t_col, theta, marks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    with pytest.raises(ValueError, match="above the cap"):
+        ts.mc_drift(spec, DiracKernel(), EXP_MEASURE, t_col[..., 0], theta[:, 0])
+    # the separable route has no such arrays
+    ts.cumulative_integrals(SEC7, t_col, theta, marks)
+
+
 # ------------------------------------------------------------ intensity route
 
 def test_intensity_paths_no_noise_is_identity():
