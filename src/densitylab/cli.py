@@ -21,8 +21,9 @@ from functools import partial
 import numpy as np
 
 from . import config as cfgmod
-from .experiments import (kde, kde_grid, run_price_distribution, sample_skewness, sweep,
-                          write_kde_csv, write_prices_csv, write_sweep_csv)
+from .experiments import (ExperimentConfig, kde, kde_grid, run_price_distribution,
+                          sample_skewness, sweep, write_kde_csv, write_prices_csv,
+                          write_sweep_csv)
 from .manifest import write_manifest
 from .pide import CoefficientProvider, PideInstabilityError, PricingKernelSolver, StateGrid
 from .pricing import DeterministicRecovery, IntensityLinkedRecovery, price_defaultable_zcb
@@ -55,10 +56,9 @@ def _finish(args, cfg: cfgmod.Config, outputs: list[str]) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    cfgmod.require_pide_unread(cfg)
+    cfgmod.reject_unread(cfg, f"simulate --route {args.route}")
     if args.route == "density":
         cfgmod.require_density_route(cfg)
-    cfgmod.require_closed_form_measure(cfg)
     ec = cfgmod.experiment_config(cfg, n_paths=args.paths)
     os.makedirs(args.out, exist_ok=True)
     grid = ec.theta_grid()
@@ -115,6 +115,9 @@ def _solver_from(cfg: cfgmod.Config) -> PricingKernelSolver:
 
 
 def _discount_from(cfg: cfgmod.Config, t: float, T: float) -> float:
+    """B(t, T) of the configured [rates] mode.  Kernel-priced runs do not read
+    [rates] vasicek_formula, so there it is the standard bond, e^{A - B r0}
+    of the kernels' transform."""
     if cfg.rates.mode == "constant":
         return constant_rate_discount(cfg.rates.r, t, T)
     return zcb_price(cfgmod.build_rate_spec(cfg), t, T, cfg.rates.r0,
@@ -135,17 +138,15 @@ def _tau_from(args, t: float) -> float | None:
 
 def cmd_price(args) -> int:
     cfg = _load(args)
-    cfgmod.require_pide_unread(cfg)
-    cfgmod.require_density_route(cfg)
-    ec = cfgmod.experiment_config(cfg)
-    t, T = ec.t, ec.T
-    tau = _tau_from(args, t)
+    tau = _tau_from(args, cfg.experiment.t)
     # a deterministic recovery R after default is worth R B(t, T) in both
     # regimes: at tau <= t the intensity coefficients have vanished
     kernel_priced = (cfg.pricing.recovery_type != "deterministic"
                      or (cfg.pricing.regime == "correlated" and tau is None))
-    if not kernel_priced:
-        cfgmod.require_closed_form_measure(cfg)
+    cfgmod.reject_unread(cfg, "price (kernels)" if kernel_priced else "price (closed form)")
+    cfgmod.require_density_route(cfg)
+    ec = cfgmod.experiment_config(cfg)
+    t, T = ec.t, ec.T
     recovery = _recovery_from(cfg)
     discount = _discount_from(cfg, t, T)
 
@@ -178,6 +179,7 @@ def cmd_price(args) -> int:
 
 def cmd_pide(args) -> int:
     cfg = _load(args)
+    cfgmod.reject_unread(cfg, "pide")
     solver = _solver_from(cfg)
     os.makedirs(args.out, exist_ok=True)
     sol = solver.solution(cfg.experiment.t, args.theta, "y")
@@ -198,10 +200,8 @@ def cmd_pide(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load(args)
-    cfgmod.require_pide_unread(cfg)
+    cfgmod.reject_unread(cfg, "experiment")
     cfgmod.require_density_route(cfg)
-    cfgmod.require_closed_form_measure(cfg)
-    cfgmod.require_constant_rate(cfg)
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -236,7 +236,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_kde(args) -> int:
     cfg = _load(args)
-    cfgmod.require_pide_unread(cfg)
+    cfgmod.reject_unread(cfg, "kde")
     os.makedirs(args.out, exist_ok=True)
     with open(args.prices, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -249,19 +249,11 @@ def cmd_kde(args) -> int:
 
 # ------------------------------------------------------------------ verify
 
-# The inputs at which the z-gates of `lab verify` are calibrated.
-VERIFY_CALIBRATION = (("[model] sigma", "sigma", 0.001),
-                      ("[model] delta_t", "delta_t", 0.01),
-                      ("[model] delta_theta", "delta", 0.01),
-                      ("[levy_measure] varpi", "varpi", 1e-3),
-                      ("[experiment] t", "t", 0.5),
-                      ("[experiment] T", "T", 1.0))
-
-
 def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
     """Oracle suite: deterministic baseline, bond-formula adjudication,
-    martingale checks.  Failures come back as report entries, not errors;
-    a config off the calibration of the z-gates raises ConfigError.
+    martingale checks.  Failures come back as report entries, not errors.
+    The z-gates are calibrated at the ExperimentConfig defaults of sigma,
+    varpi, t, T and the two steps, so the suite reads none of them.
 
     The density martingale is checked on the closed-form values engine
     `simulate_survival_values` at the three probed maturities; the
@@ -270,16 +262,13 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
     the same noise: the density one is checked by acceptance criterion 3,
     and the intensity one stays pinned to its values engine by test."""
     from .kernels import DiracKernel
-    ec = cfgmod.experiment_config(cfg)
-    for name, field, calibrated in VERIFY_CALIBRATION:
-        if getattr(ec, field) != calibrated:
-            raise cfgmod.ConfigError(
-                f"{name} = {getattr(ec, field)!r}: the z-gates of lab verify are "
-                f"calibrated at {calibrated!r}")
+    calibrated = ExperimentConfig(r=cfg.rates.r, R=cfg.pricing.R, b=cfg.model.b,
+                                  zeta=cfg.levy_measure.zeta, lambda_bar=cfg.model.lambda_bar,
+                                  seed=cfg.experiment.seed)
     checks: list[dict] = []
 
     # deterministic baseline against the closed form
-    ec = cfgmod.experiment_config(cfg, sigma=0.0, b=0.0, n_paths=64)
+    ec = replace(calibrated, sigma=0.0, b=0.0, n_paths=64)
     sample = run_price_distribution(ec)
     lam, t, T, r, rr = ec.lambda_bar, ec.t, ec.T, ec.r, ec.R
     closed = np.exp(-r * (T - t)) * (1 - (1 - rr) * (np.exp(-lam * t) - np.exp(-lam * T))
@@ -300,7 +289,7 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
                                 if configured != report["selected"] else "")})
 
     # density martingale (direct route, closed-form values at the three maturities)
-    ec2 = cfgmod.experiment_config(cfg, n_paths=quick_paths)
+    ec2 = replace(calibrated, n_paths=quick_paths)
     thetas = (0.6, 1.0, 5.0)
     res = simulate_survival_values(ec2.spec(), ec2.measure(), np.array(thetas), 0.5, 0.01,
                                    quick_paths, ec2.seed)
@@ -335,10 +324,7 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    cfgmod.require_pide_unread(cfg)
-    cfgmod.require_density_route(cfg)
-    cfgmod.require_closed_form_measure(cfg)
-    cfgmod.require_constant_rate(cfg)
+    cfgmod.reject_unread(cfg, "verify")
     checks = run_verification(cfg)
     os.makedirs(args.out, exist_ok=True)
     report_file = os.path.join(args.out, "verify_report.txt")

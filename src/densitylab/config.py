@@ -1,9 +1,10 @@
 """Configuration parsing: flat key-value text with [section] headers.
 
 Every key is validated against a per-section schema; unknown keys or
-sections are rejected by name.  `serialize` writes a file that parses back
-to an identical configuration, and the LAB_SEED environment variable
-overrides the configured seed at load time.
+sections are rejected by name.  `READS` names the keys each command reads,
+and `reject_unread` rejects a non-default value of any other.  `serialize`
+writes a file that parses back to an identical configuration, and the
+LAB_SEED environment variable overrides the configured seed at load time.
 """
 
 from __future__ import annotations
@@ -262,23 +263,75 @@ def parse_config(path: str | None) -> Config:
     return _cross_validate(cfg)
 
 
+def _shown(value) -> str:
+    """A value as config text writes it."""
+    if isinstance(value, tuple):
+        return f"{value[0]!r},{value[1]!r}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize(cfg: Config) -> str:
     """Config text that parses back to an identical configuration."""
     out = io.StringIO()
     for name, cls in _SECTION_TYPES.items():
-        section = getattr(cfg, name if name != "levy_measure" else "levy_measure")
         out.write(f"[{name}]\n")
         for f in fields(cls):
-            value = getattr(section, f.name)
-            if isinstance(value, tuple):
-                value = f"{value[0]},{value[1]}"
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            out.write(f"{f.name} = {value}\n")
+            out.write(f"{f.name} = {_shown(getattr(getattr(cfg, name), f.name))}\n")
         out.write("\n")
     return out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the keys each command reads
+# ---------------------------------------------------------------------------
+
+def _keys(**sections: str) -> frozenset[tuple[str, str]]:
+    return frozenset((name, key) for name, keys in sections.items() for key in keys.split())
+
+
+_DENSITY = _keys(levy_measure="type zeta varpi", model="sigma b lambda_bar delta_theta delta_t",
+                 experiment="t T seed")
+_EXPERIMENT = _DENSITY | _keys(model="jump_sign_convention", rates="r", pricing="R",
+                               experiment="n_paths")
+_PRICE = _EXPERIMENT | _keys(rates="mode kappa delta r0 rho0", pricing="regime recovery_type")
+
+# (section, key) pairs each command reads.  A read that hangs on --status or
+# on another key's value counts as a read.  `price` splits as `cmd_price`
+# does: closed form, or through the kernels' transform (correlated regime
+# alive, or intensity-linked recovery), whose LAMBDA_FLOOR fallback takes
+# the standard Vasicek bond, the transform's e^{A - B r}.
+READS: dict[str, frozenset[tuple[str, str]]] = {
+    "simulate --route density": _DENSITY | _keys(model="theta_max_rule jump_sign_convention"),
+    "simulate --route intensity": _DENSITY | _keys(
+        kernel="c0", levy_measure="z", model="theta_max_rule clamp_lambda_at_zero"),
+    "experiment": _EXPERIMENT,
+    "verify": _keys(levy_measure="zeta", model="b lambda_bar", rates="r vasicek_formula",
+                    pricing="R", experiment="seed"),
+    "pide": _keys(kernel="c0", levy_measure="type zeta varpi z quadrature_nodes",
+                  model="sigma b lambda_bar",
+                  rates="mode r kappa delta r0 rho0 phi0 rates_correlated",
+                  pide="nx ny x_range y_range n_steps", experiment="t T seed"),
+    "price (closed form)": _PRICE | _keys(rates="vasicek_formula"),
+    "price (kernels)": _PRICE | _keys(levy_measure="quadrature_nodes", model="theta_max_rule",
+                                      rates="phi0 rates_correlated", pricing="w0 w1 f"),
+    "kde": _keys(experiment="seed"),
+}
+
+
+def reject_unread(cfg: Config, command: str) -> None:
+    """Reject a non-default value of any key that `command` does not read."""
+    for name, cls in _SECTION_TYPES.items():
+        for f in fields(cls):
+            value = getattr(getattr(cfg, name), f.name)
+            if (name, f.name) in READS[command] or value == f.default:
+                continue
+            readers = [c for c, keys in READS.items() if (name, f.name) in keys]
+            *rest, last = readers
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise ConfigError(f"[{name}] {f.name} = {_shown(value)} is read only by {listed}, "
+                              f"not by {command}: leave it at {_shown(f.default)}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,71 +343,18 @@ def build_kernel(cfg: Config) -> DiracKernel:
 
 
 def require_density_route(cfg: Config) -> None:
-    """Reject inputs that the density route would ignore.
+    """Reject a point mass on the density route.
 
-    `experiment`, `price`, `verify` and `simulate --route density`
-    simulate the direct density scheme with a unit-variance Brownian
-    driver and exponential jump marks (`ExperimentConfig.measure`), and
-    never clamp an intensity; only `pide` and `simulate --route intensity`
-    read `[kernel] c0` and a point mass, and only the latter
-    `[model] clamp_lambda_at_zero`.
+    `experiment`, `price` and `simulate --route density` simulate the
+    direct density scheme with exponential jump marks
+    (`ExperimentConfig.measure`); only `pide` and `simulate --route
+    intensity` read a point mass.
     """
-    if cfg.kernel.c0 != 1.0:
-        raise ConfigError(f"[kernel] c0 = {cfg.kernel.c0!r} is not used by the density "
-                          "route (experiment, price, verify, simulate --route density), "
-                          "which simulates c0 = 1; only pide and "
-                          "simulate --route intensity read it")
     if cfg.levy_measure.type == "point_mass":
         raise ConfigError("[levy_measure] type = point_mass is not used by the density "
-                          "route (experiment, price, verify, simulate --route density), "
-                          "which simulates exponential marks; only pide and "
+                          "route (experiment, price, simulate --route density), which "
+                          "simulates exponential marks; only pide and "
                           "simulate --route intensity read it")
-    if cfg.model.clamp_lambda_at_zero:
-        raise ConfigError("[model] clamp_lambda_at_zero = true is not used by the density "
-                          "route (experiment, price, verify, simulate --route density), "
-                          "which evolves alpha and S directly; only "
-                          "simulate --route intensity reads it")
-
-
-def require_closed_form_measure(cfg: Config) -> None:
-    """Reject a jump quadrature that a Monte Carlo route would ignore.
-
-    `[levy_measure] quadrature_nodes` sets the pricing kernels' jump
-    quadrature; the density and intensity routes use the measure's closed
-    forms.
-    """
-    nodes = cfg.levy_measure.quadrature_nodes
-    if nodes != MeasureConfig.quadrature_nodes:
-        raise ConfigError(f"[levy_measure] quadrature_nodes = {nodes} is read only by the "
-                          "kernels' jump quadrature (pide, and price when it reads the "
-                          "pricing kernels); the Monte Carlo routes use closed forms")
-
-
-def require_constant_rate(cfg: Config) -> None:
-    """Reject a `[rates] mode` that `experiment` and `verify` would ignore.
-
-    Both discount at the constant `[rates] r`; only `price` and `pide`
-    read a Vasicek short rate.
-    """
-    if cfg.rates.mode != "constant":
-        raise ConfigError(f"[rates] mode = {cfg.rates.mode} is not used by experiment and "
-                          "verify, which discount at the constant [rates] r; only price "
-                          "and pide read it")
-
-
-def require_pide_unread(cfg: Config) -> None:
-    """Reject a `[pide]` value that every command but `pide` would ignore.
-
-    Only `pide` marches the pricing-kernel equation on the state grid;
-    `price` reads the kernels' closed-form transform, and the other
-    commands solve nothing.
-    """
-    for f in fields(PideConfig):
-        value = getattr(cfg.pide, f.name)
-        if value != f.default:
-            shown = f"{value[0]!r},{value[1]!r}" if isinstance(value, tuple) else value
-            raise ConfigError(f"[pide] {f.name} = {shown} is read only by pide, which "
-                              "solves the pricing-kernel equation on the state grid")
 
 
 def build_measure(cfg: Config):

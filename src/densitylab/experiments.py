@@ -158,13 +158,14 @@ class PriceSample:
 
 
 def pricing_window(config: ExperimentConfig) -> np.ndarray:
-    """The delta-spaced theta nodes of [t, T]: the only maturities pricing reads."""
-    grid = config.theta_grid()
-    i_t = int(np.searchsorted(grid, config.t - 1e-12))
-    i_T = int(np.searchsorted(grid, config.T - 1e-12))
-    if abs(grid[i_t] - config.t) > 1e-9 or abs(grid[i_T] - config.T) > 1e-9:
+    """The delta-spaced theta nodes of [t, T]: the only maturities pricing
+    reads, and the nodes `theta_grid` puts there."""
+    if config.theta_sim_cap < config.T:
+        raise ValueError("volatility too large: stable horizon falls below T")
+    i_t, i_T = round(config.t / config.delta), round(config.T / config.delta)
+    if abs(i_t * config.delta - config.t) > 1e-9 or abs(i_T * config.delta - config.T) > 1e-9:
         raise ValueError("t and T must lie on the theta grid")
-    return grid[i_t:i_T + 1]
+    return config.delta * np.arange(i_t, i_T + 1)
 
 
 def run_price_distribution(config: ExperimentConfig,

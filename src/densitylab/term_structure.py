@@ -328,22 +328,20 @@ def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
     channels.  One Philox generator serves the whole call: `rng.rekey`
     points it at each (path, channel) stream in turn.
     """
-    n_paths = len(paths)
-    normals = np.empty((n_paths, n_steps))
-    marks_data: list[tuple] = []
-    mass = measure.total_mass
-    empty = (np.zeros(n_steps, dtype=np.int64), np.zeros(0))
+    normals = np.empty((len(paths), n_steps))
     gen = stream(seed, 0, CHANNEL_GAUSSIAN)
     for i, p in enumerate(paths):
-        normals[i] = rekey(gen, seed, p, CHANNEL_GAUSSIAN).standard_normal(n_steps)
-        if mass > 0:
-            counts = rekey(gen, seed, p, CHANNEL_POISSON_COUNT).poisson(mass * dt, size=n_steps)
-            marks = measure.sample_marks(int(counts.sum()),
-                                         rekey(gen, seed, p, CHANNEL_POISSON_MARKS))
-            marks_data.append((counts, marks))
-        else:
-            marks_data.append(empty)
-    return normals, marks_data
+        rekey(gen, seed, p, CHANNEL_GAUSSIAN).standard_normal(out=normals[i])
+    mass = measure.total_mass
+    if mass <= 0:
+        return normals, [(np.zeros(n_steps, dtype=np.int64), np.zeros(0))] * len(paths)
+    # each (path, channel) is its own stream: drawing every count first moves no draw
+    counts = np.empty((len(paths), n_steps), dtype=np.int64)
+    for i, p in enumerate(paths):
+        counts[i] = rekey(gen, seed, p, CHANNEL_POISSON_COUNT).poisson(mass * dt, size=n_steps)
+    marks = [measure.sample_marks(n, rekey(gen, seed, p, CHANNEL_POISSON_MARKS))
+             for n, p in zip(counts.sum(axis=1).tolist(), paths)]
+    return normals, list(zip(counts, marks))
 
 
 class _Jumps(NamedTuple):

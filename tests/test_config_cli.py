@@ -24,6 +24,19 @@ n_paths = 50
 seed = 11
 """
 
+# TINY's keys that a command does not read
+UNREAD_IN_TINY = {"simulate": ("n_paths = 50\n",), "verify": ("sigma = 0.0\n", "n_paths = 50\n"),
+                  "kde": ("sigma = 0.0\n", "b = 0.0\n", "n_paths = 50\n")}
+
+
+def tiny_for(command: str) -> str:
+    """TINY without the keys that `command` does not read."""
+    text = TINY
+    for line in UNREAD_IN_TINY.get(command, ()):
+        text = text.replace(line, "")
+    return text
+
+
 # noise-free kernels; `lab price` reads them without a grid
 TINY_KERNELS = """
 [model]
@@ -40,7 +53,7 @@ n_paths = 20
 seed = 7
 """
 
-TINY_PIDE = TINY_KERNELS + """
+TINY_PIDE = TINY_KERNELS.replace("n_paths = 20\n", "") + """
 [pide]
 nx = 16
 ny = 16
@@ -370,7 +383,7 @@ def test_cli_rejects_pide_values_where_unread(tmp_path, monkeypatch, capsys, arg
         raise AssertionError("kernel solver built")
 
     monkeypatch.setattr(cli, "PricingKernelSolver", refuse)
-    cfg = write(tmp_path, TINY + "[pricing]\nregime = correlated\n\n[pide]\n" + extra)
+    cfg = write(tmp_path, tiny_for(argv[0]) + "[pricing]\nregime = correlated\n\n[pide]\n" + extra)
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message} is read only by pide")
@@ -381,13 +394,15 @@ def test_cli_rejects_pide_values_where_unread(tmp_path, monkeypatch, capsys, arg
     ["experiment", "section7"], ["simulate", "--route", "density"], ["verify"], ["price"],
 ], ids=["experiment", "simulate_density", "verify", "price"])
 def test_cli_density_route_rejects_clamp_lambda_at_zero(tmp_path, capsys, argv):
-    cfg = write(tmp_path, TINY.replace("b = 0.0\n", "b = 0.0\nclamp_lambda_at_zero = true\n"))
+    clamp = "b = 0.0\nclamp_lambda_at_zero = true\n"
+    cfg = write(tmp_path, tiny_for(argv[0]).replace("b = 0.0\n", clamp))
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: [model] clamp_lambda_at_zero = true is not used by the density route")
+        "error: [model] clamp_lambda_at_zero = true is read only by simulate --route intensity")
     assert not os.path.exists(out)
     # the intensity route reads it
+    cfg = write(tmp_path, tiny_for("simulate").replace("b = 0.0\n", clamp), "intensity.cfg")
     assert main(["simulate", "--route", "intensity", "--paths", "2", "--config", cfg,
                  "--out", out]) == 0
 
@@ -473,7 +488,7 @@ def test_cli_constant_rate_commands_reject_rates_mode(tmp_path, capsys, argv, mo
     cfg = write(tmp_path, f"[rates]\nmode = {mode}\n")
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", cfg, "--out", out]) == 1
-    assert capsys.readouterr().err.startswith(f"error: [rates] mode = {mode} is not used")
+    assert capsys.readouterr().err.startswith(f"error: [rates] mode = {mode} is read only by pide")
     assert not os.path.exists(out)
 
 
@@ -522,7 +537,7 @@ def test_cli_price_defaulted_deterministic_recovery_is_the_recovered_bond(tmp_pa
     for name in ("simulate_density_paths", "simulate_survival_values",
                  "run_price_distribution", "_solver_from"):
         monkeypatch.setattr(cli, name, refuse)
-    cfg = write(tmp_path, NOISY_CORRELATED)
+    cfg = write(tmp_path, NOISY_CORRELATED.replace("rates_correlated = true\n", ""))
     out = str(tmp_path / "dead")
     assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
                  "--out", out]) == 0
@@ -536,7 +551,7 @@ def test_cli_runaway_intensity_is_classified(tmp_path, monkeypatch, capsys):
     def runaway(spec, kernel, measure, grid, t_end, dt, n_paths, seed, **kw):
         return {"lam": np.full((n_paths, grid.size), -1e3)}
     monkeypatch.setattr(cli, "simulate_intensity_paths", runaway)
-    cfg = write(tmp_path, TINY)
+    cfg = write(tmp_path, tiny_for("simulate"))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
                  "--route", "intensity", "--paths", "2"]) == 1
     err = capsys.readouterr().err
@@ -621,7 +636,7 @@ def test_verify_baseline_reads_rate_and_recovery(tmp_path):
     ("[model]\ndelta_t = 0.02\n", "error: [model] delta_t = 0.02"),
     ("[model]\ndelta_theta = 0.02\n", "error: [model] delta_theta = 0.02"),
     ("[levy_measure]\nvarpi = 0.002\n", "error: [levy_measure] varpi = 0.002"),
-    ("[levy_measure]\ntype = none\n", "error: [levy_measure] varpi = 0.0"),
+    ("[levy_measure]\ntype = none\n", "error: [levy_measure] type = none"),
     ("[experiment]\nt = 0.25\n", "error: [experiment] t = 0.25"),
     ("[experiment]\nT = 2.0\n", "error: [experiment] T = 2.0"),
 ], ids=["sigma", "delta_t", "delta_theta", "varpi", "no_jumps", "t", "T"])
@@ -634,7 +649,7 @@ def test_cli_verify_rejects_uncalibrated_inputs(tmp_path, capsys, section, messa
 
 
 def test_cli_simulate_curves(tmp_path):
-    cfg = write(tmp_path, TINY.replace("sigma = 0.0", "sigma = 0.001"))
+    cfg = write(tmp_path, tiny_for("simulate").replace("sigma = 0.0", "sigma = 0.001"))
     out = str(tmp_path / "sim")
     assert main(["simulate", "--config", cfg, "--out", out, "--paths", "2"]) == 0
     rows = list(csv.DictReader(open(os.path.join(out, "curves.csv"))))
@@ -788,3 +803,83 @@ def test_cli_price_defaulted_linked_is_the_bond_times_the_recovery(tmp_path):
                      formula="standard")
     assert np.abs(prices - bond * (0.2 + 0.5 * np.exp(-lam))).max() <= 1e-12
     assert np.ptp(lam) > 1e-4
+
+
+# ------------------------------------------------- the inputs each command reads
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+KDE_ARGV = ["kde", "--prices", "unread.csv"]
+UNREAD_BY_PIDE_AND_KDE = [("[pricing]\nregime = correlated\n", "[pricing] regime = correlated"),
+                          ("[rates]\nvasicek_formula = paper_exact\n",
+                           "[rates] vasicek_formula = paper_exact"),
+                          ("[model]\ntheta_max_rule = 30\n", "[model] theta_max_rule = 30")]
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["experiment", "section7"], "[pricing]\nregime = correlated\n",
+     "[pricing] regime = correlated"),
+    (["experiment", "section7"], "[pricing]\nrecovery_type = intensity_linked\n",
+     "[pricing] recovery_type = intensity_linked"),
+    (["experiment", "section7"], "[model]\ntheta_max_rule = 30\n", "[model] theta_max_rule = 30"),
+    (["verify"], "[model]\njump_sign_convention = section3\n",
+     "[model] jump_sign_convention = section3"),
+    (["verify"], "[experiment]\nn_paths = 7\n", "[experiment] n_paths = 7"),
+    (["verify"], "[model]\ntheta_max_rule = 30\n", "[model] theta_max_rule = 30"),
+    (["simulate", "--paths", "2"], "[experiment]\nn_paths = 50\n", "[experiment] n_paths = 50"),
+    (["simulate", "--paths", "2"], "[rates]\nr = 0.2\n", "[rates] r = 0.2"),
+    (["simulate", "--paths", "2"], "[pricing]\nR = 0.9\n", "[pricing] R = 0.9"),
+    *((["pide"], text, message) for text, message in UNREAD_BY_PIDE_AND_KDE),
+    *((KDE_ARGV, text, message) for text, message in UNREAD_BY_PIDE_AND_KDE),
+    # the kernels' e^{A - B r} is the standard bond whatever the formula
+    (["price"], CORRELATED.replace("kappa = 1.0", "kappa = 2.0")
+     + "vasicek_formula = paper_exact\n", "[rates] vasicek_formula = paper_exact"),
+    (["price"], CORRELATED.replace("type = none", "type = none\nz = 2.0"),
+     "[levy_measure] z = 2.0"),
+    # R B(t, T) after default reads no kernel
+    (["price", "--status", "defaulted"], CORRELATED, "[rates] rates_correlated = true"),
+], ids=["experiment-regime", "experiment-recovery_type", "experiment-theta_max_rule",
+        "verify-jump_sign_convention", "verify-n_paths", "verify-theta_max_rule",
+        "simulate-n_paths", "simulate-r", "simulate-R",
+        "pide-regime", "pide-vasicek_formula", "pide-theta_max_rule",
+        "kde-regime", "kde-vasicek_formula", "kde-theta_max_rule",
+        "price_kernels-paper_exact", "price_kernels-z", "price_defaulted-rates_correlated"])
+def test_cli_rejects_unread_inputs_by_name(tmp_path, capsys, argv, text, message):
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", write(tmp_path, text), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} is read only by ")
+    assert not os.path.exists(out)
+
+
+def test_unread_input_error_names_the_readers_and_the_default(tmp_path, capsys):
+    out = str(tmp_path / "rejected")
+    cfg = write(tmp_path, "[kernel]\nc0 = 4.0\n")
+    assert main(["experiment", "section7", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: [kernel] c0 = 4.0 is read only by "
+                                       "simulate --route intensity and pide, not by "
+                                       "experiment: leave it at 1.0\n")
+
+
+@pytest.mark.parametrize("command", list(cfgmod.READS))
+def test_section7_cfg_passes_every_command(command):
+    cfgmod.reject_unread(cfgmod.parse_config(SECTION7_CFG), command)
+
+
+def test_every_key_is_read_by_some_command():
+    from dataclasses import fields
+    keys = {(name, f.name) for name, cls in cfgmod._SECTION_TYPES.items() for f in fields(cls)}
+    assert set().union(*cfgmod.READS.values()) == keys
+
+
+def test_readme_table_names_the_keys_each_command_reads():
+    lines = open(README).read().splitlines()
+    start = lines.index("| command | reads |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, reads = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[command.strip("`")] = {(section, key.strip())
+                                    for part in reads.split(" · ")
+                                    for section, keys in [part.split(": ")]
+                                    for key in keys.split(",")}
+    assert rows == {command: set(keys) for command, keys in cfgmod.READS.items()}

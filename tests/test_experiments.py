@@ -91,6 +91,22 @@ ORACLE_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize("t,T,delta", [(0.5, 1.0, 0.01), (0.25, 2.0, 0.01), (0.0, 1.0, 0.005),
+                                         (1.5, 3.0, 0.01), (0.37, 0.91, 0.01)])
+def test_pricing_window_is_the_theta_grid_on_t_to_T(t, T, delta):
+    cfg = ExperimentConfig(t=t, T=T, delta=delta)
+    grid = cfg.theta_grid()
+    on_window = (grid >= t - 1e-12) & (grid <= T + 1e-12)
+    assert np.array_equal(pricing_window(cfg), grid[on_window])
+
+
+def test_pricing_window_checks_the_grid_and_the_horizon():
+    with pytest.raises(ValueError, match="t and T must lie on the theta grid"):
+        pricing_window(ExperimentConfig(T=1.005))
+    with pytest.raises(ValueError, match="volatility too large"):
+        pricing_window(ExperimentConfig(sigma=100.0))
+
+
 def _both_engines(cfg):
     """Grid curves and closed-form window values for the same (seed, path)s."""
     window = pricing_window(cfg)
