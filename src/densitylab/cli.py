@@ -158,7 +158,7 @@ def cmd_price(args) -> int:
         res = engine(ec.spec(), ec.measure(), grid, t, ec.delta_t, ec.n_paths, ec.seed,
                      jump_sign_convention=ec.jump_sign_convention)
         prices = price_defaultable_zcb(t, T, grid, res["alpha"], res["survival"], recovery,
-                                       discount, r_t=cfg.rates.r0,
+                                       discount, r_t=cfgmod.build_rate_spec(cfg).r0,
                                        coefficients=_coefficients_from(cfg), tau=tau)
     elif tau is None:
         sample = run_price_distribution(ec, discount)
@@ -354,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price", help="price the defaultable bond per path",
                        description="Price the defaultable zero-coupon bond on every "
-                       "simulated path at the observation time t.  [rates] r0 is the "
-                       "short rate observed at t, shared by every path.  The kernels "
+                       "simulated path at the observation time t.  The short rate "
+                       "observed at t, shared by every path, is [rates] r0 under a "
+                       "Vasicek mode and [rates] r under mode = constant.  The kernels "
                        "are read from their closed-form affine transform.")
     _add_common(p)
     p.add_argument("--status", choices=["alive", "defaulted"], default="alive",

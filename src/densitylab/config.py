@@ -238,7 +238,11 @@ def parse_config(path: str | None) -> Config:
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        parser.read(path)
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            message = " ".join(str(exc).splitlines())
+            raise ConfigError(f"malformed config file {path}: {message}") from exc
     sections: dict[str, Any] = {}
     for name in parser.sections():
         if name not in _SCHEMA:

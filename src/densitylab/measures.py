@@ -100,9 +100,6 @@ class PointMassMeasure:
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.location]), np.array([self.z])
 
-    def integral(self, g) -> float:
-        return float(self.z * np.asarray(g(np.array([self.location])))[0])
-
     def mark_moment(self, k: int) -> float:
         return self.z * self.location ** k
 
@@ -130,9 +127,6 @@ class ZeroMeasure:
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros(0)
-
-    def integral(self, g) -> float:
-        return 0.0
 
     def mark_moment(self, k: int) -> float:
         return 0.0

@@ -27,12 +27,13 @@ mark-space quadrature, shifted copies and linear extrapolation beyond the
 grid.  Time steps are Hundsdorfer-Verwer ADI (In 't Hout & Welfert 2009;
 In 't Hout & Toivanen 2018), the mixed term and jump integral explicit,
 from a table of every level's coefficients (one `compute_coefficients`
-call).  Each y-piece of the scheme is exact on K = F(t, x) y + G(t, x), so
-`solve_cauchy_affine` marches (F, G) as one (nx, 2) array on the rate
-axis (`_AffineSplit`; `_TiltedSplit` for K = e^{-y} (F y + G)).
+call).  Each y-piece of the scheme is exact on K = e^{-u y} (F(t, x) y + G(t, x)),
+the transform's form, so `solve_cauchy_affine` marches (F, G) as one
+(nx, 2) array on the rate axis (`_AffineSplit` with tilt u).
 `PricingKernelSolver` solves both kernels this way for `lab pide`, and the
-tests pin it to the closed form.  The 2-D march (`solve_cauchy`, with an
-optional ridge for the rank-one diffusion block of separable coefficients)
+tests pin it to the closed form.  The 2-D march (`solve_cauchy`, whose
+axis operators add a ridge of 1e-8 max(a11, a22) to both diffusions when
+the diffusion block is degenerate, as it is for separable coefficients)
 and an implicit-Euler Picard iteration factorised with SuperLU
 (`solve_cauchy_picard`) are test oracles; only they import scipy.
 
@@ -53,7 +54,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .kernels import DiracKernel
-from .measures import LevyMeasure, ZeroMeasure
+from .measures import LevyMeasure
 from .rates import VasicekSpec, ou_gaussian_loading
 from .term_structure import CoefficientSpec, cumulative_integrals, mc_drift
 
@@ -221,7 +222,7 @@ def compute_coefficients(model_spec: CoefficientSpec, rate_spec: VasicekSpec,
     a22 = 0.5 * c0 * np.float_power(sig, 2)     # the bits of a float's sig ** 2
     a12 = c0 * sig * rate_spec.rho0 if rates_correlated else 0.0
 
-    if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
+    if measure.total_mass == 0:
         nodes = weights = np.zeros(0)
         gam_vals = np.zeros(ts.shape + (0,))
         phi_term = 0.0
@@ -272,7 +273,7 @@ class CoefficientProvider:
     def time_dependent(self) -> bool:
         slope = self.model_spec.sigma_slope
         jslope = self.model_spec.jump_slope
-        has_jumps = not isinstance(self.measure, ZeroMeasure) and self.measure.total_mass > 0
+        has_jumps = self.measure.total_mass > 0
         if slope is None or jslope is None:
             return True
         return slope != 0.0 or (jslope != 0.0 and has_jumps)
@@ -452,6 +453,19 @@ def _drift_matrix(n: int, h: float, vel: np.ndarray, diff) -> np.ndarray:
     return _banded(lower, main, upper)
 
 
+def _rate_axis(grid: StateGrid, a11, kappa, delta_hat) -> np.ndarray:
+    """Ax = a11 Dxx + kappa (delta_hat - x) Dx - diag(x), the rate axis's
+    piece of the local operator: (3, nx) for scalar coefficients, an
+    (L, 3, nx) stack for (L,) arrays of them."""
+    x = grid.x
+    a11 = np.asarray(a11, dtype=float)
+    vel = np.asarray(kappa)[..., None] * (np.asarray(delta_hat)[..., None] - x)
+    ax = a11[..., None, None] * _second_diff(grid.nx, grid.hx) \
+        + _drift_matrix(grid.nx, grid.hx, vel, a11)
+    ax[..., 1, :] -= x
+    return ax
+
+
 @dataclass(frozen=True)
 class AxisOperators:
     """The 1-D pieces of the local operator, L = Ax (x) Iy + Ix (x) Ay + a12 Dx (x) Dy.
@@ -468,31 +482,22 @@ class AxisOperators:
     dy: np.ndarray
 
 
-def axis_operators(grid: StateGrid, coeffs: OperatorCoefficients,
-                   ridge_eps: float | str = "auto") -> AxisOperators:
-    """1-D pieces of the local (differential + discount) operator at one time."""
-    ridge = 0.0
-    if ridge_eps == "auto":
-        if coeffs.degenerate():
-            ridge = 1e-8 * max(coeffs.a11, coeffs.a22, 0.0)
-    elif ridge_eps:
-        ridge = float(ridge_eps) * max(coeffs.a11, coeffs.a22, 0.0)
-    a11 = coeffs.a11 + ridge
+def axis_operators(grid: StateGrid, coeffs: OperatorCoefficients) -> AxisOperators:
+    """1-D pieces of the local (differential + discount) operator at one
+    time.  A degenerate diffusion block (rank one, as for separable
+    coefficients) gets a ridge of 1e-8 max(a11, a22) on both diffusions."""
+    ridge = 1e-8 * max(coeffs.a11, coeffs.a22, 0.0) if coeffs.degenerate() else 0.0
     a22 = coeffs.a22 + ridge
-    x = grid.x
-    ax = a11 * _second_diff(grid.nx, grid.hx) \
-        + _drift_matrix(grid.nx, grid.hx, coeffs.kappa * (coeffs.delta_hat - x), a11)
-    ax[1] -= x
     ay = a22 * _second_diff(grid.ny, grid.hy) \
         + _drift_matrix(grid.ny, grid.hy, np.full(grid.ny, coeffs.a_drift), a22)
-    return AxisOperators(ax, ay, _first_diff(grid.nx, grid.hx), _first_diff(grid.ny, grid.hy))
+    return AxisOperators(_rate_axis(grid, coeffs.a11 + ridge, coeffs.kappa, coeffs.delta_hat),
+                         ay, _first_diff(grid.nx, grid.hx), _first_diff(grid.ny, grid.hy))
 
 
-def build_local_operator(grid: StateGrid, coeffs: OperatorCoefficients,
-                         ridge_eps: float | str = "auto") -> sp.csc_matrix:
+def build_local_operator(grid: StateGrid, coeffs: OperatorCoefficients) -> sp.csc_matrix:
     """Sparse 2-D matrix of the local operator, assembled from its 1-D pieces."""
     import scipy.sparse as sp
-    p = axis_operators(grid, coeffs, ridge_eps)
+    p = axis_operators(grid, coeffs)
     ax, ay, dx, dy = (_band_to_sparse(ab) for ab in (p.ax, p.ay, p.dx, p.dy))
     ix = sp.identity(grid.nx, format="csr")
     iy = sp.identity(grid.ny, format="csr")
@@ -563,52 +568,42 @@ HV_THETA = 0.5 + np.sqrt(3.0) / 6.0
 
 
 class _SplitOperator:
-    """The ADI splitting F = F0 + F1 + F2 on the 2-D grid, level by level
-    from the coefficient table: F1 = Ax and F2 = Ay are stepped
-    implicitly, F0 (mixed term + jump integral, `apply_jump_operator`) is
-    explicit.  A level's axis operators and banded I - w A are built when
-    the march first reaches it (`solves` is not needed ahead) and dropped
-    two levels later."""
+    """The ADI splitting F = F0 + F1 + F2 on the 2-D grid, from the
+    coefficient table: F1 = Ax and F2 = Ay are stepped implicitly, F0
+    (mixed term + jump integral, `apply_jump_operator`) is explicit.  Every
+    level's axis operators, and the banded I - w A of each (axis, level, w)
+    the march solves with, are built before the first step."""
 
     def __init__(self, grid: StateGrid, table: OperatorCoefficients,
-                 solves: set[tuple[int, float]], ridge_eps: float | str = "auto"):
+                 solves: set[tuple[int, float]]):
         self.grid = grid
-        self.table = table
-        self.ridge_eps = ridge_eps
-        # level -> (coefficients, axis operators, {(axis, w): banded I - w A})
-        self._live: dict[int, tuple[OperatorCoefficients, AxisOperators, dict]] = {}
-
-    def _level(self, lvl: int):
-        if lvl not in self._live:
-            if len(self._live) == 2:        # the march holds two levels at a time
-                del self._live[next(iter(self._live))]
-            coeffs = self.table.level(lvl)
-            self._live[lvl] = (coeffs, axis_operators(self.grid, coeffs, self.ridge_eps), {})
-        return self._live[lvl]
+        self.coeffs = [table.level(i) for i in range(len(table.t))]
+        self.ops = [axis_operators(grid, c) for c in self.coeffs]
+        self.systems = {}
+        for lvl, w in solves:
+            for axis, a in enumerate((self.ops[lvl].ax, self.ops[lvl].ay)):
+                ab = -w * a
+                ab[1] += 1.0
+                self.systems[axis, lvl, w] = ab
 
     def f0(self, lvl: int, v: np.ndarray) -> np.ndarray:
-        coeffs, ops, _ = self._level(lvl)
+        coeffs, ops = self.coeffs[lvl], self.ops[lvl]
         out = apply_jump_operator(v, self.grid, coeffs)
         if coeffs.a12:
             out += coeffs.a12 * _band_apply(ops.dx, _band_apply(ops.dy, v.T).T)
         return out
 
     def f1(self, lvl: int, v: np.ndarray) -> np.ndarray:
-        return _band_apply(self._level(lvl)[1].ax, v)
+        return _band_apply(self.ops[lvl].ax, v)
 
     def f2(self, lvl: int, v: np.ndarray) -> np.ndarray:
-        return _band_apply(self._level(lvl)[1].ay, v.T).T
+        return _band_apply(self.ops[lvl].ay, v.T).T
 
     def solve(self, axis: int, lvl: int, w: float, rhs: np.ndarray) -> np.ndarray:
         """(I - w A_axis)^{-1} applied along `axis`: one tridiagonal solve
         with a right-hand side per grid line."""
         from scipy.linalg import solve_banded
-        _, ops, systems = self._level(lvl)
-        if (axis, w) not in systems:
-            ab = -w * (ops.ax if axis == 0 else ops.ay)
-            ab[1] += 1.0
-            systems[axis, w] = ab
-        ab = systems[axis, w]
+        ab = self.systems[axis, lvl, w]
         if axis == 0:
             return solve_banded((1, 1), ab, rhs, check_finite=False)
         return solve_banded((1, 1), ab, rhs.T, check_finite=False).T
@@ -618,36 +613,38 @@ class _SplitOperator:
 
 
 class _AffineSplit:
-    """The same splitting on K = F(x) y + G(x), held as the (nx, 2) array
-    of columns (F, G), with every level's pieces built before the march.
-    Every y-piece of the 2-D scheme is exact on functions linear in y (but
-    for the y-drift's dropped edge row, which multiplies a_drift, zero up
-    to quadrature), so the y-axis collapses: Ay K = a_drift F feeds G.
+    """The same splitting on K = e^{-u y} (F(x) y + G(x)), the kernel with
+    terminal y e^{-u y} (u = 0: k_breve, u = 1: k_tilde), as the (nx, 2)
+    array of columns (F, G), every level's pieces built before the march.
+    No coefficient depends on y, so each y-piece of the 2-D scheme maps
+    (F, G) exactly (but for the y-drift's dropped edge row, which
+    multiplies a_drift, zero up to quadrature): with d = u (a22 - a_drift)
+    and e = a_drift - 2 u a22, Ay K has columns (d F, d G + e F).
 
-    Rate axis: Ax for all levels as one (L, 3, nx) stack, without the
-    ridge, which regularises only the 2-D grid's degenerate diffusion
-    block; `_thomas_factor` eliminates I - w Ax for the (level, w) pairs
-    the march solves with, all at once.
+    Rate axis: Ax for all levels as one (L, 3, nx) stack (`_rate_axis`),
+    without the ridge, which regularises only the 2-D grid's degenerate
+    diffusion block; `_thomas_factor` eliminates I - w Ax for the
+    (level, w) pairs the march solves with, all at once.
 
     F0: rate shift q moves x by the same phi_q at every level; only its
     weight depends on t.  So the jump integral, with its compensator
-    (-phi F_x by the central difference, -mass K) and the mixed term
-    a12 Dx F in G, is a correlation of each linearly extrapolated column
-    with a (2 px + 1)-tap kernel per level: column F with k0, column G
-    with k0 plus F with k1, where node q puts its weight c_q at taps
-    px + floor(phi_q / hx) and the next, split linearly.  For K = F y + G,
-    c_q = w_q in k0 and w_q gamma_q in k1 (the y-shift of F y)."""
-
-    tilt = False
+    (-phi F_x by the central difference, -mass K) and the mixed term, is
+    a correlation of each linearly extrapolated column with a
+    (2 px + 1)-tap kernel per level: column F with k0, column G with k0
+    plus F with k1, where node q puts its weight c_q at taps
+    px + floor(phi_q / hx) and the next, split linearly.  At u = 0,
+    c_q = w_q in k0 and w_q gamma_q in k1 (the y-shift of F y), and the
+    mixed term is a12 Dx F in G.  At u = 1 node (phi, gamma) maps (F, G) to
+    (e^{-gamma} F(x + phi) - F - phi F_x + gamma F,
+     e^{-gamma} (G(x + phi) + gamma F(x + phi)) - G - phi G_x - gamma F + gamma G)
+    and the mixed term has columns (-a12 Dx F, a12 Dx (F - G)): the
+    shifted weights carry e^{-gamma_q}, the centre tap of k0 gains
+    sum w gamma and k0 also holds -a12 Dx."""
 
     def __init__(self, grid: StateGrid, table: OperatorCoefficients,
-                 solves: set[tuple[int, float]]):
-        self.grid = grid
-        nx, hx, x = grid.nx, grid.hx, grid.x
-        self.ax = table.a11[:, None, None] * _second_diff(nx, hx) \
-            + _drift_matrix(nx, hx, table.kappa[:, None] * (table.delta_hat[:, None] - x),
-                            table.a11)
-        self.ax[:, 1] -= x
+                 solves: set[tuple[int, float]], u: int = 0):
+        self.grid, self.u = grid, u
+        self.ax = _rate_axis(grid, table.a11, table.kappa, table.delta_hat)
         pairs = sorted(solves)
         self._pair = {pair: i for i, pair in enumerate(pairs)}
         weights = np.array([w for _, w in pairs])
@@ -656,7 +653,8 @@ class _AffineSplit:
         self._factors = _thomas_factor(systems)
         self._stable = np.all(self._factors[1] > 0.0, axis=1)
         self._listed = (None, None)     # (pair, its factors as lists): a step solves twice
-        self.a22, self.a_drift = table.a22, table.a_drift
+        self.d = u * (table.a22 - table.a_drift)
+        self.e = table.a_drift - 2.0 * u * table.a22
         self.px, self.k0, self.k1 = self._kernels(table)
 
     def _kernels(self, table: OperatorCoefficients) -> tuple[int, np.ndarray, np.ndarray]:
@@ -669,7 +667,7 @@ class _AffineSplit:
         frac = sx - ix0
         tap = (np.arange(n_levels)[:, None] * taps + px + ix0.astype(int)).ravel()
         taps_at = np.concatenate((tap, tap + 1))
-        shifted = w * np.exp(-dy) if self.tilt else w
+        shifted = w * np.exp(-dy) if self.u else w
 
         def spread(c):
             weights = np.concatenate(((c * (1 - frac)).ravel(), (c * frac).ravel()))
@@ -678,9 +676,9 @@ class _AffineSplit:
 
         k0, k1 = spread(shifted), spread(shifted * dy)
         w_dy = (w * dy).sum(axis=1)
-        k0[:, px] -= w.sum(axis=1) - w_dy if self.tilt else w.sum(axis=1)
+        k0[:, px] -= w.sum(axis=1) - w_dy if self.u else w.sum(axis=1)
         k1[:, px] -= w_dy
-        slope0 = ((w * dx).sum(axis=1) + (table.a12 if self.tilt else 0.0)) / (2.0 * hx)
+        slope0 = ((w * dx).sum(axis=1) + (table.a12 if self.u else 0.0)) / (2.0 * hx)
         k0[:, px + 1] -= slope0
         k0[:, px - 1] += slope0
         slope1 = table.a12 / (2.0 * hx)
@@ -707,8 +705,8 @@ class _AffineSplit:
         return _band_apply(self.ax[lvl], v)
 
     def f2(self, lvl: int, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[:, 1] = self.a_drift[lvl] * v[:, 0]
+        out = self.d[lvl] * v
+        out[:, 1] += self.e[lvl] * v[:, 0]
         return out
 
     def solve(self, axis: int, lvl: int, w: float, rhs: np.ndarray) -> np.ndarray:
@@ -719,55 +717,21 @@ class _AffineSplit:
             if self._listed[0] != i:
                 self._listed = i, tuple(a[i].tolist() for a in self._factors)
             return _thomas_solve(self._listed[1], rhs)
-        out = rhs.copy()
-        out[:, 1] += w * self.a_drift[lvl] * rhs[:, 0]
+        pivot = 1.0 - w * self.d[lvl]
+        out = rhs / pivot
+        out[:, 1] += w * self.e[lvl] * out[:, 0] / pivot
         return out
 
     def sup(self, v: np.ndarray) -> float:
-        # an affine function of y peaks in modulus at y_min or y_max
-        return float(max(np.abs(v[:, 0] * y + v[:, 1]).max()
-                         for y in (self.grid.y_min, self.grid.y_max)))
-
-
-class _TiltedSplit(_AffineSplit):
-    """The affine splitting on K = e^{-y} (F(x) y + G(x)), the kernel with
-    terminal y e^{-y}.  The tilt leaves the rate-axis pieces alone and
-    turns every y-piece into an exact map of (F, G): with
-    d = a22 - a_drift and e = a_drift - 2 a22, Ay K has columns
-    (d F, d G + e F), the mixed term (-a12 Dx F, a12 Dx (F - G)), and the
-    jump integral maps (F, G) at node (phi, gamma) to
-    (e^{-gamma} F(x + phi) - F - phi F_x + gamma F,
-     e^{-gamma} (G(x + phi) + gamma F(x + phi)) - G - phi G_x - gamma F + gamma G).
-    In the correlation kernels the shifted weights carry e^{-gamma_q}, the
-    centre tap of k0 gains sum w gamma and k0 also holds -a12 Dx."""
-
-    tilt = True
-
-    def _y_rates(self, lvl: int) -> tuple[float, float]:
-        return self.a22[lvl] - self.a_drift[lvl], self.a_drift[lvl] - 2.0 * self.a22[lvl]
-
-    def f2(self, lvl: int, v: np.ndarray) -> np.ndarray:
-        d, e = self._y_rates(lvl)
-        out = d * v
-        out[:, 1] += e * v[:, 0]
-        return out
-
-    def solve(self, axis: int, lvl: int, w: float, rhs: np.ndarray) -> np.ndarray:
-        if axis == 0:
-            return super().solve(0, lvl, w, rhs)
-        d, e = self._y_rates(lvl)
-        out = rhs / (1.0 - w * d)
-        out[:, 1] += w * e * out[:, 0] / (1.0 - w * d)
-        return out
-
-    def sup(self, v: np.ndarray) -> float:
-        # e^{-y} (F y + G) peaks in modulus at y_min, y_max or its
-        # stationary point y* = 1 - G/F
+        # e^{-u y} (F y + G) peaks in modulus at y_min, y_max or, when
+        # u = 1, its stationary point y* = 1 - G/F
         f, g = v[:, 0], v[:, 1]
         lo, hi = self.grid.y_min, self.grid.y_max
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y_star = np.nan_to_num(np.clip(1.0 - g / f, lo, hi), nan=lo)
-        return float(max(np.abs(np.exp(-y) * (f * y + g)).max() for y in (lo, hi, y_star)))
+        ys = [lo, hi]
+        if self.u:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ys.append(np.nan_to_num(np.clip(1.0 - g / f, lo, hi), nan=lo))
+        return float(max(np.abs(np.exp(-self.u * y) * (f * y + g)).max() for y in ys))
 
 
 def _hv_march(values: np.ndarray, split: Callable[..., _SplitOperator | _AffineSplit],
@@ -838,7 +802,6 @@ def _hv_march(values: np.ndarray, split: Callable[..., _SplitOperator | _AffineS
 def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
                  grid: StateGrid, t_start: float, T: float, n_steps: int,
                  theta_scheme: float = HV_THETA, rannacher: int = 2,
-                 ridge_eps: float | str = "auto",
                  time_dependent: bool | None = None) -> GridFunction:
     """March the 2-D kernel backward from K(T, . ) = terminal (`_hv_march`).
 
@@ -848,7 +811,7 @@ def solve_cauchy(terminal, provider: Callable[[float], OperatorCoefficients],
     xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
     values = np.asarray(terminal(xx, yy) if callable(terminal) else terminal, dtype=float)
     values = np.broadcast_to(values, (grid.nx, grid.ny)).copy()
-    values = _hv_march(values, partial(_SplitOperator, ridge_eps=ridge_eps), provider, grid,
+    values = _hv_march(values, _SplitOperator, provider, grid,
                        t_start, T, n_steps, theta_scheme, rannacher, time_dependent)
     return GridFunction(values, grid, t_start)
 
@@ -862,13 +825,13 @@ def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
     No coefficient depends on y, so the solution keeps its form: F has
     terminal 1, G terminal 0, and both march through the HV stages of
     `_hv_march` (default theta, two damping steps) as one (nx, 2) array
-    (`_AffineSplit`, or `_TiltedSplit` with `tilt`).  The result is lifted
+    (`_AffineSplit` with u = 1 when `tilt`, else 0).  The result is lifted
     onto the state grid; at t_start = T it is the terminal itself.
     """
     fg = np.zeros((grid.nx, 2))
     fg[:, 0] = 1.0
     if t_start != T:
-        fg = _hv_march(fg, _TiltedSplit if tilt else _AffineSplit, provider, grid,
+        fg = _hv_march(fg, partial(_AffineSplit, u=int(tilt)), provider, grid,
                        t_start, T, n_steps, HV_THETA, 2, None)
     values = fg[:, :1] * grid.y + fg[:, 1:]
     if tilt:
@@ -877,16 +840,16 @@ def solve_cauchy_affine(provider: Callable[[float], OperatorCoefficients],
 
 
 def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: float,
-                        n_steps: int, max_iter: int = 20, tol: float = 1e-10,
-                        ridge_eps: float | str = "auto") -> tuple[GridFunction, int]:
+                        n_steps: int, max_iter: int = 20,
+                        tol: float = 1e-10) -> tuple[GridFunction, int]:
     """Fixed-point alternative: local solves with the jump term frozen from
     the previous iterate, repeated until the sup-norm update stalls.
 
-    Each step is implicit Euler in the local operator, factorised once per
-    time level with SuperLU, or once in all when the provider's
-    `time_dependent` flag is False (default True).  Mirrors the contraction
-    construction behind the existence proof; the independent oracle of the
-    ADI stepping.
+    A test-only oracle of the ADI stepping, mirroring the contraction
+    construction behind the existence proof.  Each step is implicit Euler
+    in the local operator; it keeps one SuperLU factor per time level, or
+    one in all when the provider's `time_dependent` flag is False (default
+    True), so its memory grows with n_steps on the 2-D grid.
     """
     import scipy.sparse as sp
     xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
@@ -906,7 +869,7 @@ def solve_cauchy_picard(terminal, provider, grid: StateGrid, t_start: float, T: 
         if not time_dependent:
             idx = 0
         if idx not in lus:
-            lmat = build_local_operator(grid, coeffs_by_step[idx], ridge_eps)
+            lmat = build_local_operator(grid, coeffs_by_step[idx])
             lus[idx] = splu((eye - dt * lmat).tocsc(), permc_spec="MMD_AT_PLUS_A")
         return lus[idx]
 

@@ -59,9 +59,9 @@ class VasicekSpec:
         if self.delta <= 0:
             raise ValueError("delta must be positive")
 
-    def a11(self, c0: float = 1.0) -> float:
+    def a11(self) -> float:
         """Half the Gaussian quadratic form of the rate loading."""
-        return 0.5 * c0 * self.rho0 ** 2
+        return 0.5 * self.rho0 ** 2
 
 
 def constant_rate_discount(r: float, t: float, T: float) -> float:
@@ -87,7 +87,7 @@ def ou_gaussian_loading(kappa: float, dt: float) -> tuple[float, float]:
 
 
 def zcb_closed_form(spec: VasicekSpec, t: float, T: float, r: float,
-                    formula: str = "standard", c0: float = 1.0) -> float:
+                    formula: str = "standard") -> float:
     """Diffusion-only Vasicek zero-coupon bond price.
 
     B(t,T) = exp( (1-e^{-kappa tau})/kappa (delta - r) - delta tau
@@ -108,13 +108,12 @@ def zcb_closed_form(spec: VasicekSpec, t: float, T: float, r: float,
     int_sq = tau - 2.0 * (1.0 - np.exp(-kappa * tau)) / kappa \
         + (1.0 - np.exp(-2.0 * kappa * tau)) / (2.0 * kappa)
     denom = kappa ** 2 if formula == "standard" else kappa ** 4
-    var_term = spec.a11(c0) * int_sq / denom
+    var_term = spec.a11() * int_sq / denom
     return float(np.exp(c_fac * (spec.delta - r) - spec.delta * tau + var_term))
 
 
 def zcb_mc_oracle(spec: VasicekSpec, t: float, T: float, r: float,
-                  n_paths: int, seed: int, n_steps: int = 64,
-                  c0: float = 1.0) -> tuple[float, float]:
+                  n_paths: int, seed: int, n_steps: int = 64) -> tuple[float, float]:
     """Monte Carlo estimate of E[e^{-int_t^T r_s ds}], exact in distribution.
 
     Samples (r_{t+dt}, int r dt) jointly from their exact bivariate normal
@@ -131,7 +130,7 @@ def zcb_mc_oracle(spec: VasicekSpec, t: float, T: float, r: float,
     if spec.phi0 != 0.0:
         raise ValueError("oracle covers the diffusion-only rate")
     kappa, delta = spec.kappa, spec.delta
-    rho = spec.rho0 * np.sqrt(c0)
+    rho = spec.rho0
     dt = (T - t) / n_steps
     e = np.exp(-kappa * dt)
     # X = r_{u+dt} - mean, Y = int_u^{u+dt} (r_s - mean path) ds for r_u = 0:
@@ -195,9 +194,9 @@ def adjudicate_vasicek_formula(kappa: float = 2.0, delta: float = 0.05,
 
 
 def zcb_price(spec: VasicekSpec, t: float, T: float, r: float,
-              formula: str = "standard", c0: float = 1.0) -> float:
+              formula: str = "standard") -> float:
     """Bond price under the configured variant, warning if it failed adjudication."""
-    value = zcb_closed_form(spec, t, T, r, formula=formula, c0=c0)
+    value = zcb_closed_form(spec, t, T, r, formula=formula)
     if formula == "paper_exact" and spec.kappa != 1.0:
         warnings.warn("paper_exact bond formula selected; it fails the Monte Carlo "
                       "adjudication at kappa != 1 (see adjudicate_vasicek_formula)",

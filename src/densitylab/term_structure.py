@@ -42,12 +42,12 @@ integrals and the drift by quadrature only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .kernels import DiracKernel
-from .measures import LevyMeasure, ZeroMeasure
+from .measures import LevyMeasure
 from .rng import (CHANNEL_GAUSSIAN, CHANNEL_POISSON_COUNT, CHANNEL_POISSON_MARKS,
                   rekey, stream)
 
@@ -170,7 +170,7 @@ def mc_drift(spec: CoefficientSpec, kernel: DiracKernel, measure: LevyMeasure,
     i_sig, _ = cumulative_integrals(spec, t_arr, theta_arr, 0.0)
     gauss = kernel.c0 * sig * np.asarray(i_sig, dtype=float)
 
-    if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
+    if measure.total_mass == 0:
         jump = np.zeros_like(theta_arr)
     elif spec.separable:
         slope = spec.jump_slope * np.maximum(theta_arr - t_arr, 0.0)
@@ -300,7 +300,7 @@ def _density_step_terms(spec: CoefficientSpec, measure: LevyMeasure, t: float,
     big_g = spec.jump_slope * theta_t ** 2 / 2.0
 
     dm = -sig_vec * dW
-    if not (isinstance(measure, ZeroMeasure) or measure.total_mass == 0):
+    if measure.total_mass != 0:
         jump_part = -dt * gam_vec * np.asarray(measure.xi_exp(big_g), dtype=float)
         if marks.size:
             expo = np.exp(-np.multiply.outer(marks, big_g))         # (k, n_theta)
@@ -374,6 +374,32 @@ def _chunk_jumps(marks_data: list[tuple], n_steps: int) -> _Jumps:
                   group_step=group_step, group_row=group_row, group_size=group_size)
 
 
+def _step_count(spec: CoefficientSpec, t_end: float, dt: float) -> int:
+    """The many-path engines' number of steps: they need separable
+    coefficients and a whole number of dt steps to t_end."""
+    if not spec.separable:
+        raise ValueError("vectorized engine requires separable coefficients")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9:
+        raise ValueError("t_end must be an integer number of dt steps")
+    return n_steps
+
+
+def _noise_chunks(measure: LevyMeasure, seed: int, n_paths: int, n_steps: int, dt: float,
+                  chunk: int, path_offset: int = 0
+                  ) -> Iterator[tuple[int, int, np.ndarray, _Jumps]]:
+    """(start, stop, dW, jumps) for each chunk of at most `chunk` output rows:
+    rows [start, stop) are paths path_offset + start, ..., their (rows, n_steps)
+    Brownian increments dW and their jumps (`_path_noise`, `_chunk_jumps`)."""
+    sqrt_dt = np.sqrt(dt)
+    for start in range(0, n_paths, chunk):
+        stop = min(start + chunk, n_paths)
+        normals, marks_data = _path_noise(measure, seed,
+                                          range(path_offset + start, path_offset + stop),
+                                          n_steps, dt)
+        yield start, stop, sqrt_dt * normals, _chunk_jumps(marks_data, n_steps)
+
+
 def _sum_by_row(jumps: _Jumps, lo: int, hi: int,
                 terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sums): the step's event terms [lo, hi) summed per row.
@@ -419,13 +445,9 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     in the same order, and rows are ordered by path index, so output is
     independent of chunking.
     """
-    if not spec.separable:
-        raise ValueError("vectorized engine requires separable coefficients")
+    n_steps = _step_count(spec, t_end, dt)
     sign = JUMP_SIGN[jump_sign_convention]
     grid = np.asarray(theta_grid, dtype=float)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9:
-        raise ValueError("t_end must be an integer number of dt steps")
 
     lam0 = np.asarray(spec.lambda0_fn(grid), dtype=float)
     surv0 = np.exp(-_cumtrapz(lam0, grid))
@@ -436,7 +458,7 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     sig_rows = spec.sigma_slope * theta_t
     gam_rows = spec.jump_slope * theta_t
     big_g_rows = spec.jump_slope * theta_t ** 2 / 2.0
-    if isinstance(measure, ZeroMeasure) or measure.total_mass == 0:
+    if measure.total_mass == 0:
         comp_rows = np.zeros_like(sig_rows)
     else:
         comp_rows = gam_rows * np.asarray(measure.xi_exp(big_g_rows), dtype=float)
@@ -447,20 +469,15 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     surv_out = np.empty((n_paths, grid.size))
     neg_counts = np.zeros(n_paths, dtype=np.int64)
 
-    sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, PATH_CHUNK):
-        stop = min(start + PATH_CHUNK, n_paths)
-        rows = range(path_offset + start, path_offset + stop)
-        normals, marks_data = _path_noise(measure, seed, rows, n_steps, dt)
-        jumps = _chunk_jumps(marks_data, n_steps)
+    for start, stop, dW, jumps in _noise_chunks(measure, seed, n_paths, n_steps, dt,
+                                                PATH_CHUNK, path_offset):
         p = stop - start
         alpha = np.tile(alpha0, (p, 1))
         surv = np.tile(surv0, (p, 1))
         neg = np.zeros(p, dtype=np.int64)
         for k in range(n_steps):
-            dW = sqrt_dt * normals[:, k]
-            dm = np.multiply.outer(dW, -sig_rows[k]) + (-sign * dt) * comp_rows[k]
-            dM = np.multiply.outer(dW, -sig_cum[k]) + (-sign * dt) * comp_cum[k]
+            dm = np.multiply.outer(dW[:, k], -sig_rows[k]) + (-sign * dt) * comp_rows[k]
+            dM = np.multiply.outer(dW[:, k], -sig_cum[k]) + (-sign * dt) * comp_cum[k]
             lo, hi = jumps.bounds[k], jumps.bounds[k + 1]
             if hi > lo:
                 xs = jumps.mark[lo:hi]
@@ -503,13 +520,9 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     (paths x maturities) work arrays; every operation is elementwise per
     path row, so a path's values do not depend on the chunk boundaries.
     """
-    if not spec.separable:
-        raise ValueError("vectorized engine requires separable coefficients")
+    n_steps = _step_count(spec, t_end, dt)
     sign = JUMP_SIGN[jump_sign_convention]
     thetas = np.asarray(thetas, dtype=float)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9:
-        raise ValueError("t_end must be an integer number of dt steps")
 
     lam0 = np.asarray(spec.lambda0_fn(thetas), dtype=float)
     pts = thetas[:, None] * np.linspace(0.0, 1.0, 257)      # S_0 = exp(-int_0^theta lambda_0)
@@ -527,14 +540,9 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
 
     alpha_out = np.empty((n_paths, thetas.size))
     surv_out = np.empty((n_paths, thetas.size))
-    sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, PATH_CHUNK):
-        stop = min(start + PATH_CHUNK, n_paths)
+    for start, stop, dW, jumps in _noise_chunks(measure, seed, n_paths, n_steps, dt,
+                                                PATH_CHUNK):
         p = stop - start
-        normals, marks_data = _path_noise(measure, seed, range(start, stop), n_steps, dt)
-        dW = sqrt_dt * normals
-        jumps = _chunk_jumps(marks_data, n_steps)
-
         surv = np.tile(surv0, (p, 1))
         dlog_sum = np.zeros((p, thetas.size))        # d/dtheta log prod (1 + dM_k)
         for k in range(n_steps):
@@ -611,13 +619,8 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
     array ops over the chunk's events (`_chunk_jumps`), summed per path in
     the order of a per-path `.sum()`, so output is independent of chunking.
     """
-    if not spec.separable:
-        raise ValueError("vectorized engine requires separable coefficients")
+    n_steps = _step_count(spec, t_end, dt)
     grid = np.asarray(theta_grid, dtype=float)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9:
-        raise ValueError("t_end must be an integer number of dt steps")
-
     probes = np.asarray(probe_thetas, dtype=float)
     tab = _intensity_tables(spec, kernel, measure, grid, probes, n_steps, dt)
     mu_rows = drift_multiplier * tab.mu
@@ -631,26 +634,22 @@ def simulate_intensity_paths(spec: CoefficientSpec, kernel: DiracKernel,
     neg_counts = np.zeros(n_paths, dtype=np.int64)
     x_out = np.zeros((n_paths, probes.size)) if probes.size else None
 
-    sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, INTENSITY_CHUNK):
-        stop = min(start + INTENSITY_CHUNK, n_paths)
-        normals, marks_data = _path_noise(measure, seed, range(start, stop), n_steps, dt)
-        jumps = _chunk_jumps(marks_data, n_steps)
+    for start, stop, dW, jumps in _noise_chunks(measure, seed, n_paths, n_steps, dt,
+                                                INTENSITY_CHUNK):
         p = stop - start
         mark_sums = _mark_sums(jumps, n_steps, p)
         lam = np.tile(lam0, (p, 1))
         neg = np.zeros(p, dtype=np.int64)
         x_acc = np.zeros((p, probes.size)) if probes.size else None
         for k in range(n_steps):
-            dW = sqrt_dt * normals[:, k]
             lam = lam + (dt * mu_rows[k] - dt * tab.comp[k]) \
-                + np.multiply.outer(dW, tab.sig[k]) \
+                + np.multiply.outer(dW[:, k], tab.sig[k]) \
                 + np.multiply.outer(mark_sums[k], tab.gam[k])
             neg += np.count_nonzero(lam < 0, axis=1)
             if clamp_lambda_at_zero:
                 lam = np.maximum(lam, 0.0)
             if probes.size:
-                x_acc += np.multiply.outer(dW, -tab.i_sig[k]) - dt * tab.comp_x[k]
+                x_acc += np.multiply.outer(dW[:, k], -tab.i_sig[k]) - dt * tab.comp_x[k]
                 lo, hi = jumps.bounds[k], jumps.bounds[k + 1]
                 if hi > lo:
                     xs = jumps.mark[lo:hi]
@@ -699,13 +698,9 @@ def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
     the chunk boundaries.
     Clamping lambda at zero is not linear and stays with the curve engine.
     """
-    if not spec.separable:
-        raise ValueError("vectorized engine requires separable coefficients")
+    n_steps = _step_count(spec, t_end, dt)
     grid = np.asarray(theta_grid, dtype=float)
     probes = np.asarray(probe_thetas, dtype=float)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9:
-        raise ValueError("t_end must be an integer number of dt steps")
     nodes = np.abs(grid[None, :] - probes[:, None]).argmin(axis=1)
     off_grid = ~np.isclose(grid[nodes], probes, rtol=1e-12, atol=1e-12)
     if off_grid.any():
@@ -727,12 +722,8 @@ def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
 
     integrated = np.empty((n_paths, probes.size))
     x_out = np.empty((n_paths, probes.size))
-    sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_paths, INTENSITY_CHUNK):
-        stop = min(start + INTENSITY_CHUNK, n_paths)
-        normals, marks_data = _path_noise(measure, seed, range(start, stop), n_steps, dt)
-        dW = sqrt_dt * normals
-        jumps = _chunk_jumps(marks_data, n_steps)
+    for start, stop, dW, jumps in _noise_chunks(measure, seed, n_paths, n_steps, dt,
+                                                INTENSITY_CHUNK):
         mark_sums = _mark_sums(jumps, n_steps, stop - start)
         # einsum, not BLAS matmul, whose sums change bits with the row count
         integrated[start:stop] = (const + np.einsum("pk,kq->pq", dW, a_sig)

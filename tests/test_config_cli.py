@@ -287,6 +287,20 @@ def test_cli_bad_config_exit_code(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[model]\nsigma = 0.0\n\n[model]\nb = 0.0\n", "section 'model' already exists"),
+    ("sigma = 0.0\n\n[model]\nb = 0.0\n", "File contains no section headers."),
+], ids=["duplicate_section", "missing_section_header"])
+def test_cli_malformed_config_is_classified(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, text)
+    out = str(tmp_path / "x")
+    assert main(["experiment", "section7", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed config file {cfg}: ")
+    assert message in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv,section,message", [
     (["experiment", "section7"], "[kernel]\nc0 = 4.0\n", "error: [kernel] c0 = 4.0"),
     (["price"], "[levy_measure]\ntype = point_mass\n",
@@ -763,6 +777,28 @@ def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch
     assert float(rows[0]["price"]) == pytest.approx(expected, abs=2e-5)
     # Kbreve at every node from t on, Ktilde on the 51 nodes of [t, T] only
     assert transforms == [(0, 2111), (1, 51)]
+
+
+def test_cli_price_constant_rate_kernels_start_at_the_constant_rate(tmp_path):
+    # under [rates] mode = constant the transform's rate stays at r, so the
+    # short rate at t is r too, not [rates] r0 (default 0.05)
+    cfg = write(tmp_path, TINY_KERNELS.replace("n_paths = 20", "n_paths = 2") + """
+[rates]
+r = 0.03
+
+[pricing]
+recovery_type = intensity_linked
+f = identity
+w0 = 0.3
+w1 = 0.3
+""")
+    out = str(tmp_path / "constant")
+    assert main(["price", "--config", cfg, "--out", out]) == 0
+    prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
+    lam, t, T = 0.1, 0.5, 1.0
+    surv = np.exp(-lam * (T - t))
+    expected = np.exp(-0.03 * (T - t)) * (surv + (0.3 + 0.3 * np.exp(-lam)) * (1 - surv))
+    assert prices == pytest.approx([expected] * 2, abs=1e-6)
 
 
 @pytest.mark.parametrize("text,argv", [

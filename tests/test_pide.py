@@ -8,7 +8,7 @@ from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMe
 from densitylab.pide import (HV_THETA, CoefficientProvider, GridFunction,
                              OperatorCoefficients, OutOfGridError, PideInstabilityError,
                              PricingKernelSolver, StateGrid, _AffineSplit, _check_pivots,
-                             _coefficient_table, _pad_extrapolate, _TiltedSplit,
+                             _coefficient_table, _pad_extrapolate,
                              _thomas_factor, _thomas_solve, apply_jump_operator,
                              compute_coefficients, kernel_transform, solve_cauchy,
                              solve_cauchy_affine, solve_cauchy_picard)
@@ -610,7 +610,7 @@ def _loop_affine_f0(fg, grid, c, tilt):
 def test_affine_jump_correlation_matches_node_loop(case, tilt):
     prov = AFFINE_CASES[case]
     table = _coefficient_table(prov, np.array([0.5, 0.8]))
-    split = (_TiltedSplit if tilt else _AffineSplit)(PIDE_GRID, table, {(0, 1e-3)})
+    split = _AffineSplit(PIDE_GRID, table, {(0, 1e-3)}, u=int(tilt))
     fg = np.random.default_rng(11).standard_normal((PIDE_GRID.nx, 2))
     for lvl in (0, 1):
         c = table.level(lvl)
@@ -755,7 +755,7 @@ def test_tilted_sup_finds_an_interior_peak():
     # e^{-y} (F y + G) with (F, G) = (-5, -4) peaks in modulus at y* = 0.2,
     # inside the grid, above every value at y_min and y_max
     table = _coefficient_table(AFFINE_CASES["defaults_correlated"], np.array([0.5]))
-    split = _TiltedSplit(PIDE_GRID, table, {(0, 1e-3)})
+    split = _AffineSplit(PIDE_GRID, table, {(0, 1e-3)}, u=1)
     fg = np.tile([-5.0, -4.0], (PIDE_GRID.nx, 1))
     fg[:4] = [0.0, 4.05]                    # F = 0: no stationary point, peak at y_min
     fg[4:8] = [1.0, 0.0]
