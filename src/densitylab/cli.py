@@ -26,7 +26,8 @@ from .experiments import (ExperimentConfig, kde, kde_grid, run_price_distributio
                           write_sweep_csv)
 from .manifest import write_manifest
 from .pide import CoefficientProvider, PideInstabilityError, PricingKernelSolver, StateGrid
-from .pricing import DeterministicRecovery, IntensityLinkedRecovery, price_defaultable_zcb
+from .pricing import (DeterministicRecovery, IntensityLinkedRecovery, price_after_default,
+                      price_defaultable_zcb, theta_quadrature)
 from .rates import adjudicate_vasicek_formula, constant_rate_discount, zcb_price
 from .term_structure import (simulate_density_paths, simulate_intensity_paths,
                              simulate_intensity_values, simulate_survival_values)
@@ -144,6 +145,7 @@ def cmd_price(args) -> int:
     kernel_priced = (cfg.pricing.recovery_type != "deterministic"
                      or (cfg.pricing.regime == "correlated" and tau is None))
     cfgmod.reject_unread(cfg, "price (kernels)" if kernel_priced else "price (closed form)")
+    cfgmod.reject_dropped_rates(cfg)
     cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg)
     t, T = ec.t, ec.T
@@ -152,14 +154,17 @@ def cmd_price(args) -> int:
 
     path_ids = np.arange(ec.n_paths)
     if kernel_priced:
-        # alive prices integrate whole curves; defaulted ones read alpha, S at tau
-        engine, grid = ((simulate_density_paths, ec.theta_grid()) if tau is None
-                        else (simulate_survival_values, np.array([tau])))
-        res = engine(ec.spec(), ec.measure(), grid, t, ec.delta_t, ec.n_paths, ec.seed,
-                     jump_sign_convention=ec.jump_sign_convention)
-        prices = price_defaultable_zcb(t, T, grid, res["alpha"], res["survival"], recovery,
-                                       discount, r_t=cfgmod.build_rate_spec(cfg).r0,
-                                       coefficients=_coefficients_from(cfg), tau=tau)
+        # one values-engine call: (alpha, S) at the quadrature nodes, or at tau
+        if tau is None:
+            thetas, weights = theta_quadrature(t, T, ec.dense_end, ec.theta_sim_cap)
+            price = partial(price_defaultable_zcb, t, T, thetas, weights)
+        else:
+            thetas, price = np.array([tau]), partial(price_after_default, t, T, tau)
+        res = simulate_survival_values(ec.spec(), ec.measure(), thetas, t, ec.delta_t,
+                                       ec.n_paths, ec.seed,
+                                       jump_sign_convention=ec.jump_sign_convention)
+        prices = price(res["alpha"], res["survival"], recovery, discount,
+                       r_t=cfgmod.build_rate_spec(cfg).r0, coefficients=_coefficients_from(cfg))
     elif tau is None:
         sample = run_price_distribution(ec, discount)
         path_ids, prices = sample.path_ids, sample.prices
@@ -180,6 +185,7 @@ def cmd_price(args) -> int:
 def cmd_pide(args) -> int:
     cfg = _load(args)
     cfgmod.reject_unread(cfg, "pide")
+    cfgmod.reject_dropped_rates(cfg)
     solver = _solver_from(cfg)
     os.makedirs(args.out, exist_ok=True)
     sol = solver.solution(cfg.experiment.t, args.theta, "y")

@@ -2,7 +2,8 @@
 
 Every key is validated against a per-section schema; unknown keys or
 sections are rejected by name.  `READS` names the keys each command reads,
-and `reject_unread` rejects a non-default value of any other.  `serialize`
+and `reject_unread` rejects a non-default value of any other (and
+`reject_dropped_rates` one of a [rates] key the mode drops).  `serialize`
 writes a file that parses back to an identical configuration, and the
 LAB_SEED environment variable overrides the configured seed at load time.
 """
@@ -318,8 +319,10 @@ READS: dict[str, frozenset[tuple[str, str]]] = {
                   rates="mode r kappa delta r0 rho0 phi0 rates_correlated",
                   pide="nx ny x_range y_range n_steps", experiment="t T seed"),
     "price (closed form)": _PRICE | _keys(rates="vasicek_formula"),
-    "price (kernels)": _PRICE | _keys(levy_measure="quadrature_nodes", model="theta_max_rule",
-                                      rates="phi0 rates_correlated", pricing="w0 w1 f"),
+    # the kernels' quadrature nodes are not on the delta_theta grid
+    "price (kernels)": _PRICE - _keys(model="delta_theta") | _keys(
+        levy_measure="quadrature_nodes", model="theta_max_rule", rates="phi0 rates_correlated",
+        pricing="w0 w1 f"),
     "kde": _keys(experiment="seed"),
 }
 
@@ -336,6 +339,17 @@ def reject_unread(cfg: Config, command: str) -> None:
             listed = f"{', '.join(rest)} and {last}" if rest else last
             raise ConfigError(f"[{name}] {f.name} = {_shown(value)} is read only by {listed}, "
                               f"not by {command}: leave it at {_shown(f.default)}")
+
+
+def reject_dropped_rates(cfg: Config) -> None:
+    """Reject a non-default value of a [rates] key that `build_rate_spec`
+    drops under the configured mode."""
+    dropped = {"constant": "delta r0 rho0 phi0", "vasicek": "r phi0", "vasicek_jumps": "r"}
+    for key in dropped[cfg.rates.mode].split():
+        value, default = getattr(cfg.rates, key), getattr(RatesConfig, key)
+        if value != default:
+            raise ConfigError(f"[rates] {key} = {_shown(value)} has no effect under "
+                              f"mode = {cfg.rates.mode}: leave it at {_shown(default)}")
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,16 @@ class ExperimentConfig:
                                    / (abs(self.sigma) * np.sqrt(self.delta_t)))
         return min(self.theta_max_effective, float(horizon))
 
+    @property
+    def dense_end(self) -> float:
+        """min(theta_max, max(2T, 2)), where the truncation tail starts."""
+        theta_max = self.theta_sim_cap
+        if theta_max < self.T:
+            raise ValueError("volatility too large: stable horizon falls below T")
+        return min(theta_max, max(2.0 * self.T, 2.0))
+
     def theta_grid(self) -> np.ndarray:
-        """Two-zone maturity grid: delta-spaced through the pricing window,
+        """Two-zone maturity grid: delta-spaced up to `dense_end`,
         proportionally coarser across the truncation tail.
 
         The tail only feeds the denominator integral and the curve varies
@@ -116,10 +124,7 @@ class ExperimentConfig:
         nodes costs ~5e-8 on the baseline price while cutting the curve
         size by ~5x.
         """
-        theta_max = self.theta_sim_cap
-        if theta_max < self.T:
-            raise ValueError("volatility too large: stable horizon falls below T")
-        dense_end = min(theta_max, max(2.0 * self.T, 2.0))
+        dense_end, theta_max = self.dense_end, self.theta_sim_cap
         dense = np.arange(0.0, dense_end + 1e-12, self.delta)
         if dense_end >= theta_max - 1e-12:
             return dense

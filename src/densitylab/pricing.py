@@ -21,15 +21,14 @@ with K1 the discounted-density kernel and K2 the recovery kernel:
   K2 = (w0 Kbreve + w1 Ktilde) / lambda_t(theta), where Ktilde has
   terminal y e^{-y} for f = identity and is Kbreve for f = none.
 
-`price_defaultable_zcb` prices the last two regimes for a batch of curves
-(one row per path) from the kernels' affine transform
-(`pide.kernel_transform`), so they are linear in the curves:
-S Kbreve = e^{A - B r} (alpha + C S) at every node from t on.  lambda =
-alpha / S is formed only where Ktilde needs e^{-lambda}, on [t, T], and at
-the last node, whose flat-intensity tail S_t(theta_max) carries
-Kbreve / lambda.  The theta-integrals are trapezoidal on the curve grid.
-After default an intensity-linked recovery reads the kernels at
-theta = tau; a deterministic one is R B(t, T).
+`price_defaultable_zcb` prices the last two regimes alive from (alpha, S)
+at fixed theta nodes (`theta_quadrature`) and the kernels' affine transform
+(`pide.kernel_transform`), linear in (alpha, S) node by node:
+S Kbreve = e^{A - B r} (alpha + C S).  As alpha = -dS/dtheta, S_t is
+S_t(t).  lambda = alpha / S is formed only where Ktilde needs e^{-lambda},
+on [t, T], and at theta_max, whose flat-intensity tail S_t(theta_max)
+carries Kbreve / lambda.  `price_after_default` reads the kernels of an
+intensity-linked recovery at theta = tau; a deterministic one is R B(t, T).
 """
 
 from __future__ import annotations
@@ -113,19 +112,6 @@ def density_integral(state: DensityCurveState, a: float, b: float | None = None)
     return _grid_trapz(grid, alpha, a, b), 0.0
 
 
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """`np.interp(x, xp, row)` for every row of fp, with np.interp's arithmetic."""
-    if xp.size == 1:
-        return np.repeat(fp, x.size, axis=1)
-    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
-    out = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[:, j]
-    out[:, x < xp[0]] = fp[:, :1]
-    out[:, x >= xp[-1]] = fp[:, -1:]
-    # fancy indexing leaves `out` in Fortran order; row sums of C-ordered
-    # rows reduce exactly as np.trapezoid does on one 1-D row
-    return np.ascontiguousarray(out)
-
-
 # ---------------------------------------------------------------------------
 # bond prices
 # ---------------------------------------------------------------------------
@@ -151,81 +137,93 @@ def price_pre_default_independent(t: float, T: float, state: DensityCurveState,
     return disc * (1.0 - (1.0 - recovery_rate) * num / den)
 
 
-def price_defaultable_zcb(t: float, T: float, theta_grid: np.ndarray, alpha: np.ndarray,
-                          survival: np.ndarray, recovery: RecoveryModel, discount: float,
-                          *, r_t: float, coefficients: Callable[..., CoefficientProvider],
-                          tau: float | None = None) -> np.ndarray:
-    """Defaultable zero-coupon bond prices of a batch of (alpha, S) curves,
-    one path per row on `theta_grid`, all at the short rate r_t.
+# Gauss-Legendre nodes on [t, T], [T, d] and [d, theta_max]: doubling them
+# moves no price by more than rounding (tests/test_config_cli.py), where 32
+# on the tail left 1.1e-8 at ten times the default jump size.
+QUADRATURE_NODES = (16, 16, 48)
 
+
+def theta_quadrature(t: float, T: float, dense_end: float,
+                     theta_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, weights): t, then `QUADRATURE_NODES` Gauss-Legendre nodes on
+    [t, T], [T, dense_end] and [dense_end, theta_max], then theta_max, with
+    the weights of the nodes between t and theta_max.  An interval that
+    collapses drops out; dense_end is `ExperimentConfig.dense_end`, where
+    the slowly varying tail starts."""
+    nodes, weights = [np.array([t])], []
+    for a, b, n in zip((t, T, dense_end), (T, dense_end, theta_max), QUADRATURE_NODES):
+        x, w = np.polynomial.legendre.leggauss(n) if b > a else (np.empty(0), np.empty(0))
+        nodes.append(a + (b - a) * (x + 1.0) / 2.0)
+        weights.append(w * (b - a) / 2.0)
+    return np.concatenate([*nodes, [theta_max]]), np.concatenate(weights)
+
+
+def _transform(coefficients: Callable[..., CoefficientProvider], thetas: np.ndarray,
+               t: float, T: float, u: int, r_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """e^{A - B r_t} and C of the tilt-u kernel over `thetas`."""
+    a, b, c = kernel_transform(coefficients(thetas), t, T, u)
+    return np.exp(a - b * r_t), c
+
+
+def price_defaultable_zcb(t: float, T: float, thetas: np.ndarray, weights: np.ndarray,
+                          alpha: np.ndarray, survival: np.ndarray, recovery: RecoveryModel,
+                          discount: float, *, r_t: float,
+                          coefficients: Callable[..., CoefficientProvider]) -> np.ndarray:
+    """Alive bond prices from (alpha, S) at the nodes `thetas` of
+    `theta_quadrature`, one path per row, all at the short rate r_t;
     `coefficients` maps an array of theta to their CoefficientProvider
-    (`PricingKernelSolver.provider`, say).  tau = None prices the alive
-    bond; a default time tau <= t prices K2(t, tau) of an intensity-linked
-    recovery (a deterministic one is worth R B(t, T)).  Below LAMBDA_FLOOR,
-    K / lambda takes its deterministic limit `discount`.  Returns one price
-    per path.
-    """
-    grid = np.asarray(theta_grid, dtype=float)
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    survival = np.atleast_2d(np.asarray(survival, dtype=float))
-    linked = isinstance(recovery, IntensityLinkedRecovery)
-    tilted = linked and recovery.f == "identity"      # f = none: terminal y e^{-0} = y
-
-    def transform(thetas: np.ndarray, u: int):
-        """e^{A - B r_t} and C over `thetas`."""
-        a_, b_, c_ = kernel_transform(coefficients(thetas), t, T, u)
-        return np.exp(a_ - b_ * r_t), c_
-
-    if tau is not None:
-        if tau > t + 1e-12:
-            raise ValueError("default time must satisfy tau <= t")
-        if not linked:
-            raise ValueError("a deterministic recovery after default is worth R B(t, T); "
-                             "no kernel prices it")
-        at_tau = np.array([float(tau)])
-        s_tau = _interp_rows(at_tau, grid, survival)[:, 0]
-        lam = _interp_rows(at_tau, grid, alpha)[:, 0] / np.maximum(s_tau, 1e-300)
-        if np.any(lam <= 0):
-            raise KernelUndefinedError("kernel undefined at nonpositive intensity")
-        live = lam >= LAMBDA_FLOOR
-        lam = lam[live]
-
-        def over_lambda(u: int) -> np.ndarray:      # K / lambda at theta = tau
-            disc, c = transform(at_tau, u)
-            return disc * np.exp(-u * lam) * (lam + c) / lam
-
-        q1 = over_lambda(0)
-        prices = np.full(live.size, (recovery.w0 + recovery.w1) * discount)
-        prices[live] = recovery.w0 * q1 + recovery.w1 * (over_lambda(1) if tilted else q1)
-        return prices
-
-    end = grid[-1]
-    xs = np.concatenate([[t], grid[(grid > t) & (grid < end)], [end]])
-    s_t = np.trapezoid(_interp_rows(xs, grid, alpha), xs, axis=1) + survival[:, -1]
+    (`PricingKernelSolver.provider`, say).  S_t = S_t(t) is the first
+    column.  Below LAMBDA_FLOOR, Kbreve / lambda at theta_max takes its
+    deterministic limit `discount`."""
+    s_t = survival[:, 0]
     if np.any(s_t <= 0):
         raise DegenerateSurvivalError("degenerate survival: S_t <= 0")
-
-    first = int(np.searchsorted(grid, t - 1e-12))
-    g, a, s = grid[first:], alpha[:, first:], survival[:, first:]
-    disc0, c0 = transform(g, 0)
-    k1 = disc0 * (a + c0 * s)                   # S Kbreve at every node
-    # theta in [t, T] and theta >= T, as slices: they keep the rows C-ordered
-    window = slice(np.searchsorted(g, t), np.searchsorted(g, T, side="right"))
-    beyond = slice(np.searchsorted(g, T), None)
-    if tilted:
-        disc1, c1 = transform(g[window], 1)
-        a_w, s_w = a[:, window], s[:, window]
+    n = int(np.searchsorted(thetas[1:-1], T))             # the nodes on [t, T]
+    a, s = alpha[:, 1:], survival[:, 1:]
+    linked = isinstance(recovery, IntensityLinkedRecovery)
+    disc0, c0 = _transform(coefficients, thetas[1:], t, T, 0, r_t)
+    k1 = disc0 * (a + c0 * s)                   # S Kbreve at every node after t
+    if linked and recovery.f == "identity":     # f = none: terminal y e^{-0} = y
+        disc1, c1 = _transform(coefficients, thetas[1:n + 1], t, T, 1, r_t)
+        a_w, s_w = a[:, :n], s[:, :n]
         lam = np.divide(a_w, s_w, out=np.zeros_like(a_w), where=s_w > 0)
-        k2 = recovery.w0 * k1[:, window] + recovery.w1 * disc1 * np.exp(-lam) * (a_w + c1 * s_w)
+        k2 = recovery.w0 * k1[:, :n] + recovery.w1 * disc1 * np.exp(-lam) * (a_w + c1 * s_w)
     else:
-        k2 = (recovery.w0 + recovery.w1 if linked else recovery.rate) * k1[:, window]
+        k2 = (recovery.w0 + recovery.w1 if linked else recovery.rate) * k1[:, :n]
 
     # the flat-intensity tail S_t(theta_max) carries Kbreve / lambda of the last node
     s_end, a_end = s[:, -1], a[:, -1]
     lam = np.divide(a_end, s_end, out=np.zeros_like(a_end), where=s_end > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         q_end = np.where(lam < LAMBDA_FLOOR, discount, disc0[-1] * (1.0 + c0[-1] / lam))
-    tail = s_end * q_end / s_t
-    leg1 = np.trapezoid(k1[:, beyond] / s_t[:, None], g[beyond], axis=1) + tail
-    leg2 = np.trapezoid(k2 / s_t[:, None], g[window], axis=1)
-    return leg1 + leg2
+    legs = (k2 * weights[:n]).sum(axis=1) + (k1[:, n:-1] * weights[n:]).sum(axis=1)
+    return (legs + s_end * q_end) / s_t
+
+
+def price_after_default(t: float, T: float, tau: float, alpha: np.ndarray,
+                        survival: np.ndarray, recovery: RecoveryModel, discount: float,
+                        *, r_t: float,
+                        coefficients: Callable[..., CoefficientProvider]) -> np.ndarray:
+    """K2(t, tau) of an intensity-linked recovery after a default at tau <= t,
+    from (alpha, S) at tau, the first column; as `price_defaultable_zcb`
+    otherwise.  A deterministic recovery is worth R B(t, T)."""
+    if tau > t + 1e-12:
+        raise ValueError("default time must satisfy tau <= t")
+    if not isinstance(recovery, IntensityLinkedRecovery):
+        raise ValueError("a deterministic recovery after default is worth R B(t, T); "
+                         "no kernel prices it")
+    lam = alpha[:, 0] / np.maximum(survival[:, 0], 1e-300)
+    if np.any(lam <= 0):
+        raise KernelUndefinedError("kernel undefined at nonpositive intensity")
+    live = lam >= LAMBDA_FLOOR
+    lam = lam[live]
+
+    def over_lambda(u: int) -> np.ndarray:      # K / lambda at theta = tau
+        disc, c = _transform(coefficients, np.array([float(tau)]), t, T, u, r_t)
+        return disc * np.exp(-u * lam) * (lam + c) / lam
+
+    q1 = over_lambda(0)
+    prices = np.full(live.size, (recovery.w0 + recovery.w1) * discount)
+    prices[live] = recovery.w0 * q1 + recovery.w1 * (over_lambda(1) if recovery.f == "identity"
+                                                     else q1)
+    return prices

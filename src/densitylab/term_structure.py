@@ -276,41 +276,6 @@ def density(state: ForwardCurveState, survival: np.ndarray | None = None) -> np.
 
 
 # ---------------------------------------------------------------------------
-# one step of the direct alpha scheme (the per-step reference)
-# ---------------------------------------------------------------------------
-
-def _density_step_terms(spec: CoefficientSpec, measure: LevyMeasure, t: float,
-                        grid: np.ndarray, dt: float, sign: float,
-                        dW: float, marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dm, dM) over one step for the separable coefficients.
-
-    dm(theta) = -sigma (theta-t)^+ dW
-                + sign [ sum_k b (theta-t)^+ xi_k e^{-xi_k G(theta)}
-                         - dt int b (theta-t)^+ xi e^{-xi G(theta)} nu(dxi) ],
-    G(theta) = b ((theta-t)^+)^2 / 2,   M = int_0^theta m du (trapezoid).
-
-    One path, one step, straight from the formulas: the reference that the
-    curve engine `simulate_density_paths` is checked against.
-    """
-    if not spec.separable:
-        raise ValueError("direct density evolution requires separable coefficients")
-    theta_t = np.maximum(grid - t, 0.0)
-    sig_vec = spec.sigma_slope * theta_t
-    gam_vec = spec.jump_slope * theta_t
-    big_g = spec.jump_slope * theta_t ** 2 / 2.0
-
-    dm = -sig_vec * dW
-    if measure.total_mass != 0:
-        jump_part = -dt * gam_vec * np.asarray(measure.xi_exp(big_g), dtype=float)
-        if marks.size:
-            expo = np.exp(-np.multiply.outer(marks, big_g))         # (k, n_theta)
-            jump_part = jump_part + gam_vec * (marks[:, None] * expo).sum(axis=0)
-        dm = dm + sign * jump_part
-    dM = _cumtrapz(dm, grid)
-    return dm, dM
-
-
-# ---------------------------------------------------------------------------
 # vectorized many-path engines (separable coefficients, d = 0 Gaussian part)
 # ---------------------------------------------------------------------------
 
@@ -441,9 +406,9 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
     compensator parts are shared theta-vectors, and the step's realised
     jumps are one array op over all of the chunk's events (`_chunk_jumps`),
     summed per path in draw order and integrated over theta once for all
-    jumping rows.  Every path's arithmetic is that of `_density_step_terms`
-    in the same order, and rows are ordered by path index, so output is
-    independent of chunking.
+    jumping rows.  Every path's arithmetic is that of one path stepped alone
+    (the per-step reference of tests/test_term_structure.py), and rows are
+    ordered by path index, so output is independent of chunking.
     """
     n_steps = _step_count(spec, t_end, dt)
     sign = JUMP_SIGN[jump_sign_convention]

@@ -22,7 +22,7 @@ from densitylab.measures import ExponentialJumpMeasure, ZeroMeasure
 from densitylab.pide import (CoefficientProvider, PricingKernelSolver, StateGrid,
                              default_grid_for, simulate_kernel_expectation, solve_cauchy)
 from densitylab.pricing import (DeterministicRecovery, price_defaultable_zcb,
-                                price_pre_default_independent)
+                                price_pre_default_independent, theta_quadrature)
 from densitylab.rates import VasicekSpec, constant_rate_discount, zcb_closed_form
 from densitylab.rng import decorrelate
 from densitylab.term_structure import (CoefficientSpec, DensityCurveState,
@@ -318,7 +318,9 @@ def test_criterion_8_invariant_suite(varpi_cells):
                                  StateGrid(0.0, 0.1, 41, 0.0, 0.3, 61), T=1.0,
                                  n_steps=100)
     indep = price_pre_default_independent(0.5, 1.0, st, 0.4, 0.05)
-    corr = price_defaultable_zcb(0.5, 1.0, tgrid, st.alpha[None], st.survival[None],
+    thetas, weights = theta_quadrature(0.5, 1.0, 2.0, 100.0)
+    s_quad = np.exp(-0.1 * thetas)[None]
+    corr = price_defaultable_zcb(0.5, 1.0, thetas, weights, 0.1 * s_quad, s_quad,
                                  DeterministicRecovery(0.4), disc, r_t=0.05,
                                  coefficients=solver.provider)[0]
     checks["regime_consistency"] = abs(corr - indep) < 1e-6

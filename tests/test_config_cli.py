@@ -506,32 +506,50 @@ def test_cli_constant_rate_commands_reject_rates_mode(tmp_path, capsys, argv, mo
     assert not os.path.exists(out)
 
 
-def test_cli_price_defaulted_reads_the_values_engine(tmp_path, monkeypatch):
-    # a defaulted intensity-linked price reads alpha and S at tau only: the
-    # values engine gives the prices of the curve engine's 2,161-node curves
-    # (measured 3.4e-15 at the default marks; at varpi = 0.01 the curve
-    # engine's own trapezoid error shows, 4.1e-12)
-    from densitylab.pricing import price_defaultable_zcb
-    from densitylab.term_structure import simulate_density_paths
+def _record_values_engine(monkeypatch) -> list:
+    """Refuse the density curve engine in `cli`; the thetas of each of the
+    values engine's calls are appended to the returned list."""
+    from densitylab.term_structure import simulate_survival_values
+    calls = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("density curve engine reached")
+
+    def recorded(spec, measure, thetas, *args, **kwargs):
+        calls.append(np.asarray(thetas))
+        return simulate_survival_values(spec, measure, thetas, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_density_paths", refuse)
+    monkeypatch.setattr(cli, "simulate_survival_values", recorded)
+    return calls
+
+
+def test_cli_price_defaulted_reads_the_values_engine(tmp_path, monkeypatch):
+    # a defaulted intensity-linked price reads alpha and S at tau only, in
+    # one values-engine call: it gives the prices of the curve engine's
+    # 2,161-node curves interpolated at tau (measured 3.4e-15 at the default
+    # marks; at varpi = 0.01 the curve engine's own trapezoid error shows,
+    # 4.1e-12)
+    from densitylab.pricing import price_after_default
+    from densitylab.term_structure import simulate_density_paths
 
     cfg = write(tmp_path, NOISY_LINKED.replace("varpi = 0.01", "varpi = 0.001"))
     parsed = cfgmod.parse_config(cfg)
     ec = cfgmod.experiment_config(parsed)
     with monkeypatch.context() as m:
-        m.setattr(cli, "simulate_density_paths", refuse)
+        calls = _record_values_engine(m)
         assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
                      "--out", str(tmp_path / "dead")]) == 0
+    assert [c.tolist() for c in calls] == [[0.23]]
     rows = list(csv.DictReader(open(tmp_path / "dead" / "prices.csv")))
     res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), ec.t,
                                  ec.delta_t, ec.n_paths, ec.seed)
-    ref = price_defaultable_zcb(ec.t, ec.T, res["theta_grid"], res["alpha"],
-                                res["survival"], cli._recovery_from(parsed),
-                                cli._discount_from(parsed, ec.t, ec.T),
-                                r_t=parsed.rates.r0,
-                                coefficients=cli._coefficients_from(parsed), tau=0.23)
+    at_tau = {name: np.array([[np.interp(0.23, res["theta_grid"], row)] for row in res[name]])
+              for name in ("alpha", "survival")}
+    ref = price_after_default(ec.t, ec.T, 0.23, at_tau["alpha"], at_tau["survival"],
+                              cli._recovery_from(parsed),
+                              cli._discount_from(parsed, ec.t, ec.T),
+                              r_t=parsed.rates.r0, coefficients=cli._coefficients_from(parsed))
     prices = np.array([float(r["price"]) for r in rows])
     assert np.abs(prices - ref).max() <= 1e-12
     # k_tilde / lambda = e^{-lambda} B at tau < t: the linked prices vary by path
@@ -736,7 +754,8 @@ def test_cli_price_rejects_bad_tau_before_any_work(tmp_path, monkeypatch, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("priced before --tau was checked")
 
-    for engine in ("simulate_density_paths", "run_price_distribution", "_solver_from"):
+    for engine in ("simulate_density_paths", "simulate_survival_values",
+                   "run_price_distribution", "_solver_from"):
         monkeypatch.setattr(cli, engine, refuse)
     out = str(tmp_path / "rejected")
     for text in (TINY, CORRELATED):
@@ -775,8 +794,8 @@ def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch
     surv = np.exp(-lam * (T - t))
     expected = np.exp(-0.05 * (T - t)) * (surv + (0.3 + 0.3 * np.exp(-lam)) * (1 - surv))
     assert float(rows[0]["price"]) == pytest.approx(expected, abs=2e-5)
-    # Kbreve at every node from t on, Ktilde on the 51 nodes of [t, T] only
-    assert transforms == [(0, 2111), (1, 51)]
+    # Kbreve at every quadrature node after t, Ktilde on the 16 nodes of [t, T] only
+    assert transforms == [(0, 81), (1, 16)]
 
 
 def test_cli_price_constant_rate_kernels_start_at_the_constant_rate(tmp_path):
@@ -817,6 +836,84 @@ def test_cli_price_marches_nothing(tmp_path, monkeypatch, text, argv):
     assert main(["price", "--config", write(tmp_path, text), "--out", out, *argv]) == 0
     prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
     assert len(prices) == 20 and all(0.0 < p < 1.0 for p in prices)
+
+
+def _curve_route_prices(cfg_path: str) -> np.ndarray:
+    """Alive kernel prices by trapezoid on `simulate_density_paths` curves
+    from t on, with S_t = int_t^inf alpha and the flat-intensity tail
+    S_t(theta_max) carrying Kbreve / lambda of the last node (the
+    deterministic limit below LAMBDA_FLOOR): the route of `lab price`
+    before its quadrature nodes.  t must be a node of the curve grid."""
+    from densitylab.pide import kernel_transform
+    from densitylab.pricing import LAMBDA_FLOOR, IntensityLinkedRecovery
+    from densitylab.term_structure import simulate_density_paths
+    parsed = cfgmod.parse_config(cfg_path)
+    ec = cfgmod.experiment_config(parsed)
+    t, T, r_t = ec.t, ec.T, cfgmod.build_rate_spec(parsed).r0
+    recovery, discount = cli._recovery_from(parsed), cli._discount_from(parsed, t, T)
+    res = simulate_density_paths(ec.spec(), ec.measure(), ec.theta_grid(), t, ec.delta_t,
+                                 ec.n_paths, ec.seed)
+    on = res["theta_grid"] >= t - 1e-12
+    g, a, s = res["theta_grid"][on], res["alpha"][:, on], res["survival"][:, on]
+    assert g[0] == pytest.approx(t, abs=1e-12)
+    window, beyond = g <= T + 1e-12, g >= T - 1e-12
+
+    def transform(thetas, u):
+        a_, b_, c_ = kernel_transform(cli._coefficients_from(parsed)(thetas), t, T, u)
+        return np.exp(a_ - b_ * r_t), c_
+
+    disc0, c0 = transform(g, 0)
+    k1 = disc0 * (a + c0 * s)
+    if isinstance(recovery, IntensityLinkedRecovery):           # f = identity
+        disc1, c1 = transform(g[window], 1)
+        a_w, s_w = a[:, window], s[:, window]
+        k2 = (recovery.w0 * k1[:, window]
+              + recovery.w1 * disc1 * np.exp(-a_w / s_w) * (a_w + c1 * s_w))
+    else:
+        k2 = recovery.rate * k1[:, window]
+    s_end = s[:, -1]
+    lam_end = np.divide(a[:, -1], s_end, out=np.zeros_like(s_end), where=s_end > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_end = np.where(lam_end < LAMBDA_FLOOR, discount, disc0[-1] * (1.0 + c0[-1] / lam_end))
+    legs = (np.trapezoid(k1[:, beyond], g[beyond], axis=1)
+            + np.trapezoid(k2, g[window], axis=1) + s_end * q_end)
+    return legs / (np.trapezoid(a, g, axis=1) + s_end)
+
+
+ALIVE_KERNEL_RUNS = {
+    "correlated": NOISY_CORRELATED.replace("n_paths = 20", "n_paths = 200"),
+    "linked": NOISY_LINKED.replace("n_paths = 20", "n_paths = 200"),
+}
+
+
+def _alive_prices(tmp_path, text: str, name: str) -> np.ndarray:
+    out = str(tmp_path / name)
+    assert main(["price", "--config", write(tmp_path, text), "--out", out]) == 0
+    return np.array([float(r["price"])
+                     for r in csv.DictReader(open(os.path.join(out, "prices.csv")))])
+
+
+@pytest.mark.parametrize("run", list(ALIVE_KERNEL_RUNS))
+def test_cli_price_alive_reads_values_at_quadrature_nodes(tmp_path, monkeypatch, run):
+    # one values-engine call at the 82 quadrature nodes, no curve: the curve
+    # route's prices on 2,161-node curves agree up to that route's own
+    # discretisation (measured max gaps 1.6e-7 correlated, 1.4e-7 linked)
+    from densitylab.pricing import QUADRATURE_NODES
+    calls = _record_values_engine(monkeypatch)
+    prices = _alive_prices(tmp_path, ALIVE_KERNEL_RUNS[run], "alive")
+    assert [c.size for c in calls] == [2 + sum(QUADRATURE_NODES)]
+    assert np.abs(prices - _curve_route_prices(str(tmp_path / "lab.cfg"))).max() <= 3e-7
+
+
+@pytest.mark.parametrize("run", list(ALIVE_KERNEL_RUNS))
+def test_cli_price_quadrature_nodes_are_converged(tmp_path, monkeypatch, run):
+    # doubling every interval's Gauss-Legendre nodes moves the prices by
+    # rounding only (measured 1.8e-13 correlated, 2.2e-13 linked)
+    import densitylab.pricing as pricing
+    base = _alive_prices(tmp_path, ALIVE_KERNEL_RUNS[run], "base")
+    monkeypatch.setattr(pricing, "QUADRATURE_NODES",
+                        tuple(2 * n for n in pricing.QUADRATURE_NODES))
+    assert np.abs(_alive_prices(tmp_path, ALIVE_KERNEL_RUNS[run], "doubled") - base).max() <= 1e-10
 
 
 def test_cli_price_defaulted_linked_is_the_bond_times_the_recovery(tmp_path):
@@ -873,16 +970,45 @@ UNREAD_BY_PIDE_AND_KDE = [("[pricing]\nregime = correlated\n", "[pricing] regime
      "[levy_measure] z = 2.0"),
     # R B(t, T) after default reads no kernel
     (["price", "--status", "defaulted"], CORRELATED, "[rates] rates_correlated = true"),
+    # the kernels' quadrature nodes are not on the delta_theta grid
+    (["price"], CORRELATED.replace("b = 0.0", "b = 0.0\ndelta_theta = 0.02"),
+     "[model] delta_theta = 0.02"),
 ], ids=["experiment-regime", "experiment-recovery_type", "experiment-theta_max_rule",
         "verify-jump_sign_convention", "verify-n_paths", "verify-theta_max_rule",
         "simulate-n_paths", "simulate-r", "simulate-R",
         "pide-regime", "pide-vasicek_formula", "pide-theta_max_rule",
         "kde-regime", "kde-vasicek_formula", "kde-theta_max_rule",
-        "price_kernels-paper_exact", "price_kernels-z", "price_defaulted-rates_correlated"])
+        "price_kernels-paper_exact", "price_kernels-z", "price_defaulted-rates_correlated",
+        "price_kernels-delta_theta"])
 def test_cli_rejects_unread_inputs_by_name(tmp_path, capsys, argv, text, message):
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", write(tmp_path, text), "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message} is read only by ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [["price"], ["pide"]], ids=["price", "pide"])
+@pytest.mark.parametrize("mode,key,value", [
+    ("constant", "delta", "0.07"), ("constant", "r0", "0.07"), ("constant", "rho0", "0.02"),
+    ("constant", "phi0", "0.5"), ("vasicek", "r", "0.07"), ("vasicek_jumps", "r", "0.07"),
+    ("vasicek", "phi0", "0.5"),
+], ids=["constant-delta", "constant-r0", "constant-rho0", "constant-phi0", "vasicek-r",
+        "vasicek_jumps-r", "vasicek-phi0"])
+def test_cli_rejects_rates_keys_the_mode_drops(tmp_path, monkeypatch, capsys, argv, mode, key,
+                                               value):
+    # build_rate_spec drops the key under this mode, so its value has no effect
+    def refuse(*args, **kwargs):
+        raise AssertionError("priced or solved")
+
+    for name in ("simulate_survival_values", "run_price_distribution", "_solver_from"):
+        monkeypatch.setattr(cli, name, refuse)
+    text = (TINY_PIDE if argv == ["pide"] else TINY_KERNELS + "[pricing]\nregime = correlated\n")
+    text += f"\n[rates]\nmode = {mode}\n{key} = {value}\n"
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", write(tmp_path, text), "--out", out]) == 1
+    default = cfgmod._shown(getattr(cfgmod.RatesConfig(), key))
+    assert capsys.readouterr().err == (f"error: [rates] {key} = {value} has no effect under "
+                                       f"mode = {mode}: leave it at {default}\n")
     assert not os.path.exists(out)
 
 

@@ -265,12 +265,11 @@ def test_k_tilde_matches_k_breve_for_zero_f(monkeypatch):
     # with f = none the recovery kernel's terminal y e^{-0} is k_breve's: the
     # defaulted price reads k_breve's transform (u = 0) and nothing tilted
     import densitylab.pricing as pricing
-    from densitylab.pricing import IntensityLinkedRecovery, price_defaultable_zcb
+    from densitylab.pricing import IntensityLinkedRecovery, price_after_default
     rs = VasicekSpec(kappa=1.0, delta=0.05, r0=0.05, rho0=0.01)
     grid = StateGrid(0.0, 0.1, 17, 0.0, 0.3, 17)
     solver = PricingKernelSolver(SEC7, rs, KERNEL, EXP_MEASURE, grid, T=1.0, n_steps=20)
-    alpha, surv = np.array([[0.09, 0.1]]), np.array([[0.9, 0.8]])
-    args = (0.8, 1.0, np.array([0.2, 0.4]), alpha, surv)
+    args = (0.8, 1.0, 0.3, np.array([[0.095]]), np.array([[0.85]]))
     u_read = []
 
     def recorded(provider, t, T, u=0):
@@ -278,11 +277,11 @@ def test_k_tilde_matches_k_breve_for_zero_f(monkeypatch):
         return kernel_transform(provider, t, T, u)
 
     monkeypatch.setattr(pricing, "kernel_transform", recorded)
-    linked = price_defaultable_zcb(*args, IntensityLinkedRecovery(w0=0.3, w1=0.5, f="none"),
-                                   0.97, r_t=0.05, coefficients=solver.provider, tau=0.3)
+    linked = price_after_default(*args, IntensityLinkedRecovery(w0=0.3, w1=0.5, f="none"),
+                                 0.97, r_t=0.05, coefficients=solver.provider)
     assert u_read == [0]
-    plain = price_defaultable_zcb(*args, IntensityLinkedRecovery(w0=0.8, w1=0.0, f="none"),
-                                  0.97, r_t=0.05, coefficients=solver.provider, tau=0.3)
+    plain = price_after_default(*args, IntensityLinkedRecovery(w0=0.8, w1=0.0, f="none"),
+                                0.97, r_t=0.05, coefficients=solver.provider)
     assert linked == pytest.approx(plain, rel=1e-15)
     # the shared entry is the affine solve; the 2-D solve of y agrees
     full = solve_cauchy(lambda x, y: y, solver.provider(0.3), grid, 0.8, 1.0, 20)

@@ -15,6 +15,33 @@ SEC7 = ts.CoefficientSpec.section7(sigma=0.001, b=1.0, lambda_bar=0.1)
 EXP_MEASURE = ExponentialJumpMeasure(zeta=10.0, varpi=1e-3)
 
 
+def density_step_terms(spec: ts.CoefficientSpec, measure, t: float, grid: np.ndarray,
+                       dt: float, sign: float, dW: float,
+                       marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dm, dM) over one step for the separable coefficients.
+
+    dm(theta) = -sigma (theta-t)^+ dW
+                + sign [ sum_k b (theta-t)^+ xi_k e^{-xi_k G(theta)}
+                         - dt int b (theta-t)^+ xi e^{-xi G(theta)} nu(dxi) ],
+    G(theta) = b ((theta-t)^+)^2 / 2,   M = int_0^theta m du (trapezoid).
+
+    One path, one step, straight from the formulas: the reference that the
+    curve engine `simulate_density_paths` is checked against.
+    """
+    theta_t = np.maximum(grid - t, 0.0)
+    sig_vec = spec.sigma_slope * theta_t
+    gam_vec = spec.jump_slope * theta_t
+    big_g = spec.jump_slope * theta_t ** 2 / 2.0
+    dm = -sig_vec * dW
+    if measure.total_mass != 0:
+        jump_part = -dt * gam_vec * np.asarray(measure.xi_exp(big_g), dtype=float)
+        if marks.size:
+            expo = np.exp(-np.multiply.outer(marks, big_g))         # (k, n_theta)
+            jump_part = jump_part + gam_vec * (marks[:, None] * expo).sum(axis=0)
+        dm = dm + sign * jump_part
+    return dm, ts._cumtrapz(dm, grid)
+
+
 def constant_sigma_spec(sigma0: float, lambda_bar: float = 0.1) -> ts.CoefficientSpec:
     """Non-separable spec with sigma constant and no jumps (immersion fails)."""
     return ts.CoefficientSpec(
@@ -289,9 +316,9 @@ def test_density_vectorized_matches_single_path():
         marks = EXP_MEASURE.sample_marks(int(counts.sum()), streams.poisson_marks)
         off = np.concatenate([[0], np.cumsum(counts)])
         for k in range(n_steps):
-            dm, dM = ts._density_step_terms(spec, EXP_MEASURE, state.t, grid, dt, +1.0,
-                                            float(np.sqrt(dt) * normals[k]),
-                                            marks[off[k]:off[k + 1]])
+            dm, dM = density_step_terms(spec, EXP_MEASURE, state.t, grid, dt, +1.0,
+                                        float(np.sqrt(dt) * normals[k]),
+                                        marks[off[k]:off[k + 1]])
             alpha = state.alpha + state.alpha * dM - state.survival * dm
             surv = state.survival + state.survival * dM
             state = ts.DensityCurveState(state.t + dt, grid, alpha, surv)
@@ -334,8 +361,8 @@ def test_route_consistency_refinement():
                     - dt * spec.jump_slope * tt * meas.mark_moment(1)
                 fwd = ts.ForwardCurveState(t + dt, grid,
                                            fwd.lam + drift_tables[lv][k] * dt + gauss + jump)
-                dm, dM = ts._density_step_terms(spec, meas, t, grid, dt, -1.0,
-                                                float(np.sqrt(dt) * normals[k]), marks)
+                dm, dM = density_step_terms(spec, meas, t, grid, dt, -1.0,
+                                            float(np.sqrt(dt) * normals[k]), marks)
                 dens = ts.DensityCurveState(t + dt, grid,
                                             dens.alpha + dens.alpha * dM - dens.survival * dm,
                                             dens.survival + dens.survival * dM)
