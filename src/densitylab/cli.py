@@ -145,7 +145,7 @@ def cmd_price(args) -> int:
     kernel_priced = (cfg.pricing.recovery_type != "deterministic"
                      or (cfg.pricing.regime == "correlated" and tau is None))
     cfgmod.reject_unread(cfg, "price (kernels)" if kernel_priced else "price (closed form)")
-    cfgmod.reject_dropped_rates(cfg)
+    cfgmod.reject_dropped_rates(cfg, "price")
     cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg)
     t, T = ec.t, ec.T
@@ -185,7 +185,7 @@ def cmd_price(args) -> int:
 def cmd_pide(args) -> int:
     cfg = _load(args)
     cfgmod.reject_unread(cfg, "pide")
-    cfgmod.reject_dropped_rates(cfg)
+    cfgmod.reject_dropped_rates(cfg, "pide")
     solver = _solver_from(cfg)
     os.makedirs(args.out, exist_ok=True)
     sol = solver.solution(cfg.experiment.t, args.theta, "y")

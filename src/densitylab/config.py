@@ -341,11 +341,16 @@ def reject_unread(cfg: Config, command: str) -> None:
                               f"not by {command}: leave it at {_shown(f.default)}")
 
 
-def reject_dropped_rates(cfg: Config) -> None:
+def reject_dropped_rates(cfg: Config, command: str) -> None:
     """Reject a non-default value of a [rates] key that `build_rate_spec`
-    drops under the configured mode."""
-    dropped = {"constant": "delta r0 rho0 phi0", "vasicek": "r phi0", "vasicek_jumps": "r"}
-    for key in dropped[cfg.rates.mode].split():
+    drops under the configured mode.  Under mode = constant `price` holds
+    the rate at r, so kappa has no effect there; `pide` reads it off the
+    rate axis, which mean-reverts to r."""
+    dropped = {"constant": "delta r0 rho0 phi0", "vasicek": "r phi0",
+               "vasicek_jumps": "r"}[cfg.rates.mode]
+    if command == "price" and cfg.rates.mode == "constant":
+        dropped += " kappa"
+    for key in dropped.split():
         value, default = getattr(cfg.rates, key), getattr(RatesConfig, key)
         if value != default:
             raise ConfigError(f"[rates] {key} = {_shown(value)} has no effect under "

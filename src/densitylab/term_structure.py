@@ -48,8 +48,8 @@ import numpy as np
 
 from .kernels import DiracKernel
 from .measures import LevyMeasure
-from .rng import (CHANNEL_GAUSSIAN, CHANNEL_POISSON_COUNT, CHANNEL_POISSON_MARKS,
-                  rekey, stream)
+from .rng import (BLOCK_PATHS, CHANNEL_GAUSSIAN, CHANNEL_POISSON_COUNT,
+                  CHANNEL_POISSON_MARKS, rekey, stream)
 
 JUMP_SIGN = {"section7": +1.0, "section3": -1.0}
 
@@ -284,29 +284,40 @@ INTENSITY_CHUNK = 512    # paths per chunk of the two intensity-route engines
 
 
 def _path_noise(measure: LevyMeasure, seed: int, paths: range, n_steps: int,
-                dt: float) -> tuple[np.ndarray, list[tuple]]:
-    """Pre-draw per-path noise: (P, n_steps) normals plus, per path, the
-    per-step jump counts and the marks in draw order.
+                dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-draw the noise of a range of paths: (rows, n_steps) normals and
+    per-step jump counts, and the marks in (row, step, draw) order.
 
-    Path p's normals, per-step jump counts and marks are the draws of
-    `rng.stream(seed, p, channel)` on the Gaussian, Poisson-count and mark
-    channels.  One Philox generator serves the whole call: `rng.rekey`
-    points it at each (path, channel) stream in turn.
+    Path p = BLOCK_PATHS b + r is row r of block b's streams
+    `rng.stream(seed, b, channel)` on the Gaussian, Poisson-count and mark
+    channels.  Per block touched, each channel is one numpy call over the
+    block's rows up to the last one kept; a range that starts mid-block
+    draws the leading rows and drops them.  Draws are sequential in C
+    order, so a row's bits do not depend on how many rows are drawn or
+    kept.  One Philox generator serves the whole call: `rng.rekey` points it
+    at each (block, channel) stream in turn.
     """
     normals = np.empty((len(paths), n_steps))
-    gen = stream(seed, 0, CHANNEL_GAUSSIAN)
-    for i, p in enumerate(paths):
-        rekey(gen, seed, p, CHANNEL_GAUSSIAN).standard_normal(out=normals[i])
+    counts = np.zeros((len(paths), n_steps), dtype=np.int64)
+    marks = []
     mass = measure.total_mass
-    if mass <= 0:
-        return normals, [(np.zeros(n_steps, dtype=np.int64), np.zeros(0))] * len(paths)
-    # each (path, channel) is its own stream: drawing every count first moves no draw
-    counts = np.empty((len(paths), n_steps), dtype=np.int64)
-    for i, p in enumerate(paths):
-        counts[i] = rekey(gen, seed, p, CHANNEL_POISSON_COUNT).poisson(mass * dt, size=n_steps)
-    marks = [measure.sample_marks(n, rekey(gen, seed, p, CHANNEL_POISSON_MARKS))
-             for n, p in zip(counts.sum(axis=1).tolist(), paths)]
-    return normals, list(zip(counts, marks))
+    gen = stream(seed, 0, CHANNEL_GAUSSIAN)
+    for block in range(paths.start // BLOCK_PATHS, (paths.stop - 1) // BLOCK_PATHS + 1):
+        first = block * BLOCK_PATHS
+        lead = max(paths.start - first, 0)                   # rows drawn, then dropped
+        drawn = min(paths.stop - first, BLOCK_PATHS)
+        out = slice(first + lead - paths.start, first + drawn - paths.start)
+        normals[out] = rekey(gen, seed, block, CHANNEL_GAUSSIAN).standard_normal(
+            (drawn, n_steps))[lead:]
+        if mass <= 0:
+            continue
+        block_counts = rekey(gen, seed, block, CHANNEL_POISSON_COUNT).poisson(
+            mass * dt, size=(drawn, n_steps))
+        counts[out] = block_counts[lead:]
+        block_marks = measure.sample_marks(int(block_counts.sum()),
+                                           rekey(gen, seed, block, CHANNEL_POISSON_MARKS))
+        marks.append(block_marks[int(block_counts[:lead].sum()):])
+    return normals, counts, np.concatenate(marks) if marks else np.zeros(0)
 
 
 class _Jumps(NamedTuple):
@@ -326,14 +337,15 @@ class _Jumps(NamedTuple):
     group_size: np.ndarray   # group -> number of events
 
 
-def _chunk_jumps(marks_data: list[tuple], n_steps: int) -> _Jumps:
-    counts = np.stack([c for c, _ in marks_data])           # (rows, steps)
+def _chunk_jumps(counts: np.ndarray, marks: np.ndarray) -> _Jumps:
+    """The jumps of (rows, steps) counts and their marks in (row, step, draw) order."""
+    n_steps = counts.shape[1]
     ev_step = np.repeat(np.tile(np.arange(n_steps), counts.shape[0]), counts.ravel())
     order = np.argsort(ev_step, kind="stable")
     group_step, group_row = np.nonzero(counts.T)
     group_size = counts.T[group_step, group_row]
     return _Jumps(row=np.repeat(group_row, group_size),
-                  mark=np.concatenate([m for _, m in marks_data])[order],
+                  mark=marks[order],
                   bounds=np.concatenate([[0], np.cumsum(counts.sum(axis=0))]),
                   group=np.repeat(np.arange(group_size.size), group_size),
                   group_step=group_step, group_row=group_row, group_size=group_size)
@@ -359,10 +371,10 @@ def _noise_chunks(measure: LevyMeasure, seed: int, n_paths: int, n_steps: int, d
     sqrt_dt = np.sqrt(dt)
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        normals, marks_data = _path_noise(measure, seed,
-                                          range(path_offset + start, path_offset + stop),
-                                          n_steps, dt)
-        yield start, stop, sqrt_dt * normals, _chunk_jumps(marks_data, n_steps)
+        normals, counts, marks = _path_noise(measure, seed,
+                                             range(path_offset + start, path_offset + stop),
+                                             n_steps, dt)
+        yield start, stop, sqrt_dt * normals, _chunk_jumps(counts, marks)
 
 
 def _sum_by_row(jumps: _Jumps, lo: int, hi: int,

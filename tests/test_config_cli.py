@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -600,7 +601,13 @@ def test_verification_suite_passes():
     assert all(c["passed"] for c in checks), checks
 
 
+def _detail_z(check: dict) -> list[float]:
+    return [float(z) for z in re.findall(r"z=([+-]\d+\.\d+)", check["detail"])]
+
+
 def test_verification_avoids_the_density_curve_engine(monkeypatch):
+    from densitylab.term_structure import simulate_density_paths
+
     def refuse(*args, **kwargs):
         raise AssertionError("density curve engine reached")
 
@@ -608,11 +615,23 @@ def test_verification_avoids_the_density_curve_engine(monkeypatch):
     checks = run_verification(cfgmod.parse_config(None))
     assert all(c["passed"] for c in checks), checks
     density = next(c for c in checks if c["name"] == "density_martingale")
-    # the figures the 501-node curve engine gave on the same sample
-    assert density["detail"] == "theta=0.6: z=-1.25; theta=1.0: z=-1.38; theta=5.0: z=-1.42"
+    # the figures the 501-node curve engine gives on the same sample
+    ec = cfgmod.experiment_config(cfgmod.parse_config(None), n_paths=2000)
+    grid = np.arange(0.0, 5.0 + 1e-12, 0.01)
+    curves = simulate_density_paths(ec.spec(), ec.measure(), grid, 0.5, 0.01, ec.n_paths,
+                                    ec.seed)
+    thetas = np.array([0.6, 1.0, 5.0])
+    vals = curves["alpha"][:, np.rint(thetas / 0.01).astype(int)]
+    target = ec.lambda_bar * np.exp(-ec.lambda_bar * thetas)
+    z = (vals.mean(axis=0) - target) / (vals.std(axis=0, ddof=1) / np.sqrt(ec.n_paths))
+    assert density["detail"].startswith("theta=0.6: z=")
+    assert np.abs(np.array(_detail_z(density)) - z).max() < 0.01
 
 
 def test_verification_avoids_the_intensity_curve_engine(monkeypatch):
+    from densitylab.kernels import DiracKernel
+    from densitylab.term_structure import simulate_intensity_paths
+
     def refuse(*args, **kwargs):
         raise AssertionError("intensity curve engine reached")
 
@@ -620,8 +639,19 @@ def test_verification_avoids_the_intensity_curve_engine(monkeypatch):
     checks = run_verification(cfgmod.parse_config(None))
     assert all(c["passed"] for c in checks), checks
     survival = next(c for c in checks if c["name"] == "survival_martingale")
-    # the figures the 201-node curve engine gave on the same sample
-    assert survival["detail"] == "theta=1.0: z=+0.58; theta=2.0: z=+0.28"
+    # the figures the 201-node curve engine gives on the same sample
+    ec = cfgmod.experiment_config(cfgmod.parse_config(None), n_paths=2000)
+    grid = np.arange(0.0, 2.0 + 1e-12, 0.01)
+    probes = np.array([1.0, 2.0])
+    curves = simulate_intensity_paths(ec.spec(), DiracKernel(), ec.measure(), grid, 0.5, 0.01,
+                                      ec.n_paths, ec.seed + 1, probe_thetas=tuple(probes))
+    ends = np.rint(probes / 0.01).astype(int)
+    s = np.exp(-np.stack([np.trapezoid(curves["lam"][:, :j + 1], grid[:j + 1], axis=1)
+                          for j in ends], axis=1))
+    resid = s - np.exp(-ec.lambda_bar * probes) * (1.0 + curves["probe_martingale"])
+    z = resid.mean(axis=0) / (resid.std(axis=0, ddof=1) / np.sqrt(ec.n_paths))
+    assert survival["detail"].startswith("theta=1.0: z=")
+    assert np.abs(np.array(_detail_z(survival)) - z).max() < 0.01
 
 
 def test_verify_density_values_match_curve_engine():
@@ -1010,6 +1040,26 @@ def test_cli_rejects_rates_keys_the_mode_drops(tmp_path, monkeypatch, capsys, ar
     assert capsys.readouterr().err == (f"error: [rates] {key} = {value} has no effect under "
                                        f"mode = {mode}: leave it at {default}\n")
     assert not os.path.exists(out)
+
+
+def test_cli_price_rejects_kappa_under_constant_rates(tmp_path, monkeypatch, capsys):
+    # mode = constant holds lab price's rate at r, so kappa has no effect
+    # there; lab pide reads it off the rate axis, which mean-reverts to r
+    rates = "\n[rates]\nmode = constant\nkappa = 2.0\n"
+    out = str(tmp_path / "rejected")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "simulate_survival_values", lambda *a, **k: 1 / 0)
+        price_cfg = write(tmp_path, TINY_KERNELS + "[pricing]\nregime = correlated\n" + rates)
+        assert main(["price", "--config", price_cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: [rates] kappa = 2.0 has no effect under "
+                                       "mode = constant: leave it at 1.0\n")
+    assert not os.path.exists(out)
+    grids = []
+    for name, text in (("default.cfg", TINY_PIDE), ("kappa.cfg", TINY_PIDE + rates)):
+        pide_out = str(tmp_path / (name + ".out"))
+        assert main(["pide", "--config", write(tmp_path, text, name), "--out", pide_out]) == 0
+        grids.append(open(os.path.join(pide_out, "kernel_grid.csv")).read())
+    assert grids[0] != grids[1]
 
 
 def test_unread_input_error_names_the_readers_and_the_default(tmp_path, capsys):

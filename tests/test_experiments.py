@@ -10,6 +10,7 @@ from densitylab.experiments import (KDE_BLOCK_ROWS, ExperimentConfig, kde, kde_g
                                     run_price_distribution, sample_skewness,
                                     silverman_bandwidth, sweep)
 from densitylab.pricing import price_pre_default_independent
+from densitylab import term_structure as ts
 from densitylab.term_structure import (DensityCurveState, simulate_density_paths,
                                        simulate_survival_values)
 
@@ -148,9 +149,27 @@ def test_prices_match_curve_engine_oracle():
     assert np.abs(sample.prices - np.array(ref)).max() <= 1e-6
 
 
-def test_flag_is_negative_density_on_the_pricing_window():
-    # at lambda_bar = 0.01 about 0.1% of paths dip below zero on [t, T]; with
-    # seed 3 path 48 does, by -1.5e-3, far beyond the engines' 1e-10 gap
+def _inject_noise(monkeypatch, edit):
+    """Route every engine's noise through `edit(paths, normals, counts, marks)`,
+    which returns the edited triple; both engines then see the same noise."""
+    draw = ts._path_noise
+
+    def injected(measure, seed, paths, n_steps, dt):
+        return edit(paths, *draw(measure, seed, paths, n_steps, dt))
+
+    monkeypatch.setattr(ts, "_path_noise", injected)
+
+
+def test_flag_is_negative_density_on_the_pricing_window(monkeypatch):
+    # at lambda_bar = 0.01 the density on [t, T] is ~0.0099; a first-step
+    # dW of -30 on path 48 adds sigma (theta - 0) 30 >= 0.015 to dm there and
+    # drives the path's density below zero, far beyond the engines' 1e-10 gap
+    def negative_dw(paths, normals, counts, marks):
+        if 48 in paths:
+            normals[48 - paths.start, 0] = -30.0 / np.sqrt(0.01)
+        return normals, counts, marks
+
+    _inject_noise(monkeypatch, negative_dw)
     cfg = ExperimentConfig(n_paths=64, lambda_bar=0.01, seed=3)
     curves, _, on_window = _both_engines(cfg)
     sample = run_price_distribution(cfg)
@@ -162,11 +181,19 @@ def test_flag_is_negative_density_on_the_pricing_window():
     assert sample.diagnostics["negative_path_fraction"] == negative.mean()
 
 
-def test_unflagged_prices_bounded_under_large_section3_jumps():
+def test_unflagged_prices_bounded_under_large_section3_jumps(monkeypatch):
     # Under the Section-3 sign two marks with xi G_k(T) > ln 2 in one step
     # give 1 + dM_k(T) < 0, so S_t(T) < 0 and P < R B, while G_k(t) ~ 0
     # keeps S_t(t) and the density on [t, T] positive: the density alone
-    # would leave such a path unflagged.
+    # would leave such a path unflagged.  Every even path gets two marks of
+    # 10 in its last step (t_k = 0.49: xi G_k(T) = 1.3, xi G_k(t) = 5e-4).
+    def two_large_marks(paths, normals, counts, marks):
+        ends = np.cumsum(counts.sum(axis=1))          # the rows' last mark offsets
+        rows = np.flatnonzero(np.asarray(paths) % 2 == 0)
+        counts[rows, -1] += 2
+        return normals, counts, np.insert(marks, np.repeat(ends[rows], 2), 10.0)
+
+    _inject_noise(monkeypatch, two_large_marks)
     cfg = ExperimentConfig(n_paths=400, varpi=1.0, jump_sign_convention="section3", seed=5)
     sample = run_price_distribution(cfg)
     values = simulate_survival_values(cfg.spec(), cfg.measure(), pricing_window(cfg), cfg.t,

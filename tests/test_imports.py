@@ -4,7 +4,8 @@ Only the 2-D PIDE oracles need scipy, and no command reaches them, so the
 CLI must start without it, and a command must import nothing of its own
 once the CLI is loaded: whatever it needs is paid for at start-up, not
 inside the command.  Each case runs in a fresh interpreter, since the
-test session has imported scipy already.
+test session has imported scipy already.  One more case checks that the
+names the benchmark's traced run hooks still exist.
 """
 
 import json
@@ -74,6 +75,40 @@ n_paths = 4
 # the same with intensity-linked recovery, which reads the recovery kernel
 LINKED = PRICE.replace("regime = correlated\n", "regime = correlated\n"
                        "recovery_type = intensity_linked\nf = identity\n")
+
+
+# The names the benchmark's traced run (perfbench/tracing.py) hooks: its
+# `install` wraps functions by name and reports those it cannot find,
+# `replay_noise` opens `rng.PathStreams`, and the density-engine hook reads
+# `path_offset` from the call's arguments.
+TRACER_PROBE = """
+import inspect, json, sys
+sys.path.insert(0, sys.argv[1])
+import densitylab.cli
+from densitylab import rng, term_structure
+from densitylab.measures import ExponentialJumpMeasure
+import tracing
+offset = "path_offset" in inspect.signature(term_structure.simulate_density_paths).parameters
+missing = tracing.install(tracing.Tracer())
+_, jumps = tracing.replay_noise([("density", {
+    "measure": ExponentialJumpMeasure(zeta=400.0, varpi=0.5), "seed": 1, "paths": range(2),
+    "n_steps": 3, "dt": 0.01})])
+print(json.dumps({"missing": missing, "path_offset": offset, "stream": callable(rng.stream),
+                  "replayed_jumps": jumps}))
+"""
+
+
+def test_benchmark_tracer_hooks_exist():
+    perfbench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE, perfbench], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["missing"] == []
+    assert result["path_offset"] and result["stream"]
+    assert result["replayed_jumps"] > 0
 
 
 def _probe(argv: list[str]) -> dict:

@@ -7,7 +7,6 @@ from scipy.stats import chi2
 from densitylab.kernels import DiracKernel
 from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
 from densitylab import rng
-from densitylab.rng import PathStreams
 from densitylab import term_structure as ts
 
 
@@ -163,9 +162,9 @@ def test_intensity_paths_single_jump_increment(monkeypatch):
     grid = np.linspace(0.0, 2.0, 21)
 
     def one_jump(measure, seed, paths, n_steps, d):
-        counts = np.zeros(n_steps, dtype=np.int64)
-        counts[0] = 1
-        return np.zeros((len(paths), n_steps)), [(counts, np.array([xi0]))] * len(paths)
+        counts = np.zeros((len(paths), n_steps), dtype=np.int64)
+        counts[:, 0] = 1
+        return np.zeros((len(paths), n_steps)), counts, np.full(len(paths), xi0)
 
     monkeypatch.setattr(ts, "_path_noise", one_jump)
     res = ts.simulate_intensity_paths(spec, DiracKernel(), EXP_MEASURE, grid, t_end=dt, dt=dt,
@@ -310,11 +309,7 @@ def test_density_vectorized_matches_single_path():
                                     n_paths=3, seed=seed)
     for p in range(3):
         state = ts.initial_density_state(spec, grid)
-        streams = PathStreams(seed, p)
-        normals = streams.gaussian.standard_normal(n_steps)
-        counts = streams.poisson_count.poisson(EXP_MEASURE.total_mass * dt, size=n_steps)
-        marks = EXP_MEASURE.sample_marks(int(counts.sum()), streams.poisson_marks)
-        off = np.concatenate([[0], np.cumsum(counts)])
+        normals, _, marks, off = _stream_noise(EXP_MEASURE, seed, p, n_steps, dt)
         for k in range(n_steps):
             dm, dM = density_step_terms(spec, EXP_MEASURE, state.t, grid, dt, +1.0,
                                         float(np.sqrt(dt) * normals[k]),
@@ -460,14 +455,20 @@ HOT_MEASURE = ExponentialJumpMeasure(zeta=400.0, varpi=0.5)   # ~4 jumps per ste
 
 
 def _stream_noise(measure, seed, path, n_steps, dt):
-    normals = rng.stream(seed, path, rng.CHANNEL_GAUSSIAN).standard_normal(n_steps)
+    """Path `path`'s noise, replayed alone: row r of block b's fresh streams,
+    read off a draw of the block's rows 0, ..., r."""
+    block, row = divmod(path, rng.BLOCK_PATHS)
+    normals = rng.stream(seed, block, rng.CHANNEL_GAUSSIAN).standard_normal(
+        (row + 1, n_steps))[row]
     counts = np.zeros(n_steps, dtype=np.int64)
     marks = np.zeros(0)
     if measure.total_mass > 0:
-        counts = rng.stream(seed, path, rng.CHANNEL_POISSON_COUNT).poisson(
-            measure.total_mass * dt, size=n_steps)
-        marks = measure.sample_marks(int(counts.sum()),
-                                     rng.stream(seed, path, rng.CHANNEL_POISSON_MARKS))
+        block_counts = rng.stream(seed, block, rng.CHANNEL_POISSON_COUNT).poisson(
+            measure.total_mass * dt, size=(row + 1, n_steps))
+        counts = block_counts[row]
+        marks = measure.sample_marks(int(block_counts.sum()),
+                                     rng.stream(seed, block, rng.CHANNEL_POISSON_MARKS))
+        marks = marks[int(block_counts[:row].sum()):]
     return normals, counts, marks, np.concatenate([[0], np.cumsum(counts)])
 
 
@@ -552,19 +553,19 @@ def _max_jumps_per_step(measure, seed, n_paths, n_steps, dt):
 def test_path_noise_matches_fresh_streams(measure):
     seed = rng.decorrelate(12345, 2)
     assert seed >= 2 ** 63
-    paths = range(37, 45)                    # a chunk that starts mid-range
-    normals, marks_data = ts._path_noise(measure, seed, paths, 20, 0.01)
-    assert normals.shape == (len(paths), 20)
+    paths = range(250, 262)                  # starts mid-block, crosses into block 1
+    normals, counts, marks = ts._path_noise(measure, seed, paths, 20, 0.01)
+    assert normals.shape == counts.shape == (len(paths), 20)
+    # row i's marks are marks[row_off[i]:row_off[i + 1]], in step order
+    row_off = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    assert marks.size == row_off[-1]
     for i, p in enumerate(paths):
-        ref_normals, ref_counts, ref_marks, ref_off = _stream_noise(measure, seed, p, 20, 0.01)
-        counts, marks = marks_data[i]
+        ref_normals, ref_counts, ref_marks, _ = _stream_noise(measure, seed, p, 20, 0.01)
         assert np.array_equal(normals[i], ref_normals)
-        assert np.array_equal(counts, ref_counts)
-        assert np.array_equal(marks, ref_marks)
-        # step k's marks are marks[off[k]:off[k + 1]], offsets read off the counts
-        assert marks.size == ref_off[-1]
+        assert np.array_equal(counts[i], ref_counts)
+        assert np.array_equal(marks[row_off[i]:row_off[i + 1]], ref_marks)
     if measure.total_mass:
-        assert sum(m.size for _, m in marks_data) > 0
+        assert marks.size > 0
 
 
 def test_rekey_after_a_32_bit_draw_matches_a_fresh_stream():
@@ -578,7 +579,7 @@ def test_rekey_after_a_32_bit_draw_matches_a_fresh_stream():
     assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
     with pytest.raises(ValueError, match="channel must be in"):
         rng.rekey(gen, seed, 5, 4)
-    with pytest.raises(ValueError, match="path index must be nonnegative"):
+    with pytest.raises(ValueError, match="block index must be nonnegative"):
         rng.rekey(gen, seed, -1, rng.CHANNEL_GAUSSIAN)
 
 
@@ -592,6 +593,62 @@ def test_path_noise_builds_one_generator_per_call(monkeypatch):
     monkeypatch.setattr(ts, "stream", counted)
     ts._path_noise(HOT_MEASURE, 5, range(300), 10, 0.01)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("measure,per_block", [(HOT_MEASURE, 3), (ZeroMeasure(), 1)],
+                         ids=["jumps", "none"])
+def test_path_noise_rekeys_at_most_three_times_per_block(monkeypatch, measure, per_block):
+    keys = []
+
+    def counted(gen, *key):
+        keys.append(key)
+        return rng.rekey(gen, *key)
+
+    monkeypatch.setattr(ts, "rekey", counted)
+    ts._path_noise(measure, 5, range(100, 700), 10, 0.01)     # blocks 0, 1 and 2
+    assert len(keys) == 3 * per_block <= 3 * 3
+    assert sorted({block for _, block, _ in keys}) == [0, 1, 2]
+
+
+def _noise_rows(noise, lo, hi):
+    """Rows [lo, hi) of a `_path_noise` result that starts at row 0."""
+    normals, counts, marks = noise
+    row_off = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    return normals[lo:hi], counts[lo:hi], marks[row_off[lo]:row_off[hi]]
+
+
+@pytest.mark.parametrize("chunk", [16, 300])
+def test_path_bits_do_not_depend_on_the_drawn_range_or_chunking(monkeypatch, chunk):
+    seed, n_steps, dt, n_paths = rng.decorrelate(12345, 3), 10, 0.01, 600
+    whole = ts._path_noise(HOT_MEASURE, seed, range(n_paths), n_steps, dt)
+    # alone, starting mid-block, crossing one and two block boundaries
+    for paths in (range(300, 301), range(37, 45), range(250, 262), range(100, 560)):
+        part = ts._path_noise(HOT_MEASURE, seed, paths, n_steps, dt)
+        for got, want in zip(part, _noise_rows(whole, paths.start, paths.stop)):
+            assert np.array_equal(got, want), paths
+
+    spec = ts.CoefficientSpec.section7(sigma=0.002, b=1.0, lambda_bar=0.1)
+    grid = np.arange(0.0, 2.0 + 1e-12, 0.05)
+    thetas, probes = np.array([0.5, 1.0, 2.0]), (1.0, 2.0)
+
+    def engines(n, offset=0):
+        return {"curves": ts.simulate_density_paths(spec, HOT_MEASURE, grid, 0.1, dt, n, seed,
+                                                    path_offset=offset),
+                "values": ts.simulate_survival_values(spec, HOT_MEASURE, thetas, 0.1, dt, n,
+                                                      seed),
+                "intensity": ts.simulate_intensity_values(spec, DiracKernel(), HOT_MEASURE,
+                                                          grid, probes, 0.1, dt, n, seed)}
+
+    default = engines(n_paths)
+    monkeypatch.setattr(ts, "PATH_CHUNK", chunk)
+    monkeypatch.setattr(ts, "INTENSITY_CHUNK", chunk)
+    chunked = engines(n_paths)
+    for name, key in (("curves", "alpha"), ("curves", "survival"), ("values", "alpha"),
+                      ("values", "survival"), ("intensity", "integrated_intensity"),
+                      ("intensity", "probe_martingale")):
+        assert np.array_equal(chunked[name][key], default[name][key]), (name, key)
+    offset = engines(n_paths - 250, offset=250)["curves"]     # starts mid-block
+    assert np.array_equal(offset["alpha"], default["curves"]["alpha"][250:])
 
 
 @pytest.mark.parametrize("convention", ["section7", "section3"])
