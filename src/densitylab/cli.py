@@ -146,6 +146,7 @@ def cmd_price(args) -> int:
                      or (cfg.pricing.regime == "correlated" and tau is None))
     cfgmod.reject_unread(cfg, "price (kernels)" if kernel_priced else "price (closed form)")
     cfgmod.reject_dropped_rates(cfg, "price")
+    cfgmod.reject_inert_recovery(cfg)
     cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg)
     t, T = ec.t, ec.T

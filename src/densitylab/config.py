@@ -3,9 +3,11 @@
 Every key is validated against a per-section schema; unknown keys or
 sections are rejected by name.  `READS` names the keys each command reads,
 and `reject_unread` rejects a non-default value of any other (and
-`reject_dropped_rates` one of a [rates] key the mode drops).  `serialize`
-writes a file that parses back to an identical configuration, and the
-LAB_SEED environment variable overrides the configured seed at load time.
+`reject_dropped_rates` one of a [rates] key the mode drops,
+`reject_inert_recovery` one of a [pricing] key the recovery type leaves
+without effect).  `serialize` writes a file that parses back to an
+identical configuration, and the LAB_SEED environment variable overrides
+the configured seed at load time.
 """
 
 from __future__ import annotations
@@ -341,6 +343,17 @@ def reject_unread(cfg: Config, command: str) -> None:
                               f"not by {command}: leave it at {_shown(f.default)}")
 
 
+def _require_defaults(cfg: Config, section: str, keys: str, setting: str) -> None:
+    """Reject a non-default value of any of `keys` in [section], which have
+    no effect under `setting`."""
+    values = getattr(cfg, section)
+    for key in keys.split():
+        value, default = getattr(values, key), getattr(type(values), key)
+        if value != default:
+            raise ConfigError(f"[{section}] {key} = {_shown(value)} has no effect under "
+                              f"{setting}: leave it at {_shown(default)}")
+
+
 def reject_dropped_rates(cfg: Config, command: str) -> None:
     """Reject a non-default value of a [rates] key that `build_rate_spec`
     drops under the configured mode.  Under mode = constant `price` holds
@@ -350,11 +363,16 @@ def reject_dropped_rates(cfg: Config, command: str) -> None:
                "vasicek_jumps": "r"}[cfg.rates.mode]
     if command == "price" and cfg.rates.mode == "constant":
         dropped += " kappa"
-    for key in dropped.split():
-        value, default = getattr(cfg.rates, key), getattr(RatesConfig, key)
-        if value != default:
-            raise ConfigError(f"[rates] {key} = {_shown(value)} has no effect under "
-                              f"mode = {cfg.rates.mode}: leave it at {_shown(default)}")
+    _require_defaults(cfg, "rates", dropped, f"mode = {cfg.rates.mode}")
+
+
+def reject_inert_recovery(cfg: Config) -> None:
+    """Reject, for `price`, a non-default value of a [pricing] key that the
+    configured recovery_type leaves without effect: w0, w1 and f shape only
+    the intensity-linked recovery, which reads no R and prices through the
+    kernels in either regime."""
+    inert = "w0 w1 f" if cfg.pricing.recovery_type == "deterministic" else "regime R"
+    _require_defaults(cfg, "pricing", inert, f"recovery_type = {cfg.pricing.recovery_type}")
 
 
 # ---------------------------------------------------------------------------

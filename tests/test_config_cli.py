@@ -459,13 +459,13 @@ def test_cli_pide_rejects_ridge_eps(tmp_path, capsys):
 
 def test_k_breve_routes_avoid_the_2d_solve(tmp_path, monkeypatch):
     # both kernels, k_tilde (recovery f = identity) included, take the 1-D route
-    import densitylab.pide as pide
+    import densitylab.oracles as oracles
 
     def refuse(*args, **kwargs):
         raise AssertionError("2-D solve_cauchy reached")
 
-    monkeypatch.setattr(pide, "solve_cauchy", refuse)
-    monkeypatch.setattr(pide, "solve_cauchy_picard", refuse)
+    monkeypatch.setattr(oracles, "solve_cauchy", refuse)
+    monkeypatch.setattr(oracles, "solve_cauchy_picard", refuse)
     cfg = write(tmp_path, NOISY_PIDE)
     assert main(["pide", "--config", cfg, "--out", str(tmp_path / "pide")]) == 0
     solver = cli._solver_from(cfgmod.parse_config(cfg))
@@ -760,7 +760,7 @@ def _noisy(text: str) -> str:
 NOISY_PIDE = _noisy(TINY_PIDE)
 NOISY_CORRELATED = _noisy(CORRELATED)
 NOISY_LINKED = NOISY_CORRELATED.replace(
-    "R = 0.4", "recovery_type = intensity_linked\nf = identity")
+    "regime = correlated\nR = 0.4", "recovery_type = intensity_linked\nf = identity")
 
 
 def test_cli_price_correlated_zero_noise_matches_independent(tmp_path):
@@ -815,7 +815,8 @@ def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch
 
     monkeypatch.setattr(pricing, "kernel_transform", counted)
     cfg = write(tmp_path, CORRELATED.replace(
-        "R = 0.4", "recovery_type = intensity_linked\nf = identity\nw0 = 0.3\nw1 = 0.3"))
+        "regime = correlated\nR = 0.4",
+        "recovery_type = intensity_linked\nf = identity\nw0 = 0.3\nw1 = 0.3"))
     out = str(tmp_path / "linked")
     assert main(["price", "--config", cfg, "--out", out]) == 0
     rows = list(csv.DictReader(open(os.path.join(out, "prices.csv"))))
@@ -1060,6 +1061,38 @@ def test_cli_price_rejects_kappa_under_constant_rates(tmp_path, monkeypatch, cap
         assert main(["pide", "--config", write(tmp_path, text, name), "--out", pide_out]) == 0
         grids.append(open(os.path.join(pide_out, "kernel_grid.csv")).read())
     assert grids[0] != grids[1]
+
+
+@pytest.mark.parametrize("key,value", [("w0", "0.5"), ("w1", "0.5"), ("f", "none")])
+def test_cli_price_rejects_recovery_weights_under_deterministic_recovery(
+        tmp_path, monkeypatch, capsys, key, value):
+    # the correlated regime alive prices through the kernels, which read
+    # w0, w1 and f only for intensity-linked recovery
+    monkeypatch.setattr(cli, "simulate_survival_values", lambda *a, **k: 1 / 0)
+    cfg = write(tmp_path, CORRELATED.replace("R = 0.4", f"R = 0.4\n{key} = {value}"))
+    out = str(tmp_path / "rejected")
+    assert main(["price", "--config", cfg, "--out", out]) == 1
+    default = cfgmod._shown(getattr(cfgmod.PricingConfig(), key))
+    assert capsys.readouterr().err == (f"error: [pricing] {key} = {value} has no effect under "
+                                       f"recovery_type = deterministic: leave it at {default}\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key,value,default", [("regime", "correlated", "independent"),
+                                               ("R", "0.5", "0.4")], ids=["regime", "R"])
+@pytest.mark.parametrize("argv", [[], ["--status", "defaulted"]], ids=["alive", "defaulted"])
+def test_cli_price_rejects_regime_under_intensity_linked_recovery(tmp_path, monkeypatch, capsys,
+                                                                  argv, key, value, default):
+    # intensity-linked recovery reads no R and prices through the kernels
+    # in either regime
+    monkeypatch.setattr(cli, "simulate_survival_values", lambda *a, **k: 1 / 0)
+    cfg = write(tmp_path, NOISY_LINKED.replace("[pricing]\n", f"[pricing]\n{key} = {value}\n"))
+    out = str(tmp_path / "rejected")
+    assert main(["price", "--config", cfg, "--out", out, *argv]) == 1
+    assert capsys.readouterr().err == (f"error: [pricing] {key} = {value} has no effect under "
+                                       f"recovery_type = intensity_linked: leave it at "
+                                       f"{default}\n")
+    assert not os.path.exists(out)
 
 
 def test_unread_input_error_names_the_readers_and_the_default(tmp_path, capsys):

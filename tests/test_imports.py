@@ -1,11 +1,12 @@
 """Import hygiene of the `lab` commands.
 
-Only the 2-D PIDE oracles need scipy, and no command reaches them, so the
-CLI must start without it, and a command must import nothing of its own
-once the CLI is loaded: whatever it needs is paid for at start-up, not
-inside the command.  Each case runs in a fresh interpreter, since the
-test session has imported scipy already.  One more case checks that the
-names the benchmark's traced run hooks still exist.
+Only the PIDE test oracles (`densitylab.oracles`) need scipy, and no
+command reaches them, so the CLI must start without scipy and without the
+oracles, and a command must import nothing of its own once the CLI is
+loaded: whatever it needs is paid for at start-up, not inside the
+command.  Each case runs in a fresh interpreter, since the test session
+has imported both already.  One more case checks that the names the
+benchmark's traced run hooks and its workload checks import still exist.
 """
 
 import json
@@ -28,7 +29,8 @@ if argv:
         rc = cli.main(argv)
 print(json.dumps({"rc": rc,
                   "at_import": sorted(m for m in loaded if m.split(".")[0] == "scipy"),
-                  "in_command": sorted(set(sys.modules) - loaded)}))
+                  "in_command": sorted(set(sys.modules) - loaded),
+                  "oracles": "densitylab.oracles" in sys.modules}))
 """
 
 EXPERIMENT = """
@@ -73,19 +75,22 @@ n_paths = 4
 """
 
 # the same with intensity-linked recovery, which reads the recovery kernel
-LINKED = PRICE.replace("regime = correlated\n", "regime = correlated\n"
+LINKED = PRICE.replace("regime = correlated\n",
                        "recovery_type = intensity_linked\nf = identity\n")
 
 
 # The names the benchmark's traced run (perfbench/tracing.py) hooks: its
 # `install` wraps functions by name and reports those it cannot find,
 # `replay_noise` opens `rng.PathStreams`, and the density-engine hook reads
-# `path_offset` from the call's arguments.
+# `path_offset` from the call's arguments.  The `pide_kernel` check
+# (perfbench/workloads.py) imports three names from `densitylab.pide`; the
+# oracle among them resolves through the module's forwarder.
 TRACER_PROBE = """
 import inspect, json, sys
 sys.path.insert(0, sys.argv[1])
 import densitylab.cli
-from densitylab import rng, term_structure
+from densitylab import oracles, rng, term_structure
+from densitylab.pide import GridFunction, StateGrid, simulate_kernel_expectation
 from densitylab.measures import ExponentialJumpMeasure
 import tracing
 offset = "path_offset" in inspect.signature(term_structure.simulate_density_paths).parameters
@@ -94,7 +99,9 @@ _, jumps = tracing.replay_noise([("density", {
     "measure": ExponentialJumpMeasure(zeta=400.0, varpi=0.5), "seed": 1, "paths": range(2),
     "n_steps": 3, "dt": 0.01})])
 print(json.dumps({"missing": missing, "path_offset": offset, "stream": callable(rng.stream),
-                  "replayed_jumps": jumps}))
+                  "replayed_jumps": jumps,
+                  "forwarded": simulate_kernel_expectation is oracles.simulate_kernel_expectation,
+                  "grid_types": [GridFunction.__name__, StateGrid.__name__]}))
 """
 
 
@@ -109,6 +116,38 @@ def test_benchmark_tracer_hooks_exist():
     assert result["missing"] == []
     assert result["path_offset"] and result["stream"]
     assert result["replayed_jumps"] > 0
+    assert result["forwarded"]
+    assert result["grid_types"] == ["GridFunction", "StateGrid"]
+
+
+# A traced worker (perfbench/worker.py) imports the CLI and then calls
+# `install`, which takes its list of `densitylab` modules before it looks up
+# the 2-D route's names through `pide`'s forwarder.
+TRACED_ORACLES_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from densitylab import cli, config
+import tracing
+tracing.install(tracing.Tracer())
+from densitylab import oracles
+print(json.dumps({name: getattr(oracles, name).__qualname__ for name in (
+    "build_local_operator", "apply_jump_operator", "splu", "solve_cauchy")}))
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "perfbench/tracing.py's install lists the densitylab modules before its "
+    "pide.* lookups import densitylab.oracles, so the four 2-D route wrappers "
+    "land in no module; mended when the benchmark hooks densitylab.oracles"))
+def test_benchmark_tracer_wraps_the_oracles():
+    perfbench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", TRACED_ORACLES_PROBE, perfbench], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(q.endswith(".traced") for q in names.values()), names
 
 
 def _probe(argv: list[str]) -> dict:
@@ -118,7 +157,10 @@ def _probe(argv: list[str]) -> dict:
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # no case, after the CLI import or after any command, loads the oracles
+    assert not result["oracles"]
+    return result
 
 
 def _cfg(tmp_path, text: str) -> str:

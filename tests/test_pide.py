@@ -5,13 +5,13 @@ import pytest
 
 from densitylab.kernels import DiracKernel
 from densitylab.measures import ExponentialJumpMeasure, PointMassMeasure, ZeroMeasure
+from densitylab.oracles import (_pad_extrapolate, apply_jump_operator, degenerate,
+                                solve_cauchy, solve_cauchy_picard)
 from densitylab.pide import (HV_THETA, CoefficientProvider, GridFunction,
                              OperatorCoefficients, OutOfGridError, PideInstabilityError,
                              PricingKernelSolver, StateGrid, _AffineSplit, _check_pivots,
-                             _coefficient_table, _pad_extrapolate,
-                             _thomas_factor, _thomas_solve, apply_jump_operator,
-                             compute_coefficients, kernel_transform, solve_cauchy,
-                             solve_cauchy_affine, solve_cauchy_picard)
+                             _coefficient_table, _thomas_factor, _thomas_solve,
+                             compute_coefficients, kernel_transform, solve_cauchy_affine)
 from densitylab.rates import VasicekSpec, zcb_closed_form, zcb_price
 from densitylab.term_structure import CoefficientSpec
 
@@ -78,7 +78,7 @@ def test_coefficients_degeneracy_detected():
     c = compute_coefficients(SEC7, rs, KERNEL, EXP_MEASURE, 0.5, 2.0)
     # separable Dirac coefficients satisfy a12^2 = 4 a11 a22 exactly
     assert c.a12 ** 2 == pytest.approx(4 * c.a11 * c.a22, rel=1e-12)
-    assert c.degenerate()
+    assert degenerate(c)
 
 
 def test_girsanov_compensator_weights_damped():
@@ -220,12 +220,12 @@ def test_adi_time_order_with_explicit_jump_integral():
 
 
 def test_solve_cauchy_factorises_nothing(monkeypatch):
-    import densitylab.pide as pide
+    import densitylab.oracles as oracles
 
     def refuse(*args, **kwargs):
         raise AssertionError("solve_cauchy must not factorise a sparse matrix")
 
-    monkeypatch.setattr(pide, "splu", refuse)
+    monkeypatch.setattr(oracles, "splu", refuse)
     prov = _correlated_jump_provider(1e-3)
     assert prov.time_dependent
     grid = StateGrid(-0.02, 0.12, 24, 0.0, 0.35, 24)
@@ -382,7 +382,7 @@ def test_kernel_identity_forward_monte_carlo():
     theta, T = 2.0, 1.0
     from densitylab.term_structure import drift_table, _cumtrapz
     from densitylab.rates import ou_gaussian_loading
-    from densitylab.pide import default_grid_for
+    from densitylab.oracles import default_grid_for
 
     grid = np.arange(0.0, theta + 1e-12, 0.01)
     n_steps, dt, n_paths = 100, 0.01, 30_000
@@ -499,16 +499,16 @@ def test_affine_route_matches_2d_solve(case):
 
 
 def test_picard_factors_once_for_a_constant_provider(monkeypatch):
-    import densitylab.pide as pide
+    import densitylab.oracles as oracles
 
     factored = []
-    original = pide.splu
+    original = oracles.splu
 
     def counted(*args, **kwargs):
         factored.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pide, "splu", counted)
+    monkeypatch.setattr(oracles, "splu", counted)
 
     def every_level(t):
         return _constant_provider(t)
