@@ -4,10 +4,11 @@ Every key is validated against a per-section schema; unknown keys or
 sections are rejected by name.  `READS` names the keys each command reads,
 and `reject_unread` rejects a non-default value of any other (and
 `reject_dropped_rates` one of a [rates] key the mode drops,
-`reject_inert_recovery` one of a [pricing] key the recovery type leaves
-without effect).  `serialize` writes a file that parses back to an
-identical configuration, and the LAB_SEED environment variable overrides
-the configured seed at load time.
+`reject_inert_recovery` one of a [pricing] key the recovery type, or a
+deterministic recovery after default, leaves without effect).
+`serialize` writes a file that parses back to an identical
+configuration, and the LAB_SEED environment variable overrides the
+configured seed at load time.
 """
 
 from __future__ import annotations
@@ -366,13 +367,19 @@ def reject_dropped_rates(cfg: Config, command: str) -> None:
     _require_defaults(cfg, "rates", dropped, f"mode = {cfg.rates.mode}")
 
 
-def reject_inert_recovery(cfg: Config) -> None:
+def reject_inert_recovery(cfg: Config, defaulted: bool) -> None:
     """Reject, for `price`, a non-default value of a [pricing] key that the
     configured recovery_type leaves without effect: w0, w1 and f shape only
     the intensity-linked recovery, which reads no R and prices through the
-    kernels in either regime."""
-    inert = "w0 w1 f" if cfg.pricing.recovery_type == "deterministic" else "regime R"
+    kernels in either regime.  A deterministic recovery after default
+    (`defaulted`) is worth R B(t, T) in either regime, so regime is inert
+    there too."""
+    deterministic = cfg.pricing.recovery_type == "deterministic"
+    inert = "w0 w1 f" if deterministic else "regime R"
     _require_defaults(cfg, "pricing", inert, f"recovery_type = {cfg.pricing.recovery_type}")
+    if deterministic and defaulted:
+        _require_defaults(cfg, "pricing", "regime",
+                          "recovery_type = deterministic with --status defaulted")
 
 
 # ---------------------------------------------------------------------------

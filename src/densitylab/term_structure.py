@@ -324,31 +324,35 @@ class _Jumps(NamedTuple):
     """A chunk's realised jumps as flat event arrays, sorted stably by step.
 
     Step k's events are [bounds[k], bounds[k + 1]); within a step they
-    follow row (path) order and, within a row, draw order.  The events of
-    one (step, row) pair form a group; groups are numbered in event order.
+    follow row (path) order and, within a row, draw order.  So the events
+    of one (step, row) cell are contiguous and in draw order, and so are
+    one row's events across the steps of any step range.
     """
 
+    step: np.ndarray         # event -> step
     row: np.ndarray          # event -> chunk row
     mark: np.ndarray         # event -> mark
     bounds: np.ndarray       # (n_steps + 1,) event offsets per step
-    group: np.ndarray        # event -> group
-    group_step: np.ndarray   # group -> step
-    group_row: np.ndarray    # group -> chunk row
-    group_size: np.ndarray   # group -> number of events
 
 
 def _chunk_jumps(counts: np.ndarray, marks: np.ndarray) -> _Jumps:
-    """The jumps of (rows, steps) counts and their marks in (row, step, draw) order."""
+    """The jumps of (rows, steps) counts and their marks in (row, step, draw) order.
+
+    Each event keeps only its step, row and mark, sorted stably by step,
+    so any range of steps (one step of a curve engine, a step block of
+    `simulate_survival_values`) is one slice of events.  Adding a slice's
+    terms in event order at their (step, row) cells adds each cell's
+    terms in draw order, the order of a per-path loop, which keeps its
+    bits.  The engines that sum events per cell derive those groups where
+    they need them (`_sum_by_row`, `_mark_sums`).
+    """
     n_steps = counts.shape[1]
-    ev_step = np.repeat(np.tile(np.arange(n_steps), counts.shape[0]), counts.ravel())
-    order = np.argsort(ev_step, kind="stable")
-    group_step, group_row = np.nonzero(counts.T)
-    group_size = counts.T[group_step, group_row]
-    return _Jumps(row=np.repeat(group_row, group_size),
-                  mark=marks[order],
-                  bounds=np.concatenate([[0], np.cumsum(counts.sum(axis=0))]),
-                  group=np.repeat(np.arange(group_size.size), group_size),
-                  group_step=group_step, group_row=group_row, group_size=group_size)
+    row, step = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), n_steps)
+    # stable, so draw order holds within a step; radix sort when steps fit 16 bits
+    order = np.argsort(step.astype(np.min_scalar_type(n_steps)), kind="stable")
+    step = step[order]
+    return _Jumps(step=step, row=row[order], mark=marks[order],
+                  bounds=np.searchsorted(step, np.arange(n_steps + 1)))
 
 
 def _step_count(spec: CoefficientSpec, t_end: float, dt: float) -> int:
@@ -381,30 +385,35 @@ def _sum_by_row(jumps: _Jumps, lo: int, hi: int,
                 terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sums): the step's event terms [lo, hi) summed per row.
 
-    np.add.at adds the terms one by one into zeros, which is the sequential
-    order of `terms_of_one_row.sum(axis=0)`, so each sum keeps its bits.
+    A step's events come in row order, so each jumping row's events are
+    one run.  np.add.at adds the terms one by one into zeros, which is the
+    sequential order of `terms_of_one_row.sum(axis=0)`, so each sum keeps
+    its bits.
     """
-    g0, g1 = jumps.group[lo], jumps.group[hi - 1] + 1
-    sums = np.zeros((g1 - g0,) + terms.shape[1:])
-    np.add.at(sums, jumps.group[lo:hi] - g0, terms)
-    return jumps.group_row[g0:g1], sums
+    rows = jumps.row[lo:hi]
+    first = np.diff(rows, prepend=-1) != 0              # each row's first event
+    group = np.cumsum(first) - 1
+    sums = np.zeros((group[-1] + 1,) + terms.shape[1:])
+    np.add.at(sums, group, terms)
+    return rows[first], sums
 
 
 def _mark_sums(jumps: _Jumps, n_steps: int, n_rows: int) -> np.ndarray:
     """(n_steps, n_rows) sum of each path-step's marks, zero where none.
 
-    Each group is summed as a row of an (groups, size) block, which gives
-    the bits of `ndarray.sum` over that path's mark slice: numpy sums 8 or
-    more values pairwise, so only groups of equal size share a block.
+    Each sum must have the bits of `ndarray.sum` over that path-step's
+    marks in draw order.  Below 8 values numpy adds them one by one into
+    zero, as np.bincount does; it sums 8 or more pairwise, so those cells
+    are summed again as rows of an (cells, size) block of one size.
     """
-    first = np.cumsum(jumps.group_size) - jumps.group_size
-    sums = np.empty(first.size)
-    for size in np.flatnonzero(np.bincount(jumps.group_size)):
-        sel = jumps.group_size == size
-        sums[sel] = jumps.mark[first[sel][:, None] + np.arange(size)].sum(axis=1)
-    out = np.zeros((n_steps, n_rows))
-    out[jumps.group_step, jumps.group_row] = sums
-    return out
+    cell = jumps.step * n_rows + jumps.row              # nondecreasing
+    out = np.bincount(cell, weights=jumps.mark, minlength=n_steps * n_rows)
+    first = np.flatnonzero(np.diff(cell, prepend=-1))   # each cell's first event
+    size = np.diff(first, append=cell.size)
+    for n in np.flatnonzero(np.bincount(size[size >= 8])):     # np.unique loads numpy.ma
+        at = first[size == n]
+        out[cell[at]] = jumps.mark[at[:, None] + np.arange(n)].sum(axis=1)
+    return out.reshape(n_steps, n_rows)
 
 
 def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
@@ -474,6 +483,19 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
             "negative_alpha_counts": neg_counts}
 
 
+# Most elements of one step block of `simulate_survival_values`, unless one
+# step holds more: each of its two work arrays holds (steps x maturities x
+# rows) floats, at most 64 KB.  A pricing-window step (51 or 82 maturities
+# on a 256-path chunk) is past it, so those calls keep one step per block,
+# the working set of a per-step loop; lab verify's 3 maturities run 10
+# steps per block.  No bound can also give that command all 50 steps at
+# once (38,400 elements) without blocking the pricing window's steps in
+# pairs; 2^14 and 2^16 (21 and 50 steps there) timed the same as 2^13
+# within noise on 2 vCPUs, with the same peak RSS.  The bound sets memory
+# only: any value gives the same bits.
+VALUES_BLOCK_ELEMENTS = 2 ** 13
+
+
 def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
                              thetas: np.ndarray, t_end: float, dt: float,
                              n_paths: int, seed: int,
@@ -493,13 +515,25 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     alpha_t = -dS_t/dtheta = S_t (lambda_0 - sum_k dm_k / (1 + dM_k)).
     The noise is `_path_noise`, the draws of `simulate_density_paths`,
     so both engines agree path by path up to that engine's trapezoid
-    error.  Paths run in chunks of `PATH_CHUNK`, which bounds the
-    (paths x maturities) work arrays; every operation is elementwise per
-    path row, so a path's values do not depend on the chunk boundaries.
+    error.
+
+    Paths run in chunks of `PATH_CHUNK`, and a chunk's steps in blocks of
+    as many steps as fit in `VALUES_BLOCK_ELEMENTS` (steps x maturities x
+    rows) elements, at least one, so that a few maturities do not pay a
+    round of numpy calls per step.
+    A block builds every dM_k and dm_k at once; its jumps enter through one
+    np.add.at at their (step, maturity, row) elements, in event order,
+    which within one (step, row) cell is draw order (`_chunk_jumps`).
+    Then, step by step, 1 + dM_k multiplies into S and dm_k / (1 + dM_k)
+    adds into the running sum.  Every element thus gets the operations of
+    a per-step loop (tests/test_term_structure.py keeps one) in the same
+    order, and every operation is elementwise per path row, so a path's
+    values depend on neither the chunk nor the block boundaries.
     """
     n_steps = _step_count(spec, t_end, dt)
     sign = JUMP_SIGN[jump_sign_convention]
     thetas = np.asarray(thetas, dtype=float)
+    n_mat = thetas.size
 
     lam0 = np.asarray(spec.lambda0_fn(thetas), dtype=float)
     pts = thetas[:, None] * np.linspace(0.0, 1.0, 257)      # S_0 = exp(-int_0^theta lambda_0)
@@ -508,34 +542,52 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     t_nodes = np.arange(n_steps) * dt
     theta_t = np.maximum(thetas[None, :] - t_nodes[:, None], 0.0)
     half_sq = theta_t ** 2 / 2.0
-    sig_rows = spec.sigma_slope * theta_t                 # d/dtheta of sig_cum
-    sig_cum = spec.sigma_slope * half_sq
-    gam_rows = spec.jump_slope * theta_t                  # d/dtheta of big_g
     big_g_rows = spec.jump_slope * half_sq
-    comp_rows = gam_rows * np.asarray(measure.xi_exp(big_g_rows), dtype=float)
-    comp_cum = np.asarray(measure.one_minus_exp(big_g_rows), dtype=float)
+    # (steps, maturities) tables of dM_k = dW_k neg_sig_cum_k + drift_cum_k
+    # + sign sum_j (1 - e^{-xi_j G_k}) and of its theta-derivative dm_k, as
+    # few as a per-step loop holds
+    neg_sig_cum = -(spec.sigma_slope * half_sq)
+    neg_sig_rows = -(spec.sigma_slope * theta_t)
+    drift_cum = (-sign * dt) * np.asarray(measure.one_minus_exp(big_g_rows), dtype=float)
+    drift_rows = (-sign * dt) * ((spec.jump_slope * theta_t)
+                                 * np.asarray(measure.xi_exp(big_g_rows), dtype=float))
+    sign_gam = sign * (spec.jump_slope * theta_t)         # sign d/dtheta of big_g
 
-    alpha_out = np.empty((n_paths, thetas.size))
-    surv_out = np.empty((n_paths, thetas.size))
+    alpha_out = np.empty((n_paths, n_mat))
+    surv_out = np.empty((n_paths, n_mat))
     for start, stop, dW, jumps in _noise_chunks(measure, seed, n_paths, n_steps, dt,
                                                 PATH_CHUNK):
         p = stop - start
-        surv = np.tile(surv0, (p, 1))
-        dlog_sum = np.zeros((p, thetas.size))        # d/dtheta log prod (1 + dM_k)
-        for k in range(n_steps):
-            dM = np.multiply.outer(dW[:, k], -sig_cum[k]) + (-sign * dt) * comp_cum[k]
-            dm = np.multiply.outer(dW[:, k], -sig_rows[k]) + (-sign * dt) * comp_rows[k]
-            lo, hi = jumps.bounds[k], jumps.bounds[k + 1]
+        block = max(1, min(n_steps, VALUES_BLOCK_ELEMENTS // (p * n_mat)))
+        # (steps, maturities, rows) blocks: rows, the longest axis, run innermost
+        big_m_buf, m_buf = np.empty((block, n_mat, p)), np.empty((block, n_mat, p))
+        surv = np.tile(surv0[:, None], (1, p))
+        dlog_sum = np.zeros((n_mat, p))              # d/dtheta log prod (1 + dM_k)
+        for k0 in range(0, n_steps, block):
+            k1 = min(k0 + block, n_steps)
+            dM, dm = big_m_buf[:k1 - k0], m_buf[:k1 - k0]
+            w = dW[:, k0:k1].T[:, None, :]
+            np.multiply(w, neg_sig_cum[k0:k1, :, None], out=dM)
+            dM += drift_cum[k0:k1, :, None]
+            np.multiply(w, neg_sig_rows[k0:k1, :, None], out=dm)
+            dm += drift_rows[k0:k1, :, None]
+            lo, hi = jumps.bounds[k0], jumps.bounds[k1]
             if hi > lo:
-                xs = jumps.mark[lo:hi]
-                expo = np.exp(-np.multiply.outer(xs, big_g_rows[k]))
-                np.add.at(dM, jumps.row[lo:hi], sign * (1.0 - expo))
-                np.add.at(dm, jumps.row[lo:hi], sign * gam_rows[k] * (xs[:, None] * expo))
-            growth = 1.0 + dM
-            surv *= growth
-            dlog_sum += dm / growth
-        surv_out[start:stop] = surv
-        alpha_out[start:stop] = surv * (lam0 - dlog_sum)
+                step, xs = jumps.step[lo:hi], jumps.mark[lo:hi]
+                expo = np.exp(-(xs[:, None] * big_g_rows[step]))
+                # flat (step, maturity, row) element of each (event, maturity)
+                at = (((step - k0) * n_mat)[:, None] + np.arange(n_mat)) * p \
+                    + jumps.row[lo:hi, None]
+                np.add.at(dM.reshape(-1), at.ravel(), (sign * (1.0 - expo)).ravel())
+                np.add.at(dm.reshape(-1), at.ravel(),
+                          (sign_gam[step] * (xs[:, None] * expo)).ravel())
+            dM += 1.0                                # growth 1 + dM_k
+            dm /= dM
+            for growth, ratio in zip(dM, dm):        # in step order
+                surv *= growth
+                dlog_sum += ratio
+        surv_out[start:stop] = surv.T
+        alpha_out[start:stop] = (surv * (lam0[:, None] - dlog_sum)).T
 
     return {"thetas": thetas, "t": t_end, "alpha": alpha_out, "survival": surv_out}
 
@@ -706,8 +758,7 @@ def simulate_intensity_values(spec: CoefficientSpec, kernel: DiracKernel,
         integrated[start:stop] = (const + np.einsum("pk,kq->pq", dW, a_sig)
                                   + np.einsum("kp,kq->pq", mark_sums, a_gam))
         x = np.einsum("pk,kq->pq", dW, -tab.i_sig) - comp_x
-        step = np.repeat(np.arange(n_steps), np.diff(jumps.bounds))
-        np.add.at(x, jumps.row, np.exp(-jumps.mark[:, None] * tab.g_half[step]) - 1.0)
+        np.add.at(x, jumps.row, np.exp(-jumps.mark[:, None] * tab.g_half[jumps.step]) - 1.0)
         x_out[start:stop] = x
 
     return {"probe_thetas": probes, "t": t_end, "integrated_intensity": integrated,

@@ -1,6 +1,8 @@
-"""The verdict of `tools/bench_pairs.py` on fixed numbers; no run starts."""
+"""The verdict and the workload choice of `tools/bench_pairs.py` on fixed
+numbers; no run starts."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -73,3 +75,56 @@ def test_unpaired_or_unknown_inputs_are_rejected():
         verdict([1.0], [1.0], "lower", 0.25)
     with pytest.raises(ValueError):
         verdict([1.0, 2.0], [1.0, 2.0], "smaller", 0.25)
+
+
+def _no_runs(monkeypatch, ran=None):
+    """Stand-ins for git, the export and the runs: each run reads 1.0 on
+    every metric, and its (workload, side) goes to `ran`."""
+    def run(side, workload, seed, seconds, env):
+        if ran is None:
+            raise AssertionError("a run started")
+        ran.append((workload, os.path.basename(side)))
+        return {"failed": 0, "attempted": 1,
+                "metrics": {m: {"value": 1.0} for m in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "_git", lambda *a, **k: b"0123abcd\n")
+    monkeypatch.setattr(bench_pairs, "_worktree_tree", lambda: "4567ef01")
+    monkeypatch.setattr(bench_pairs, "_export", lambda treeish, dest: None)
+    monkeypatch.setattr(bench_pairs, "_run", run)
+
+
+def test_an_unknown_workload_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys):
+    _no_runs(monkeypatch)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--out", str(out), "--workload", "verify_suite",
+                          "--workload", "nope"])
+    assert exc.value.code == 2
+    assert "unknown workload 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_named_workloads_alone_run_and_are_recorded(tmp_path, monkeypatch):
+    ran = []
+    _no_runs(monkeypatch, ran)
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--workload", "verify_suite", "--workload", "section7_cell"]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    # in BENCHMARK.json's order, whatever the order on the command line
+    assert record["protocol"]["workloads"] == ["section7_cell", "verify_suite"]
+    assert sorted(record["results"]) == ["section7_cell", "verify_suite"]
+    assert sorted(set(ran)) == [(w, side) for w in ("section7_cell", "verify_suite")
+                                for side in ("base", "head")]
+    assert len(ran) == 2 * 2 * bench_pairs.PAIRS
+
+
+def test_every_workload_runs_by_default(tmp_path, monkeypatch):
+    ran = []
+    _no_runs(monkeypatch, ran)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--out", str(out)]) == 0
+    with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    assert json.loads(out.read_text())["protocol"]["workloads"] == names
+    assert {w for w, _ in ran} == set(names)

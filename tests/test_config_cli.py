@@ -559,9 +559,10 @@ def test_cli_price_defaulted_reads_the_values_engine(tmp_path, monkeypatch):
 
 def test_cli_price_defaulted_deterministic_recovery_is_the_recovered_bond(tmp_path,
                                                                         monkeypatch):
-    # at tau <= t the intensity coefficients have vanished, so a correlated
-    # defaulted price is R B(t, T) on every path, as in the independent
-    # regime: nothing is simulated and no kernel is solved
+    # at tau <= t the intensity coefficients have vanished, so a defaulted
+    # price is R B(t, T) on every path, in either regime: nothing is
+    # simulated and no kernel is solved (the correlated regime, which would
+    # change nothing, is rejected; see the test below)
     from densitylab.rates import zcb_price
 
     def refuse(*args, **kwargs):
@@ -570,13 +571,33 @@ def test_cli_price_defaulted_deterministic_recovery_is_the_recovered_bond(tmp_pa
     for name in ("simulate_density_paths", "simulate_survival_values",
                  "run_price_distribution", "_solver_from"):
         monkeypatch.setattr(cli, name, refuse)
-    cfg = write(tmp_path, NOISY_CORRELATED.replace("rates_correlated = true\n", ""))
+    cfg = write(tmp_path, NOISY_CORRELATED.replace("rates_correlated = true\n", "")
+                .replace("regime = correlated\n", ""))
     out = str(tmp_path / "dead")
     assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
                  "--out", out]) == 0
     prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
     bond = zcb_price(cfgmod.build_rate_spec(cfgmod.parse_config(cfg)), 0.5, 1.0, 0.05)
     assert prices == [0.4 * bond] * 20
+
+
+@pytest.mark.parametrize("tau", [[], ["--tau", "0.1"]], ids=["default_tau", "tau"])
+def test_cli_price_rejects_regime_after_default_under_deterministic_recovery(
+        tmp_path, monkeypatch, capsys, tau):
+    # R B(t, T) after default in either regime: the correlated regime wrote
+    # the independent regime's prices.csv byte for byte
+    def refuse(*args, **kwargs):
+        raise AssertionError("priced")
+
+    for name in ("simulate_survival_values", "run_price_distribution", "_solver_from"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = write(tmp_path, NOISY_CORRELATED.replace("rates_correlated = true\n", ""))
+    out = str(tmp_path / "rejected")
+    assert main(["price", "--config", cfg, "--out", out, "--status", "defaulted", *tau]) == 1
+    assert capsys.readouterr().err == ("error: [pricing] regime = correlated has no effect "
+                                       "under recovery_type = deterministic with --status "
+                                       "defaulted: leave it at independent\n")
+    assert not os.path.exists(out)
 
 
 def test_cli_runaway_intensity_is_classified(tmp_path, monkeypatch, capsys):

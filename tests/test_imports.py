@@ -182,7 +182,8 @@ def test_commands_import_nothing_after_the_cli(tmp_path, command):
                   "pide": (["pide", "--theta", "2.0"], PIDE),
                   "price_alive": (["price"], PRICE),
                   "price_defaulted": (["price", "--status", "defaulted"],
-                                      PRICE.replace("rates_correlated = true\n", "")),
+                                      PRICE.replace("rates_correlated = true\n", "")
+                                      .replace("regime = correlated\n", "")),
                   "price_linked_alive": (["price"], LINKED),
                   "price_linked_defaulted": (["price", "--status", "defaulted"],
                                              LINKED)}[command]

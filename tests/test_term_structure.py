@@ -688,6 +688,74 @@ def test_intensity_engine_matches_per_path_reference_at_high_jump_activity(monke
                               np.array(ref["probe_martingale_records"][rt]))
 
 
+def _reference_survival_values(spec, measure, thetas, t_end, dt, n_paths, seed, sign):
+    """`simulate_survival_values` as a per-step loop over all paths at once.
+
+    Per step: every path's dM_k and dm_k, the step's jumps added one by one
+    at their rows in draw order, then S (1 + dM_k) and the running sum of
+    dm_k / (1 + dM_k).  The events come straight from `_path_noise`'s
+    counts and marks.  Returns (alpha, S, least 1 + dM_k seen).
+    """
+    n_steps = int(round(t_end / dt))
+    lam0 = spec.lambda0_fn(thetas)
+    pts = thetas[:, None] * np.linspace(0.0, 1.0, 257)
+    surv0 = np.exp(-np.trapezoid(spec.lambda0_fn(pts), pts, axis=1))
+    theta_t = np.maximum(thetas[None, :] - (np.arange(n_steps) * dt)[:, None], 0.0)
+    half_sq = theta_t ** 2 / 2.0
+    sig_rows, sig_cum = spec.sigma_slope * theta_t, spec.sigma_slope * half_sq
+    gam_rows, big_g_rows = spec.jump_slope * theta_t, spec.jump_slope * half_sq
+    comp_rows = gam_rows * np.asarray(measure.xi_exp(big_g_rows), dtype=float)
+    comp_cum = np.asarray(measure.one_minus_exp(big_g_rows), dtype=float)
+
+    normals, counts, marks = ts._path_noise(measure, seed, range(n_paths), n_steps, dt)
+    dW = np.sqrt(dt) * normals
+    ev_row = np.repeat(np.arange(n_paths), counts.sum(axis=1))          # draw order
+    ev_step = np.concatenate([np.repeat(np.arange(n_steps), c) for c in counts])
+    surv = np.tile(surv0, (n_paths, 1))
+    dlog_sum = np.zeros((n_paths, thetas.size))
+    least = np.inf
+    for k in range(n_steps):
+        dM = np.multiply.outer(dW[:, k], -sig_cum[k]) + (-sign * dt) * comp_cum[k]
+        dm = np.multiply.outer(dW[:, k], -sig_rows[k]) + (-sign * dt) * comp_rows[k]
+        now = ev_step == k
+        if now.any():
+            xs = marks[now]
+            expo = np.exp(-np.multiply.outer(xs, big_g_rows[k]))
+            np.add.at(dM, ev_row[now], sign * (1.0 - expo))
+            np.add.at(dm, ev_row[now], sign * gam_rows[k] * (xs[:, None] * expo))
+        growth = 1.0 + dM
+        least = min(least, growth.min())
+        surv *= growth
+        dlog_sum += dm / growth
+    return surv * (lam0 - dlog_sum), surv, least
+
+
+@pytest.mark.parametrize("n_mat", [3, 51, 82])
+@pytest.mark.parametrize("measure", [HOT_MEASURE, PointMassMeasure(z=30.0, location=0.2),
+                                     ZeroMeasure()], ids=["hot", "point_mass", "none"])
+@pytest.mark.parametrize("convention", ["section7", "section3"])
+def test_survival_values_match_per_step_reference(monkeypatch, convention, measure, n_mat):
+    monkeypatch.setattr(ts, "PATH_CHUNK", 16)          # 515 paths: the last chunk is partial
+    spec = ts.CoefficientSpec.section7(sigma=0.002, b=1.0, lambda_bar=0.1)
+    thetas = np.linspace(0.05, 3.0, n_mat)
+    seed, n_paths, dt, t_end = 79, 515, 0.01, 0.5
+    alpha, surv, least = _reference_survival_values(spec, measure, thetas, t_end, dt, n_paths,
+                                                    seed, ts.JUMP_SIGN[convention])
+    assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(surv))
+    if measure is HOT_MEASURE:
+        assert _max_jumps_per_step(HOT_MEASURE, seed, n_paths, 50, dt) >= 8
+        assert least <= 0.0                                # 1 + dM_k <= 0 somewhere
+    # the block bound sets memory, not numerics: one step per block, blocks
+    # of 7 steps and a partial last one, the default, a whole chunk at once
+    for block in (1, 16 * 7 * n_mat, ts.VALUES_BLOCK_ELEMENTS, 16 * 50 * n_mat + 1):
+        monkeypatch.setattr(ts, "VALUES_BLOCK_ELEMENTS", block)
+        for n in (1, n_paths):
+            res = ts.simulate_survival_values(spec, measure, thetas, t_end, dt, n, seed,
+                                              jump_sign_convention=convention)
+            assert np.array_equal(res["alpha"], alpha[:n]), (block, n)
+            assert np.array_equal(res["survival"], surv[:n]), (block, n)
+
+
 @pytest.mark.parametrize("kernel,measure", [
     (DiracKernel(), EXP_MEASURE),
     (DiracKernel(c0=4.0), PointMassMeasure(z=30.0, location=0.2)),

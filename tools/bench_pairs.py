@@ -1,12 +1,15 @@
 """Interleaved-pair benchmark of two trees of this repository.
 
     python3 tools/bench_pairs.py --out BENCH_N.json [--base REV] [--first-seed 1]
+                                 [--workload NAME ...]
 
 Exports the base revision (default HEAD) and the head, the working tree
 (every file that .gitignore admits), with `git archive` into two
 directories whose paths have the same length, and runs each side's own
 `perfbench/run.py`, unchanged, once per (seed, workload) with `--trace 0`
-and BENCHMARK.json's `run_seconds`.  Pair i (from 0) of the PAIRS pairs
+and BENCHMARK.json's `run_seconds`, on every workload of BENCHMARK.json
+or on those named by `--workload` (repeatable; an unknown name exits 2
+before anything runs).  Pair i (from 0) of the PAIRS pairs
 runs seed first-seed + i; the base runs first on odd seeds and the head on
 even ones, so that the drift of a shared machine falls on both sides
 alike.  Both sides get one environment, the caller's with
@@ -100,11 +103,17 @@ def main(argv=None) -> int:
     p.add_argument("--first-seed", type=int, default=1,
                    help="seed of the first pair (a claim should hold on seeds not used "
                         "while the change was written)")
+    p.add_argument("--workload", action="append", metavar="NAME",
+                   help="a BENCHMARK.json workload to pair; repeatable (default: all)")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    workloads = [w["name"] for w in spec["workloads"]]
+    known = [w["name"] for w in spec["workloads"]]
+    for name in args.workload or ():
+        if name not in known:
+            p.error(f"unknown workload {name!r}; BENCHMARK.json has {', '.join(known)}")
+    workloads = [w for w in known if args.workload is None or w in args.workload]
     seconds = float(spec["run_seconds"])
     revs = {"base": _git("rev-parse", args.base).decode().strip(), "head": _worktree_tree()}
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -142,6 +151,7 @@ def main(argv=None) -> int:
     record = {"protocol": {"base": revs["base"], "head": revs["head"],
                            "head_is_worktree": True, "pairs": PAIRS,
                            "seeds": [args.first_seed, args.first_seed + PAIRS - 1],
+                           "workloads": workloads,
                            "seconds": seconds, "order": "base first on odd seeds",
                            "env": {"PYTHONDONTWRITEBYTECODE": "1"},
                            "nproc": os.cpu_count(), "python": platform.python_version()},
