@@ -58,6 +58,7 @@ def _finish(args, cfg: cfgmod.Config, outputs: list[str]) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     cfgmod.reject_unread(cfg, f"simulate --route {args.route}")
+    cfgmod.reject_inert_mass(cfg)
     if args.route == "density":
         cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg, n_paths=args.paths)
@@ -187,6 +188,7 @@ def cmd_pide(args) -> int:
     cfg = _load(args)
     cfgmod.reject_unread(cfg, "pide")
     cfgmod.reject_dropped_rates(cfg, "pide")
+    cfgmod.reject_inert_mass(cfg)
     solver = _solver_from(cfg)
     os.makedirs(args.out, exist_ok=True)
     sol = solver.solution(cfg.experiment.t, args.theta, "y")

@@ -5,7 +5,8 @@ sections are rejected by name.  `READS` names the keys each command reads,
 and `reject_unread` rejects a non-default value of any other (and
 `reject_dropped_rates` one of a [rates] key the mode drops,
 `reject_inert_recovery` one of a [pricing] key the recovery type, or a
-deterministic recovery after default, leaves without effect).
+deterministic recovery after default, leaves without effect, and
+`reject_inert_mass` a point mass z under another measure type).
 `serialize` writes a file that parses back to an identical
 configuration, and the LAB_SEED environment variable overrides the
 configured seed at load time.
@@ -358,12 +359,13 @@ def _require_defaults(cfg: Config, section: str, keys: str, setting: str) -> Non
 def reject_dropped_rates(cfg: Config, command: str) -> None:
     """Reject a non-default value of a [rates] key that `build_rate_spec`
     drops under the configured mode.  Under mode = constant `price` holds
-    the rate at r, so kappa has no effect there; `pide` reads it off the
-    rate axis, which mean-reverts to r."""
+    the rate at r and discounts with e^{-r (T - t)}, so neither kappa nor
+    the Vasicek bond's vasicek_formula has an effect there; `pide` reads
+    kappa off the rate axis, which mean-reverts to r."""
     dropped = {"constant": "delta r0 rho0 phi0", "vasicek": "r phi0",
                "vasicek_jumps": "r"}[cfg.rates.mode]
     if command == "price" and cfg.rates.mode == "constant":
-        dropped += " kappa"
+        dropped += " kappa vasicek_formula"
     _require_defaults(cfg, "rates", dropped, f"mode = {cfg.rates.mode}")
 
 
@@ -380,6 +382,13 @@ def reject_inert_recovery(cfg: Config, defaulted: bool) -> None:
     if deterministic and defaulted:
         _require_defaults(cfg, "pricing", "regime",
                           "recovery_type = deterministic with --status defaulted")
+
+
+def reject_inert_mass(cfg: Config) -> None:
+    """Reject a non-default [levy_measure] z unless type = point_mass: z is
+    the point mass's mass, and `build_measure` reads it for no other type."""
+    if cfg.levy_measure.type != "point_mass":
+        _require_defaults(cfg, "levy_measure", "z", f"type = {cfg.levy_measure.type}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ path and prices the pre-default bond
 at the observation time.  The direct density scheme keeps alpha_t =
 -dS_t/dtheta exactly, so the two integrals are S_t(t) - S_t(T) and
 S_t(t): each path is priced from two survival values, which
-`simulate_survival_values` evaluates in closed form (with the density on
-the window [t, T]) instead of evolving whole curves.  The curve engine
-`simulate_density_paths` draws the same noise and stays the oracle for
-this shortcut.  Outputs are plot-ready: the price sample per path,
+`simulate_survival_values` evaluates in closed form (with the sign of
+the density on the window [t, T]) instead of evolving whole curves.  The
+curve engine `simulate_density_paths` draws the same noise and stays the
+oracle for this shortcut.  Outputs are plot-ready: the price sample per path,
 Gaussian kernel density estimates with the 1.06 s k^{-1/5} bandwidth,
 and parameter sweeps (mean, standard error, flagged fraction) over the
 mean jump size, the initial intensity level, the observation time, and
@@ -182,28 +182,37 @@ def run_price_distribution(config: ExperimentConfig,
     is the default-free bond B(t, T), e^{-r (T - t)} at the constant rate
     `config.r` unless given.  The flag reads the density on the window
     nodes and S_t(T): 0 <= S_t(T) <= S_t(t) is what puts the price in
-    [R B, B].  Without noise the dynamics are the identity, so one path
-    prices them all.
+    [R B, B].  The engine evaluates S at the window's two end nodes and
+    returns the density's sign on the whole window as one flag per path:
+    a chunk of paths whose noise bound keeps alpha_t > 0 there evolves
+    only the two ends, any other chunk the whole window, and both give
+    the same bits (`simulate_survival_values`).  diagnostics holds the
+    flagged fraction over all attempted paths and the number of paths
+    whose window was evolved.  Without noise the dynamics are the
+    identity, so one path prices them all.
     """
     n_sim = 1 if config.noise_free else config.n_paths
-    res = simulate_survival_values(config.spec(), config.measure(), pricing_window(config),
+    window = pricing_window(config)
+    res = simulate_survival_values(config.spec(), config.measure(), window[[0, -1]],
                                    t_end=config.t, dt=config.delta_t, n_paths=n_sim,
                                    seed=config.seed,
-                                   jump_sign_convention=config.jump_sign_convention)
-    s_t, s_T = res["survival"][:, 0], res["survival"][:, -1]
+                                   jump_sign_convention=config.jump_sign_convention,
+                                   sign_window=window)
+    s_t, s_T = res["survival"].T
     valid = s_t > 0
     prices = np.full(n_sim, np.nan)
     disc = np.exp(-config.r * (config.T - config.t)) if discount is None else discount
     prices[valid] = disc * (1.0 - (1.0 - config.R) * (s_t[valid] - s_T[valid]) / s_t[valid])
     in_bounds = (s_T >= 0) & (s_T <= s_t)
-    neg = (res["alpha"] < 0).any(axis=1) | ~in_bounds
+    neg = res["alpha_negative"] | ~in_bounds
     if config.noise_free:
         prices, valid, neg = (np.repeat(a, config.n_paths) for a in (prices, valid, neg))
     ids = np.arange(config.n_paths)
     return PriceSample(prices=prices[valid], path_ids=ids[valid],
                        flagged=neg[valid], n_rejected=int((~valid).sum()),
                        config=config,
-                       diagnostics={"negative_path_fraction": float(neg.mean())})
+                       diagnostics={"negative_path_fraction": float(neg.mean()),
+                                    "window_paths": res["window_paths"]})
 
 
 # ---------------------------------------------------------------------------

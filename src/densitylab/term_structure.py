@@ -485,21 +485,150 @@ def simulate_density_paths(spec: CoefficientSpec, measure: LevyMeasure,
 
 # Most elements of one step block of `simulate_survival_values`, unless one
 # step holds more: each of its two work arrays holds (steps x maturities x
-# rows) floats, at most 64 KB.  A pricing-window step (51 or 82 maturities
-# on a 256-path chunk) is past it, so those calls keep one step per block,
-# the working set of a per-step loop; lab verify's 3 maturities run 10
-# steps per block.  No bound can also give that command all 50 steps at
-# once (38,400 elements) without blocking the pricing window's steps in
-# pairs; 2^14 and 2^16 (21 and 50 steps there) timed the same as 2^13
-# within noise on 2 vCPUs, with the same peak RSS.  The bound sets memory
-# only: any value gives the same bits.
+# rows) floats, at most 64 KB.  A 256-path chunk priced at a window's two
+# ends runs 16 steps per block, and lab verify's 3 maturities 10; a chunk
+# that must evolve a whole pricing window (51 maturities) or lab price's 82
+# quadrature nodes is past the bound, so it keeps one step per block, the
+# working set of a per-step loop.  On 2 vCPUs, 2^12 to 2^15 priced the
+# window's two ends in the same time within noise, as 2^14 and 2^16 ran lab
+# verify.  The bound sets memory only: any value gives the same bits.
 VALUES_BLOCK_ELEMENTS = 2 ** 13
+
+# Relative margin by which a chunk's noise bound must keep the density off
+# zero before `simulate_survival_values` skips evolving a sign window: far
+# above the rounding of the computed alpha (~n_steps eps).
+SIGN_MARGIN = 1e-6
+
+
+class _ValueTables(NamedTuple):
+    """(steps, maturities) step tables of `simulate_survival_values` and the
+    maturities' lambda_0 and S_0: dM_k = dW_k neg_sig_cum_k + drift_cum_k
+    + sign sum_j (1 - e^{-xi_j G_k}) and its theta-derivative dm_k."""
+
+    lam0: np.ndarray
+    surv0: np.ndarray
+    big_g: np.ndarray
+    neg_sig_cum: np.ndarray
+    drift_cum: np.ndarray
+    neg_sig_rows: np.ndarray
+    drift_rows: np.ndarray
+    sign_gam: np.ndarray     # sign d/dtheta of big_g
+
+    def take(self, cols) -> "_ValueTables":
+        return _ValueTables(*(a[..., cols] for a in self))
+
+
+def _value_tables(spec: CoefficientSpec, measure: LevyMeasure, thetas: np.ndarray,
+                  n_steps: int, dt: float, sign: float) -> _ValueTables:
+    lam0 = np.asarray(spec.lambda0_fn(thetas), dtype=float)
+    pts = thetas[:, None] * np.linspace(0.0, 1.0, 257)      # S_0 = exp(-int_0^theta lambda_0)
+    surv0 = np.exp(-np.trapezoid(np.asarray(spec.lambda0_fn(pts), dtype=float), pts, axis=1))
+    t_nodes = np.arange(n_steps) * dt
+    theta_t = np.maximum(thetas[None, :] - t_nodes[:, None], 0.0)
+    half_sq = theta_t ** 2 / 2.0
+    big_g = spec.jump_slope * half_sq
+    return _ValueTables(
+        lam0=lam0, surv0=surv0, big_g=big_g,
+        neg_sig_cum=-(spec.sigma_slope * half_sq),
+        drift_cum=(-sign * dt) * np.asarray(measure.one_minus_exp(big_g), dtype=float),
+        neg_sig_rows=-(spec.sigma_slope * theta_t),
+        drift_rows=(-sign * dt) * ((spec.jump_slope * theta_t)
+                                   * np.asarray(measure.xi_exp(big_g), dtype=float)),
+        sign_gam=sign * (spec.jump_slope * theta_t))
+
+
+def _evolve_values(tab: _ValueTables, dW: np.ndarray, jumps: _Jumps,
+                   sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """(S, alpha) at the tables' maturities, as (maturities, rows) arrays,
+    for one chunk's noise; see `simulate_survival_values`."""
+    p, n_steps = dW.shape
+    n_mat = tab.lam0.size
+    block = max(1, min(n_steps, VALUES_BLOCK_ELEMENTS // (p * n_mat)))
+    # (steps, maturities, rows) blocks: rows, the longest axis, run innermost
+    big_m_buf, m_buf = np.empty((block, n_mat, p)), np.empty((block, n_mat, p))
+    surv = np.tile(tab.surv0[:, None], (1, p))
+    dlog_sum = np.zeros((n_mat, p))              # d/dtheta log prod (1 + dM_k)
+    for k0 in range(0, n_steps, block):
+        k1 = min(k0 + block, n_steps)
+        dM, dm = big_m_buf[:k1 - k0], m_buf[:k1 - k0]
+        w = dW[:, k0:k1].T[:, None, :]
+        np.multiply(w, tab.neg_sig_cum[k0:k1, :, None], out=dM)
+        dM += tab.drift_cum[k0:k1, :, None]
+        np.multiply(w, tab.neg_sig_rows[k0:k1, :, None], out=dm)
+        dm += tab.drift_rows[k0:k1, :, None]
+        lo, hi = jumps.bounds[k0], jumps.bounds[k1]
+        if hi > lo:
+            step, xs = jumps.step[lo:hi], jumps.mark[lo:hi]
+            expo = np.exp(-(xs[:, None] * tab.big_g[step]))
+            # flat (step, maturity, row) element of each (event, maturity)
+            at = (((step - k0) * n_mat)[:, None] + np.arange(n_mat)) * p \
+                + jumps.row[lo:hi, None]
+            np.add.at(dM.reshape(-1), at.ravel(), (sign * (1.0 - expo)).ravel())
+            np.add.at(dm.reshape(-1), at.ravel(),
+                      (tab.sign_gam[step] * (xs[:, None] * expo)).ravel())
+        dM += 1.0                                # growth 1 + dM_k
+        dm /= dM
+        for growth, ratio in zip(dM, dm):        # in step order
+            surv *= growth
+            dlog_sum += ratio
+    return surv, surv * (tab.lam0[:, None] - dlog_sum)
+
+
+class _SignBound(NamedTuple):
+    """Per step, as (steps, 1) columns, the largest moduli over a sign
+    window's maturities of the tables that bound |dM_k| and |dm_k|, and
+    the window's least lambda_0 (-inf where some G_k < 0)."""
+
+    sig_cum: np.ndarray
+    drift_cum: np.ndarray
+    big_g: np.ndarray
+    sig_rows: np.ndarray
+    drift_rows: np.ndarray
+    gam: np.ndarray
+    lam0_min: float
+
+
+def _sign_bound(win: _ValueTables) -> _SignBound:
+    def top(table):
+        return np.abs(table).max(axis=1, initial=0.0)[:, None]
+
+    return _SignBound(top(win.neg_sig_cum), top(win.drift_cum), top(win.big_g),
+                      top(win.neg_sig_rows), top(win.drift_rows), top(win.sign_gam),
+                      -np.inf if np.any(win.big_g < 0) else win.lam0.min(initial=np.inf))
+
+
+def _positive_density_rows(bound: _SignBound, dW: np.ndarray, jumps: _Jumps) -> np.ndarray:
+    """Rows whose noise bound proves alpha_t > 0 at every maturity of the
+    sign window.
+
+    For marks xi >= 0 and G_k >= 0, 0 <= 1 - e^{-xi G} <= xi G and
+    xi e^{-xi G} <= xi, so with Xi_k the sum of step k's marks on the row,
+        v_k = |dW_k| max|neg_sig_cum_k| + max|drift_cum_k| + Xi_k max G_k,
+        u_k = |dW_k| max|neg_sig_rows_k| + max|drift_rows_k| + Xi_k max|sign_gam_k|
+    bound |dM_k| and |dm_k| over the window.  max_k v_k <= 1/2 keeps every
+    growth 1 + dM_k >= 1/2, so S > 0, and sum_k u_k / (1 - v_k) below
+    (1 - SIGN_MARGIN) min lambda_0 keeps lambda_0 - sum_k dm_k / (1 + dM_k)
+    above SIGN_MARGIN lambda_0.  NaN fails both comparisons; no row passes
+    without steps or with a negative mark.
+    """
+    p, n_steps = dW.shape
+    if n_steps == 0 or np.any(jumps.mark < 0):
+        return np.zeros(p, dtype=bool)
+    xi = np.bincount(jumps.step * p + jumps.row, weights=jumps.mark,
+                     minlength=n_steps * p).reshape(n_steps, p)
+    abs_dw = np.abs(dW.T)
+    v = abs_dw * bound.sig_cum + bound.drift_cum + xi * bound.big_g
+    u = abs_dw * bound.sig_rows + bound.drift_rows + xi * bound.gam
+    # a row with some v_k > 1/2 fails the first test; the clip spares its division
+    drift = (u / (1.0 - np.minimum(v, 0.5))).sum(axis=0)
+    return (v.max(axis=0) <= 0.5) & (drift < (1.0 - SIGN_MARGIN) * bound.lam0_min)
 
 
 def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
                              thetas: np.ndarray, t_end: float, dt: float,
                              n_paths: int, seed: int,
-                             jump_sign_convention: str = "section7") -> dict:
+                             jump_sign_convention: str = "section7",
+                             sign_window: np.ndarray | None = None) -> dict:
     """(alpha, S) at a few maturities per path, in closed form, no curves.
 
     The direct scheme's survival update S (1 + dM) multiplies out to
@@ -528,68 +657,52 @@ def simulate_survival_values(spec: CoefficientSpec, measure: LevyMeasure,
     adds into the running sum.  Every element thus gets the operations of
     a per-step loop (tests/test_term_structure.py keeps one) in the same
     order, and every operation is elementwise per path row, so a path's
-    values depend on neither the chunk nor the block boundaries.
+    values depend on neither the chunk nor the block boundaries, nor on
+    which other maturities are evolved beside it.
+
+    sign_window, if given, adds "alpha_negative", per path whether
+    alpha_t < 0 at some maturity of the window, and "window_paths", the
+    number of paths whose window was evolved to tell.  A chunk whose every
+    row passes the noise bound of `_positive_density_rows` has alpha_t > 0
+    on the window by that bound, so it evolves only `thetas`.  Any other
+    chunk evolves the window with `thetas` (those on the window read off its
+    columns) and reads the flag off the window's alpha.  Each value is
+    computed with the same operations either way, so no bit depends on
+    which chunks the bound clears.
     """
     n_steps = _step_count(spec, t_end, dt)
     sign = JUMP_SIGN[jump_sign_convention]
     thetas = np.asarray(thetas, dtype=float)
-    n_mat = thetas.size
+    window = np.zeros(0) if sign_window is None else np.asarray(sign_window, dtype=float)
+    # the window's nodes, then the maturities off it; cols: each theta's
+    # column (np.isin would load numpy.ma)
+    on_window = (thetas[:, None] == window).any(axis=1)
+    nodes = np.concatenate([window, thetas[~on_window]])
+    cols = (thetas[:, None] == nodes).argmax(axis=1)
+    tab = _value_tables(spec, measure, nodes, n_steps, dt, sign)
+    at_thetas = tab.take(cols)
+    bound = _sign_bound(tab.take(slice(0, window.size)))
 
-    lam0 = np.asarray(spec.lambda0_fn(thetas), dtype=float)
-    pts = thetas[:, None] * np.linspace(0.0, 1.0, 257)      # S_0 = exp(-int_0^theta lambda_0)
-    surv0 = np.exp(-np.trapezoid(np.asarray(spec.lambda0_fn(pts), dtype=float), pts, axis=1))
-
-    t_nodes = np.arange(n_steps) * dt
-    theta_t = np.maximum(thetas[None, :] - t_nodes[:, None], 0.0)
-    half_sq = theta_t ** 2 / 2.0
-    big_g_rows = spec.jump_slope * half_sq
-    # (steps, maturities) tables of dM_k = dW_k neg_sig_cum_k + drift_cum_k
-    # + sign sum_j (1 - e^{-xi_j G_k}) and of its theta-derivative dm_k, as
-    # few as a per-step loop holds
-    neg_sig_cum = -(spec.sigma_slope * half_sq)
-    neg_sig_rows = -(spec.sigma_slope * theta_t)
-    drift_cum = (-sign * dt) * np.asarray(measure.one_minus_exp(big_g_rows), dtype=float)
-    drift_rows = (-sign * dt) * ((spec.jump_slope * theta_t)
-                                 * np.asarray(measure.xi_exp(big_g_rows), dtype=float))
-    sign_gam = sign * (spec.jump_slope * theta_t)         # sign d/dtheta of big_g
-
-    alpha_out = np.empty((n_paths, n_mat))
-    surv_out = np.empty((n_paths, n_mat))
+    alpha_out = np.empty((n_paths, thetas.size))
+    surv_out = np.empty((n_paths, thetas.size))
+    negative = np.zeros(n_paths, dtype=bool)
+    window_paths = 0
     for start, stop, dW, jumps in _noise_chunks(measure, seed, n_paths, n_steps, dt,
                                                 PATH_CHUNK):
-        p = stop - start
-        block = max(1, min(n_steps, VALUES_BLOCK_ELEMENTS // (p * n_mat)))
-        # (steps, maturities, rows) blocks: rows, the longest axis, run innermost
-        big_m_buf, m_buf = np.empty((block, n_mat, p)), np.empty((block, n_mat, p))
-        surv = np.tile(surv0[:, None], (1, p))
-        dlog_sum = np.zeros((n_mat, p))              # d/dtheta log prod (1 + dM_k)
-        for k0 in range(0, n_steps, block):
-            k1 = min(k0 + block, n_steps)
-            dM, dm = big_m_buf[:k1 - k0], m_buf[:k1 - k0]
-            w = dW[:, k0:k1].T[:, None, :]
-            np.multiply(w, neg_sig_cum[k0:k1, :, None], out=dM)
-            dM += drift_cum[k0:k1, :, None]
-            np.multiply(w, neg_sig_rows[k0:k1, :, None], out=dm)
-            dm += drift_rows[k0:k1, :, None]
-            lo, hi = jumps.bounds[k0], jumps.bounds[k1]
-            if hi > lo:
-                step, xs = jumps.step[lo:hi], jumps.mark[lo:hi]
-                expo = np.exp(-(xs[:, None] * big_g_rows[step]))
-                # flat (step, maturity, row) element of each (event, maturity)
-                at = (((step - k0) * n_mat)[:, None] + np.arange(n_mat)) * p \
-                    + jumps.row[lo:hi, None]
-                np.add.at(dM.reshape(-1), at.ravel(), (sign * (1.0 - expo)).ravel())
-                np.add.at(dm.reshape(-1), at.ravel(),
-                          (sign_gam[step] * (xs[:, None] * expo)).ravel())
-            dM += 1.0                                # growth 1 + dM_k
-            dm /= dM
-            for growth, ratio in zip(dM, dm):        # in step order
-                surv *= growth
-                dlog_sum += ratio
+        if sign_window is None or _positive_density_rows(bound, dW, jumps).all():
+            surv, alpha = _evolve_values(at_thetas, dW, jumps, sign)
+        else:
+            surv, alpha = _evolve_values(tab, dW, jumps, sign)
+            negative[start:stop] = (alpha[:window.size] < 0).any(axis=0)
+            window_paths += stop - start
+            surv, alpha = surv[cols], alpha[cols]
         surv_out[start:stop] = surv.T
-        alpha_out[start:stop] = (surv * (lam0[:, None] - dlog_sum)).T
+        alpha_out[start:stop] = alpha.T
 
-    return {"thetas": thetas, "t": t_end, "alpha": alpha_out, "survival": surv_out}
+    out = {"thetas": thetas, "t": t_end, "alpha": alpha_out, "survival": surv_out}
+    if sign_window is not None:
+        out.update(alpha_negative=negative, window_paths=window_paths)
+    return out
 
 
 class _IntensityTables(NamedTuple):

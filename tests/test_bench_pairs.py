@@ -50,6 +50,16 @@ def test_no_gain_when_the_head_fails_more_operations():
     assert verdict(base, head, "lower", 0.2, failed=(2, 2))["gain"]
 
 
+def test_a_gain_must_beat_the_floor():
+    # a 0.13 MB shift at a base IQR of 0 wins every pair but is no gain
+    base = [44.712] * 10
+    assert verdict(base, [44.582] * 10, "lower", 0.2)["gain"]
+    v = verdict(base, [44.582] * 10, "lower", 0.2, floor=0.3)
+    assert v["wins"] == 10 and not v["gain"]
+    assert verdict(base, [44.4] * 10, "lower", 0.2, floor=0.3)["gain"]
+    assert bench_pairs.GAIN_FLOORS == {"peak_rss_mb": 0.3}
+
+
 def test_ties_are_not_wins():
     assert verdict([3.0] * 10, [3.0] * 10, "lower", 0.25)["wins"] == 0
 
@@ -117,6 +127,22 @@ def test_named_workloads_alone_run_and_are_recorded(tmp_path, monkeypatch):
     assert sorted(set(ran)) == [(w, side) for w in ("section7_cell", "verify_suite")
                                 for side in ("base", "head")]
     assert len(ran) == 2 * 2 * bench_pairs.PAIRS
+
+
+def test_the_floor_applies_to_peak_rss_only(tmp_path, monkeypatch):
+    _no_runs(monkeypatch)
+    # the head reads 0.13 lower on every metric of every run
+    def run(side, workload, seed, seconds, env):
+        value = 45.0 - (0.13 if os.path.basename(side) == "head" else 0.0)
+        return {"failed": 0, "attempted": 1,
+                "metrics": {m: {"value": value} for m in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--out", str(out), "--workload", "section7_cell"]) == 0
+    result = json.loads(out.read_text())["results"]["section7_cell"]
+    assert result["wall_s"]["gain"] and result["setup_s"]["gain"]
+    assert result["peak_rss_mb"]["wins"] == 10 and not result["peak_rss_mb"]["gain"]
 
 
 def test_every_workload_runs_by_default(tmp_path, monkeypatch):

@@ -1084,6 +1084,38 @@ def test_cli_price_rejects_kappa_under_constant_rates(tmp_path, monkeypatch, cap
     assert grids[0] != grids[1]
 
 
+@pytest.mark.parametrize("argv", [[], ["--status", "defaulted"]], ids=["alive", "defaulted"])
+def test_cli_price_rejects_vasicek_formula_under_constant_rates(tmp_path, monkeypatch, capsys,
+                                                                argv):
+    # mode = constant discounts with e^{-r (T - t)}, which no Vasicek formula reaches
+    monkeypatch.setattr(cli, "run_price_distribution", lambda *a, **k: 1 / 0)
+    cfg = write(tmp_path, TINY_KERNELS + "\n[rates]\nvasicek_formula = paper_exact\n")
+    out = str(tmp_path / "rejected")
+    assert main(["price", "--config", cfg, "--out", out, *argv]) == 1
+    assert capsys.readouterr().err == ("error: [rates] vasicek_formula = paper_exact has no "
+                                       "effect under mode = constant: leave it at standard\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("measure", ["exponential", "none"])
+@pytest.mark.parametrize("argv", [["pide"], ["simulate", "--route", "intensity"]],
+                         ids=["pide", "simulate_intensity"])
+def test_cli_rejects_z_unless_point_mass(tmp_path, monkeypatch, capsys, argv, measure):
+    # z is the point mass's mass; build_measure reads it for no other type
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved or simulated")
+
+    for name in ("_solver_from", "simulate_intensity_paths"):
+        monkeypatch.setattr(cli, name, refuse)
+    text = TINY_PIDE if argv == ["pide"] else TINY_KERNELS.replace("n_paths = 20\n", "")
+    text = text.replace("type = none\n", f"type = {measure}\nz = 2.0\n")
+    out = str(tmp_path / "rejected")
+    assert main([*argv, "--config", write(tmp_path, text), "--out", out]) == 1
+    assert capsys.readouterr().err == (f"error: [levy_measure] z = 2.0 has no effect under "
+                                       f"type = {measure}: leave it at 1.0\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("key,value", [("w0", "0.5"), ("w1", "0.5"), ("f", "none")])
 def test_cli_price_rejects_recovery_weights_under_deterministic_recovery(
         tmp_path, monkeypatch, capsys, key, value):

@@ -210,6 +210,119 @@ def test_unflagged_prices_bounded_under_large_section3_jumps(monkeypatch):
     assert np.all(clean <= disc + 1e-12)
 
 
+# ------------------------------------------------- the window's sign flag
+
+def _full_window_reference(cfg):
+    """(prices, path ids, flags, rejections, flagged fraction) with the flag
+    read off every path's density on the whole pricing window."""
+    n_sim = 1 if cfg.noise_free else cfg.n_paths
+    res = simulate_survival_values(cfg.spec(), cfg.measure(), pricing_window(cfg), cfg.t,
+                                   cfg.delta_t, n_sim, cfg.seed,
+                                   jump_sign_convention=cfg.jump_sign_convention)
+    s_t, s_T = res["survival"][:, 0], res["survival"][:, -1]
+    valid = s_t > 0
+    prices = np.full(n_sim, np.nan)
+    disc = np.exp(-cfg.r * (cfg.T - cfg.t))
+    prices[valid] = disc * (1.0 - (1.0 - cfg.R) * (s_t[valid] - s_T[valid]) / s_t[valid])
+    neg = (res["alpha"] < 0).any(1) | (s_T < 0) | (s_T > s_t)
+    if cfg.noise_free:
+        prices, valid, neg = (np.repeat(a, cfg.n_paths) for a in (prices, valid, neg))
+    return (prices[valid], np.flatnonzero(valid), neg[valid], int((~valid).sum()),
+            float(neg.mean()))
+
+
+def _assert_matches_full_window(cfg):
+    sample = run_price_distribution(cfg)
+    prices, ids, flagged, n_rejected, fraction = _full_window_reference(cfg)
+    assert np.array_equal(sample.prices, prices)
+    assert np.array_equal(sample.path_ids, ids)
+    assert np.array_equal(sample.flagged, flagged)
+    assert sample.n_rejected == n_rejected
+    assert sample.diagnostics["negative_path_fraction"] == fraction
+    return sample
+
+
+WINDOW_CELLS = {
+    "defaults": {},
+    "sigma=0.2": {"sigma": 0.2},
+    "varpi=0.5,zeta=20": {"varpi": 0.5, "zeta": 20.0},
+    "lambda=0.01,sigma=0.01": {"lambda_bar": 0.01, "sigma": 0.01},
+    "section3": {"varpi": 0.5, "zeta": 30.0, "b": 3.0, "jump_sign_convention": "section3"},
+    "no jumps,sigma=0.1": {"varpi": 0.0, "sigma": 0.1},
+    "t=0": {"t": 0.0},
+}
+
+
+@pytest.mark.parametrize("chunk", [ts.PATH_CHUNK, 16])
+@pytest.mark.parametrize("name", list(WINDOW_CELLS))
+def test_window_flag_matches_the_full_window(monkeypatch, name, chunk):
+    monkeypatch.setattr(ts, "PATH_CHUNK", chunk)
+    _assert_matches_full_window(ExperimentConfig(n_paths=300, **WINDOW_CELLS[name]))
+
+
+def test_default_cell_evolves_no_window():
+    # the noise bound clears every chunk of the Section-7 cell, so its
+    # paths evolve S at t and T only
+    sample = run_price_distribution(ExperimentConfig())
+    assert sample.diagnostics["window_paths"] == 0
+
+
+@pytest.mark.parametrize("dw,evolved,flagged", [(-30.0, False, False), (-100.0, True, False),
+                                                (-300.0, True, True)])
+def test_a_shock_past_the_bound_evolves_its_chunk(monkeypatch, dw, evolved, flagged):
+    # A first-step dW on path 40 moves dm by at most sigma T |dW| on the
+    # window: 0.03 is below lambda_bar = 0.1, and the bound clears the
+    # chunk.  At 0.1 the bound fails, though alpha stays positive
+    # (lambda_bar - 0.1 / 1.05 > 0); at 0.3 alpha turns negative.  With
+    # 16-path chunks the other three chunks stay cleared.
+    def shock(paths, normals, counts, marks):
+        if 40 in paths:
+            normals[40 - paths.start, 0] = dw / np.sqrt(0.01)
+        return normals, counts, marks
+
+    _inject_noise(monkeypatch, shock)
+    monkeypatch.setattr(ts, "PATH_CHUNK", 16)
+    sample = _assert_matches_full_window(ExperimentConfig(n_paths=64, seed=3))
+    assert sample.diagnostics["window_paths"] == (16 if evolved else 0)
+    assert np.flatnonzero(sample.flagged).tolist() == ([40] if flagged else [])
+
+
+@pytest.mark.parametrize("mark,evolved", [(0.1, False), (1.0, True)])
+def test_a_mark_past_the_bound_evolves_its_chunk(monkeypatch, mark, evolved):
+    # One more mark on path 40's last step (t_k = 0.49) adds at most
+    # b (T - t_k) mark = 0.51 mark to dm on the window: 0.051 stays below
+    # lambda_bar = 0.1, and the bound clears the chunk; a mark of 1 turns
+    # alpha negative near T.
+    def one_mark(paths, normals, counts, marks):
+        if 40 in paths:
+            row = 40 - paths.start
+            end = counts[:row + 1].sum()              # after the row's last mark
+            counts[row, -1] += 1
+            marks = np.insert(marks, end, mark)
+        return normals, counts, marks
+
+    _inject_noise(monkeypatch, one_mark)
+    monkeypatch.setattr(ts, "PATH_CHUNK", 16)
+    sample = _assert_matches_full_window(ExperimentConfig(n_paths=64, seed=3))
+    assert sample.diagnostics["window_paths"] == (16 if evolved else 0)
+    assert np.flatnonzero(sample.flagged).tolist() == ([40] if evolved else [])
+
+
+def test_values_beside_a_sign_window_keep_their_bits():
+    # three maturities on the window read off its columns, one off it
+    cfg = ExperimentConfig(n_paths=40, sigma=0.2)
+    window = pricing_window(cfg)
+    thetas = np.append(window[[50, 0, 25]], 2.0)
+    args = (cfg.spec(), cfg.measure(), thetas, cfg.t, cfg.delta_t, cfg.n_paths, cfg.seed)
+    alone = simulate_survival_values(*args)
+    beside = simulate_survival_values(*args, sign_window=window)
+    assert beside["window_paths"] == 40
+    assert np.array_equal(beside["alpha"], alone["alpha"])
+    assert np.array_equal(beside["survival"], alone["survival"])
+    full = simulate_survival_values(cfg.spec(), cfg.measure(), window, *args[3:])
+    assert np.array_equal(beside["alpha_negative"], (full["alpha"] < 0).any(1))
+
+
 # ---------------------------------------------------------------------- kde
 
 def test_kde_rejects_degenerate_samples():

@@ -17,8 +17,8 @@ PYTHONDONTWRITEBYTECODE=1 set.
 
 The output holds, per (workload, metric) of BENCHMARK.json's end-to-end
 metrics, each side's median and quartiles, the pairs the head wins and two
-verdicts (`verdict`), plus each side's failed and attempted operations and
-every run's figures.
+verdicts (`verdict`, with `GAIN_FLOORS`), plus each side's failed and
+attempted operations and every run's figures.
 """
 
 from __future__ import annotations
@@ -35,15 +35,21 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10              # pairs per workload
 GAIN_SHARE = 0.9        # a gain needs the head to win at least 9 in 10 pairs
+# Least median gap a gain must beat, per metric, besides the base's IQR.
+# Peak RSS repeats exactly at a fixed tree, so its IQR is 0, yet deleting
+# one comment moved a worker's peak by 0.13 MB: the IQR alone would count
+# such a layout shift as a gain.
+GAIN_FLOORS = {"peak_rss_mb": 0.3}
 
 
 def verdict(base: list[float], head: list[float], better: str, bound: float,
-            failed: tuple[int, int] = (0, 0)) -> dict:
+            failed: tuple[int, int] = (0, 0), floor: float = 0.0) -> dict:
     """Compare pair i's base[i] with its head[i] on one metric.
 
     The head wins a pair when it is strictly better.  `gain`: it wins at
     least GAIN_SHARE of the pairs, its median beats the base's by more than
-    the base's interquartile range, and it fails no more operations than the
+    the base's interquartile range and by more than `floor` (the metric's
+    GAIN_FLOORS entry), and it fails no more operations than the
     base (`failed` = the base's and the head's failed operations on the
     workload).  `regression`: its median is worse
     than the base's by more than `bound` times the base median.  Quartiles
@@ -61,7 +67,7 @@ def verdict(base: list[float], head: list[float], better: str, bound: float,
     return {"base": {"q1": bq1, "median": bmed, "q3": bq3},
             "head": {"q1": hq1, "median": hmed, "q3": hq3},
             "pairs": len(base), "wins": wins,
-            "gain": (wins >= GAIN_SHARE * len(base) and gained > bq3 - bq1
+            "gain": (wins >= GAIN_SHARE * len(base) and gained > max(bq3 - bq1, floor)
                      and failed[1] <= failed[0]),
             "regression": -gained > bound * abs(bmed)}
 
@@ -145,7 +151,7 @@ def main(argv=None) -> int:
                       for name in revs}
             entry[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                                 **verdict(values["base"], values["head"], m["better"],
-                                          m["bound"], failed)}
+                                          m["bound"], failed, GAIN_FLOORS.get(m["name"], 0.0))}
         results[workload] = entry
 
     record = {"protocol": {"base": revs["base"], "head": revs["head"],
