@@ -58,9 +58,6 @@ def _finish(args, cfg: cfgmod.Config, outputs: list[str]) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     cfgmod.reject_unread(cfg, f"simulate --route {args.route}")
-    cfgmod.reject_inert_mass(cfg)
-    if args.route == "density":
-        cfgmod.require_density_route(cfg)
     ec = cfgmod.experiment_config(cfg, n_paths=args.paths)
     os.makedirs(args.out, exist_ok=True)
     grid = ec.theta_grid()
@@ -145,10 +142,8 @@ def cmd_price(args) -> int:
     # regimes: at tau <= t the intensity coefficients have vanished
     kernel_priced = (cfg.pricing.recovery_type != "deterministic"
                      or (cfg.pricing.regime == "correlated" and tau is None))
-    cfgmod.reject_unread(cfg, "price (kernels)" if kernel_priced else "price (closed form)")
-    cfgmod.reject_dropped_rates(cfg, "price")
-    cfgmod.reject_inert_recovery(cfg, defaulted=tau is not None)
-    cfgmod.require_density_route(cfg)
+    cfgmod.reject_unread(cfg, "price (kernels)" if kernel_priced else "price (closed form)",
+                         defaulted=tau is not None)
     ec = cfgmod.experiment_config(cfg)
     t, T = ec.t, ec.T
     recovery = _recovery_from(cfg)
@@ -186,12 +181,14 @@ def cmd_price(args) -> int:
 
 def cmd_pide(args) -> int:
     cfg = _load(args)
+    try:
+        theta = cfgmod.real(args.theta)
+    except ValueError as exc:
+        raise ValueError(f"--theta {args.theta!r}: {exc}") from exc
     cfgmod.reject_unread(cfg, "pide")
-    cfgmod.reject_dropped_rates(cfg, "pide")
-    cfgmod.reject_inert_mass(cfg)
     solver = _solver_from(cfg)
     os.makedirs(args.out, exist_ok=True)
-    sol = solver.solution(cfg.experiment.t, args.theta, "y")
+    sol = solver.solution(cfg.experiment.t, theta, "y")
     out_file = os.path.join(args.out, "kernel_grid.csv")
     # the bytes of csv.writer rows of repr'd floats, written one x-row at a
     # time: repr of a list of floats is their reprs joined by ", "
@@ -209,8 +206,7 @@ def cmd_pide(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load(args)
-    cfgmod.reject_unread(cfg, "experiment")
-    cfgmod.require_density_route(cfg)
+    cfgmod.reject_unread(cfg, "experiment", sweep=args.sweep)
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     outputs = []

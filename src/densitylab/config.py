@@ -1,21 +1,20 @@
 """Configuration parsing: flat key-value text with [section] headers.
 
 Every key is validated against a per-section schema; unknown keys or
-sections are rejected by name.  `READS` names the keys each command reads,
-and `reject_unread` rejects a non-default value of any other (and
-`reject_dropped_rates` one of a [rates] key the mode drops,
-`reject_inert_recovery` one of a [pricing] key the recovery type, or a
-deterministic recovery after default, leaves without effect, and
-`reject_inert_mass` a point mass z under another measure type).
-`serialize` writes a file that parses back to an identical
-configuration, and the LAB_SEED environment variable overrides the
-configured seed at load time.
+sections are rejected by name, and so are nan and inf, which no real key
+means.  `reject_unread` is the one input contract: before any output it
+rejects, by name, a non-default value that has no effect on the command,
+whether its key is outside the command's `READS` row or the configured
+values leave it inert (`_inert`).  `serialize` writes a file that parses
+back to an identical configuration, and the LAB_SEED environment variable
+overrides the configured seed at load time.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
@@ -29,6 +28,14 @@ from .term_structure import CoefficientSpec
 
 class ConfigError(ValueError):
     pass
+
+
+def real(s) -> float:
+    """float(s), which must be finite: float admits nan and inf."""
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError("finite real required")
+    return x
 
 
 def _positive(x: float) -> float:
@@ -72,7 +79,7 @@ def _pair(s) -> tuple[float, float]:
     parts = [p.strip() for p in str(s).split(",")]
     if len(parts) != 2:
         raise ValueError("comma-separated pair required")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = real(parts[0]), real(parts[1])
     if hi <= lo:
         raise ValueError("range upper bound must exceed lower bound")
     return lo, hi
@@ -157,33 +164,33 @@ class Config:
 
 _SCHEMA: dict[str, dict[str, Any]] = {
     "kernel": {
-        "c0": lambda s: _positive(float(s)),
+        "c0": lambda s: _positive(real(s)),
     },
     "levy_measure": {
         "type": _choice("exponential", "point_mass", "none"),
-        "zeta": lambda s: _positive(float(s)),
-        "varpi": lambda s: _nonnegative(float(s)),
-        "z": lambda s: _positive(float(s)),
+        "zeta": lambda s: _positive(real(s)),
+        "varpi": lambda s: _nonnegative(real(s)),
+        "z": lambda s: _positive(real(s)),
         "quadrature_nodes": lambda s: int(_positive(int(s))),
     },
     "model": {
-        "sigma": float,
-        "b": lambda s: _nonnegative(float(s)),
-        "lambda_bar": lambda s: _positive(float(s)),
-        "delta_theta": lambda s: _positive(float(s)),
-        "delta_t": lambda s: _positive(float(s)),
+        "sigma": real,
+        "b": lambda s: _nonnegative(real(s)),
+        "lambda_bar": lambda s: _positive(real(s)),
+        "delta_theta": lambda s: _positive(real(s)),
+        "delta_t": lambda s: _positive(real(s)),
         "theta_max_rule": str,
         "clamp_lambda_at_zero": _boolean,
         "jump_sign_convention": _choice("section7", "section3"),
     },
     "rates": {
         "mode": _choice("constant", "vasicek", "vasicek_jumps"),
-        "r": float,
-        "kappa": lambda s: _positive(float(s)),
-        "delta": lambda s: _positive(float(s)),
-        "r0": float,
-        "rho0": float,
-        "phi0": float,
+        "r": real,
+        "kappa": lambda s: _positive(real(s)),
+        "delta": lambda s: _positive(real(s)),
+        "r0": real,
+        "rho0": real,
+        "phi0": real,
         "vasicek_formula": _choice("standard", "paper_exact"),
         "rates_correlated": _boolean,
     },
@@ -197,14 +204,14 @@ _SCHEMA: dict[str, dict[str, Any]] = {
     "pricing": {
         "regime": _choice("independent", "correlated"),
         "recovery_type": _choice("deterministic", "intensity_linked"),
-        "R": lambda s: _unit(float(s)),
-        "w0": lambda s: _nonnegative(float(s)),
-        "w1": lambda s: _nonnegative(float(s)),
+        "R": lambda s: _unit(real(s)),
+        "w0": lambda s: _nonnegative(real(s)),
+        "w1": lambda s: _nonnegative(real(s)),
         "f": _choice("identity", "none"),
     },
     "experiment": {
-        "t": lambda s: _nonnegative(float(s)),
-        "T": lambda s: _positive(float(s)),
+        "t": lambda s: _nonnegative(real(s)),
+        "T": lambda s: _positive(real(s)),
         "n_paths": lambda s: int(_positive(int(s))),
         "seed": int,
     },
@@ -228,7 +235,7 @@ def _cross_validate(cfg: Config) -> Config:
         raise ConfigError("[experiment] T must be >= t")
     if cfg.model.theta_max_rule != "10_over_lambda":
         try:
-            _positive(float(cfg.model.theta_max_rule))
+            _positive(real(cfg.model.theta_max_rule))
         except ValueError as exc:
             raise ConfigError(
                 "[model] theta_max_rule: '10_over_lambda' or a positive real "
@@ -293,7 +300,8 @@ def serialize(cfg: Config) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the keys each command reads
+# the input contract: the keys each command reads, and the values that
+# leave a read key without effect
 # ---------------------------------------------------------------------------
 
 def _keys(**sections: str) -> frozenset[tuple[str, str]]:
@@ -310,7 +318,8 @@ _PRICE = _EXPERIMENT | _keys(rates="mode kappa delta r0 rho0", pricing="regime r
 # on another key's value counts as a read.  `price` splits as `cmd_price`
 # does: closed form, or through the kernels' transform (correlated regime
 # alive, or intensity-linked recovery), whose LAMBDA_FLOOR fallback takes
-# the standard Vasicek bond, the transform's e^{A - B r}.
+# the standard Vasicek bond, the transform's e^{A - B r}.  `pide` reads no
+# lambda_bar: it enters only lambda_0, which no operator coefficient reads.
 READS: dict[str, frozenset[tuple[str, str]]] = {
     "simulate --route density": _DENSITY | _keys(model="theta_max_rule jump_sign_convention"),
     "simulate --route intensity": _DENSITY | _keys(
@@ -318,8 +327,7 @@ READS: dict[str, frozenset[tuple[str, str]]] = {
     "experiment": _EXPERIMENT,
     "verify": _keys(levy_measure="zeta", model="b lambda_bar", rates="r vasicek_formula",
                     pricing="R", experiment="seed"),
-    "pide": _keys(kernel="c0", levy_measure="type zeta varpi z quadrature_nodes",
-                  model="sigma b lambda_bar",
+    "pide": _keys(kernel="c0", levy_measure="type zeta varpi z quadrature_nodes", model="sigma b",
                   rates="mode r kappa delta r0 rho0 phi0 rates_correlated",
                   pide="nx ny x_range y_range n_steps", experiment="t T seed"),
     "price (closed form)": _PRICE | _keys(rates="vasicek_formula"),
@@ -331,64 +339,74 @@ READS: dict[str, frozenset[tuple[str, str]]] = {
 }
 
 
-def reject_unread(cfg: Config, command: str) -> None:
-    """Reject a non-default value of any key that `command` does not read."""
+def _inert(cfg: Config, command: str, defaulted: bool, sweep: str | None) -> list[tuple]:
+    """(section, keys, setting): keys of a row that have no effect under the
+    setting.  A key outside the row is rejected before these are read.
+    `build_rate_spec` drops [rates] keys by mode, and under mode = constant
+    rho0 = phi0 = 0 zero rates_correlated's coupling terms; `price` holds
+    that rate at r, so kappa and vasicek_formula are inert there too (`pide`
+    reads kappa off its rate axis), and the two bond formulas agree at
+    kappa = 1.  w0, w1 and f shape only the intensity-linked recovery, which
+    reads no R.  After default a deterministic recovery is R B(t, T) in
+    either regime, and the linked one reads the kernels at tau <= t, where
+    gamma and sigma vanish, and no theta_max, which only the alive
+    quadrature reads.  A point mass has one mark, at z, read by no other
+    type; type = none has no marks, but the cells of `--sweep varpi` do.
+    """
+    mode, recovery, measure = cfg.rates.mode, cfg.pricing.recovery_type, cfg.levy_measure.type
+    price = command.startswith("price")
+    dropped = {"constant": "delta r0 rho0 phi0 rates_correlated", "vasicek": "r phi0",
+               "vasicek_jumps": "r"}[mode]
+    if price and mode == "constant":
+        dropped += " kappa vasicek_formula"
+    rules = [("rates", dropped, f"mode = {mode}")]
+    if price and cfg.rates.kappa == 1.0:
+        rules.append(("rates", "vasicek_formula", "kappa = 1.0"))
+    rules.append(("pricing", "w0 w1 f" if recovery == "deterministic" else "regime R",
+                  f"recovery_type = {recovery}"))
+    if defaulted:
+        after = f"recovery_type = {recovery} with --status defaulted"
+        rules += ([("pricing", "regime", after)] if recovery == "deterministic" else
+                  [("levy_measure", "quadrature_nodes", after), ("model", "theta_max_rule", after)])
+    if measure != "point_mass" or ("levy_measure", "z") in READS[command]:
+        # the density route rejects the point mass itself, after these rules
+        marks = {"exponential": "z", "point_mass": "zeta quadrature_nodes",
+                 "none": ("" if sweep == "varpi" else "zeta ") + "varpi z quadrature_nodes"}
+        rules.append(("levy_measure", marks[measure], f"type = {measure}"))
+    return rules
+
+
+def reject_unread(cfg: Config, command: str, defaulted: bool = False,
+                  sweep: str | None = None) -> None:
+    """Reject a non-default value that has no effect on `command`
+    (`defaulted`: `price --status defaulted`; `sweep`: the `--sweep` axis
+    of `experiment`), naming its key: first a key outside the command's
+    `READS` row, then one the configured values leave inert (`_inert`),
+    then a point mass on the density route."""
+    row = READS[command]
     for name, cls in _SECTION_TYPES.items():
         for f in fields(cls):
             value = getattr(getattr(cfg, name), f.name)
-            if (name, f.name) in READS[command] or value == f.default:
+            if (name, f.name) in row or value == f.default:
                 continue
             readers = [c for c, keys in READS.items() if (name, f.name) in keys]
             *rest, last = readers
             listed = f"{', '.join(rest)} and {last}" if rest else last
             raise ConfigError(f"[{name}] {f.name} = {_shown(value)} is read only by {listed}, "
                               f"not by {command}: leave it at {_shown(f.default)}")
-
-
-def _require_defaults(cfg: Config, section: str, keys: str, setting: str) -> None:
-    """Reject a non-default value of any of `keys` in [section], which have
-    no effect under `setting`."""
-    values = getattr(cfg, section)
-    for key in keys.split():
-        value, default = getattr(values, key), getattr(type(values), key)
-        if value != default:
-            raise ConfigError(f"[{section}] {key} = {_shown(value)} has no effect under "
-                              f"{setting}: leave it at {_shown(default)}")
-
-
-def reject_dropped_rates(cfg: Config, command: str) -> None:
-    """Reject a non-default value of a [rates] key that `build_rate_spec`
-    drops under the configured mode.  Under mode = constant `price` holds
-    the rate at r and discounts with e^{-r (T - t)}, so neither kappa nor
-    the Vasicek bond's vasicek_formula has an effect there; `pide` reads
-    kappa off the rate axis, which mean-reverts to r."""
-    dropped = {"constant": "delta r0 rho0 phi0", "vasicek": "r phi0",
-               "vasicek_jumps": "r"}[cfg.rates.mode]
-    if command == "price" and cfg.rates.mode == "constant":
-        dropped += " kappa vasicek_formula"
-    _require_defaults(cfg, "rates", dropped, f"mode = {cfg.rates.mode}")
-
-
-def reject_inert_recovery(cfg: Config, defaulted: bool) -> None:
-    """Reject, for `price`, a non-default value of a [pricing] key that the
-    configured recovery_type leaves without effect: w0, w1 and f shape only
-    the intensity-linked recovery, which reads no R and prices through the
-    kernels in either regime.  A deterministic recovery after default
-    (`defaulted`) is worth R B(t, T) in either regime, so regime is inert
-    there too."""
-    deterministic = cfg.pricing.recovery_type == "deterministic"
-    inert = "w0 w1 f" if deterministic else "regime R"
-    _require_defaults(cfg, "pricing", inert, f"recovery_type = {cfg.pricing.recovery_type}")
-    if deterministic and defaulted:
-        _require_defaults(cfg, "pricing", "regime",
-                          "recovery_type = deterministic with --status defaulted")
-
-
-def reject_inert_mass(cfg: Config) -> None:
-    """Reject a non-default [levy_measure] z unless type = point_mass: z is
-    the point mass's mass, and `build_measure` reads it for no other type."""
-    if cfg.levy_measure.type != "point_mass":
-        _require_defaults(cfg, "levy_measure", "z", f"type = {cfg.levy_measure.type}")
+    for name, keys, setting in _inert(cfg, command, defaulted, sweep):
+        values = getattr(cfg, name)
+        for key in keys.split():
+            value, default = getattr(values, key), getattr(type(values), key)
+            if value != default:
+                raise ConfigError(f"[{name}] {key} = {_shown(value)} has no effect under "
+                                  f"{setting}: leave it at {_shown(default)}")
+    # the density route simulates exponential marks: only rows that read z read a point mass
+    if cfg.levy_measure.type == "point_mass" and ("levy_measure", "z") not in row:
+        raise ConfigError("[levy_measure] type = point_mass is not used by the density "
+                          "route (experiment, price, simulate --route density), which "
+                          "simulates exponential marks; only pide and "
+                          "simulate --route intensity read it")
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +415,6 @@ def reject_inert_mass(cfg: Config) -> None:
 
 def build_kernel(cfg: Config) -> DiracKernel:
     return DiracKernel(c0=cfg.kernel.c0)
-
-
-def require_density_route(cfg: Config) -> None:
-    """Reject a point mass on the density route.
-
-    `experiment`, `price` and `simulate --route density` simulate the
-    direct density scheme with exponential jump marks
-    (`ExperimentConfig.measure`); only `pide` and `simulate --route
-    intensity` read a point mass.
-    """
-    if cfg.levy_measure.type == "point_mass":
-        raise ConfigError("[levy_measure] type = point_mass is not used by the density "
-                          "route (experiment, price, simulate --route density), which "
-                          "simulates exponential marks; only pide and "
-                          "simulate --route intensity read it")
 
 
 def build_measure(cfg: Config):

@@ -3,6 +3,7 @@
 import csv
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -99,6 +100,31 @@ def test_zeta_must_be_positive(tmp_path):
     path = write(tmp_path, "[levy_measure]\nzeta = -1\n")
     with pytest.raises(cfgmod.ConfigError, match="positive real required"):
         cfgmod.parse_config(path)
+
+
+FLOAT_KEYS = [(name, f.name) for name, cls in cfgmod._SECTION_TYPES.items()
+              for f in fields(cls) if isinstance(f.default, (float, tuple))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS + [("model", "theta_max_rule")],
+                         ids=lambda v: v)
+def test_cli_rejects_non_finite_reals(tmp_path, capsys, section, key, value):
+    pair = isinstance(getattr(cfgmod._SECTION_TYPES[section](), key), tuple)
+    cfg = write(tmp_path, f"[{section}]\n{key} = {value}{',0.1' if pair else ''}\n")
+    out = str(tmp_path / "rejected")
+    assert main(["experiment", "section7", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [{section}] {key}: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_pide_rejects_a_non_finite_theta(tmp_path, capsys, value):
+    out = str(tmp_path / "rejected")
+    assert main(["pide", f"--theta={value}", "--config", write(tmp_path, TINY_PIDE),
+                 "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --theta {float(value)!r}: finite real")
+    assert not os.path.exists(out)
 
 
 def test_unknown_key_named(tmp_path):
@@ -1148,6 +1174,56 @@ def test_cli_price_rejects_regime_under_intensity_linked_recovery(tmp_path, monk
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("measure,key,value", [
+    ("point_mass", "zeta", "7.3"), ("point_mass", "quadrature_nodes", "12"),
+    ("none", "zeta", "7.3"), ("none", "varpi", "0.0037"), ("none", "quadrature_nodes", "12"),
+])
+def test_cli_pide_rejects_mark_keys_the_measure_type_leaves_inert(tmp_path, monkeypatch, capsys,
+                                                                 measure, key, value):
+    # a point mass has one mark, at z; type = none has no jumps
+    monkeypatch.setattr(cli, "_solver_from", lambda *a, **k: 1 / 0)
+    text = TINY_PIDE.replace("type = none\n", f"type = {measure}\n{key} = {value}\n")
+    out = str(tmp_path / "rejected")
+    assert main(["pide", "--config", write(tmp_path, text), "--out", out]) == 1
+    default = cfgmod._shown(getattr(cfgmod.MeasureConfig(), key))
+    assert capsys.readouterr().err == (f"error: [levy_measure] {key} = {value} has no effect "
+                                       f"under type = {measure}: leave it at {default}\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("ignore:paper_exact bond formula selected")
+@pytest.mark.parametrize("argv", [[], ["--status", "defaulted"]], ids=["alive", "defaulted"])
+def test_cli_price_reads_vasicek_formula_only_off_unit_kappa(tmp_path, capsys, argv):
+    # the formulas divide the variance term by kappa^2 and kappa^4, which agree at kappa = 1
+    rates = "[rates]\nmode = vasicek\nvasicek_formula = paper_exact\n"
+    out = str(tmp_path / "rejected")
+    assert main(["price", "--config", write(tmp_path, TINY + rates), "--out", out, *argv]) == 1
+    assert capsys.readouterr().err == ("error: [rates] vasicek_formula = paper_exact has no "
+                                       "effect under kappa = 1.0: leave it at standard\n")
+    assert not os.path.exists(out)
+    prices = []
+    for name, formula in (("standard", ""), ("paper_exact", "vasicek_formula = paper_exact\n")):
+        cfg = write(tmp_path, TINY + "[rates]\nmode = vasicek\nkappa = 1.7\n" + formula,
+                    f"{name}.cfg")
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / name), *argv]) == 0
+        prices.append(open(tmp_path / name / "prices.csv", "rb").read())
+    assert prices[0] != prices[1]
+
+
+def test_cli_closed_form_price_reads_delta_theta(tmp_path, capsys):
+    # the priced window ends are delta_theta multiples: t = 0.125 lies on the
+    # 0.025 grid but not on the default 0.01 one
+    text = "[model]\ndelta_t = 0.005\n{}[experiment]\nt = 0.125\nn_paths = 20\n"
+    out = str(tmp_path / "default")
+    assert main(["price", "--config", write(tmp_path, text.format("")), "--out", out]) == 1
+    assert capsys.readouterr().err == "error: t and T must lie on the theta grid\n"
+    assert not os.path.exists(out)
+    cfg = write(tmp_path, text.format("delta_theta = 0.025\n"), "coarse.cfg")
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "coarse")]) == 0
+    with open(tmp_path / "coarse" / "prices.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 20
+
+
 def test_unread_input_error_names_the_readers_and_the_default(tmp_path, capsys):
     out = str(tmp_path / "rejected")
     cfg = write(tmp_path, "[kernel]\nc0 = 4.0\n")
@@ -1163,21 +1239,178 @@ def test_section7_cfg_passes_every_command(command):
 
 
 def test_every_key_is_read_by_some_command():
-    from dataclasses import fields
     keys = {(name, f.name) for name, cls in cfgmod._SECTION_TYPES.items() for f in fields(cls)}
     assert set().union(*cfgmod.READS.values()) == keys
 
 
-def test_readme_table_names_the_keys_each_command_reads():
+def _readme_table(header: str) -> dict[str, set]:
+    """command -> the (section, key) pairs of its row in the README table
+    under `header`."""
     lines = open(README).read().splitlines()
-    start = lines.index("| command | reads |") + 2
+    start = lines.index(header) + 2
     rows = {}
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        command, reads = (cell.strip() for cell in line.strip("|").split("|"))
+        command, keys, *_ = (cell.strip() for cell in line.strip("|").split("|"))
         rows[command.strip("`")] = {(section, key.strip())
-                                    for part in reads.split(" · ")
-                                    for section, keys in [part.split(": ")]
-                                    for key in keys.split(",")}
+                                    for part in keys.split(" · ")
+                                    for section, names in [part.split(": ")]
+                                    for key in names.split(",")}
+    return rows
+
+
+def test_readme_table_names_the_keys_each_command_reads():
+    rows = _readme_table("| command | reads |")
     assert rows == {command: set(keys) for command, keys in cfgmod.READS.items()}
+    exempt = _readme_table("| command | accepted without effect | why |")
+    assert {(command, *key) for command, keys in exempt.items() for key in keys} == CONTRACT_EXEMPT
+
+
+# --------------------------------------------------------- the input contract
+
+# one valid non-default value per key; no power of two, whose scaling is exact
+ALTERNATES = {
+    "kernel": {"c0": "3.7"},
+    "levy_measure": {"type": "none", "zeta": "7.3", "varpi": "0.0037", "z": "1.7",
+                     "quadrature_nodes": "12"},
+    "model": {"sigma": "0.0037", "b": "0.7", "lambda_bar": "0.37", "delta_theta": "0.25",
+              "delta_t": "0.02", "theta_max_rule": "30", "clamp_lambda_at_zero": "true",
+              "jump_sign_convention": "section3"},
+    "rates": {"mode": "vasicek", "r": "0.037", "kappa": "1.7", "delta": "0.037", "r0": "0.037",
+              "rho0": "0.037", "phi0": "0.37", "vasicek_formula": "paper_exact",
+              "rates_correlated": "true"},
+    "pide": {"nx": "20", "ny": "20", "x_range": "-0.07,0.17", "y_range": "0.0,0.37",
+             "n_steps": "7"},
+    "pricing": {"regime": "correlated", "recovery_type": "intensity_linked", "R": "0.37",
+                "w0": "0.37", "w1": "0.37", "f": "none"},
+    "experiment": {"t": "0.37", "T": "1.7", "n_paths": "13", "seed": "7"},
+}
+# the small sizes every base takes where its command reads them
+SMALL = {("experiment", "n_paths"): "20", ("pide", "nx"): "16", ("pide", "ny"): "16",
+         ("pide", "n_steps"): "10"}
+# (label, argv, the values that choose the branch, which it does not vary); the
+# label is the command's READS row, and --status defaulted where given
+LINKED, VASICEK = {("pricing", "recovery_type"): "intensity_linked"}, {("rates", "mode"): "vasicek"}
+CONTRACT_BRANCHES = [
+    ("simulate --route density", ["simulate", "--route", "density", "--paths", "4"], {}),
+    ("simulate --route intensity", ["simulate", "--route", "intensity", "--paths", "4"], {}),
+    ("experiment", ["experiment", "section7"], {}),
+    # each cell sets its own varpi, so the sweep reads zeta under type = none
+    ("experiment --sweep varpi", ["experiment", "section7", "--sweep", "varpi",
+                                  "--values", "0.01,0.5"], {("levy_measure", "type"): "none"}),
+    ("verify", ["verify"], {}),
+    ("kde", ["kde", "--prices", "prices.csv"], {}),
+    ("price (closed form)", ["price"], {}),
+    ("price (closed form)", ["price"], VASICEK),
+    ("price (closed form) --status defaulted", ["price", "--status", "defaulted"], {}),
+    ("price (kernels)", ["price"], {("pricing", "regime"): "correlated", **VASICEK}),
+    ("price (kernels)", ["price"], LINKED),
+    *(("price (kernels) --status defaulted", ["price", "--status", "defaulted"], LINKED | rates)
+      for rates in ({}, VASICEK)),
+    ("pide", ["pide"], {}),
+    ("pide", ["pide"], VASICEK),
+    # pide refuses phi0 != 0 with independent rates, which share no jump marks
+    ("pide", ["pide"], {("rates", "mode"): "vasicek_jumps", ("rates", "rates_correlated"): "true"}),
+]
+# keys that bite only in a chosen scenario: (label, key) -> the base's extra values
+BITING_SCENARIOS = {
+    ("simulate --route intensity", ("model", "clamp_lambda_at_zero")): {("model", "sigma"): "0.05"},
+    # moves only stdout's flagged_fraction, 0.3810 -> 0.3795
+    ("experiment", ("model", "delta_theta")): {
+        ("levy_measure", "zeta"): "20", ("levy_measure", "varpi"): "0.5",
+        ("experiment", "n_paths"): "2000"},
+    # moves the varpi = 0.5 cell's flagged_fraction
+    ("experiment --sweep varpi", ("model", "delta_theta")): {
+        ("levy_measure", "zeta"): "20", ("experiment", "n_paths"): "2000"},
+}
+_AFTER_DEFAULT = (("levy_measure", "type"), ("levy_measure", "zeta"), ("levy_measure", "varpi"),
+                  ("model", "sigma"), ("model", "b"), ("model", "lambda_bar"), ("model", "delta_theta"),
+                  ("model", "delta_t"), ("model", "jump_sign_convention"))
+# (label, section, key): accepted keys of a row that no output shows; the
+# README lists them with the reasons
+CONTRACT_EXEMPT = {
+    # the seed reaches only the manifest
+    ("pide", "experiment", "seed"), ("kde", "experiment", "seed"),
+    ("price (closed form) --status defaulted", "experiment", "seed"),
+    # only the jump-reach check reads r0
+    ("pide", "rates", "r0"),
+    # they set the deterministic-baseline check, whose report prints only its error
+    ("verify", "rates", "r"), ("verify", "pricing", "R"),
+    # it sets the theta grid that t and T must lie on, which a base on both
+    # grids does not show (test_cli_closed_form_price_reads_delta_theta)
+    ("price (closed form)", "model", "delta_theta"),
+    # R B(t, T) after default simulates nothing, and the linked recovery
+    # reads the kernels at tau <= t, where the rate coupling vanishes; the
+    # tests' configs set these keys, so they stay accepted
+    *(("price (closed form) --status defaulted", *key) for key in _AFTER_DEFAULT),
+    ("price (kernels) --status defaulted", "rates", "rates_correlated"),
+}
+
+
+def _config_text(values: dict) -> str:
+    sections: dict = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{name}]\n{''.join(lines)}\n" for name, lines in sections.items())
+
+
+def _run_outputs(tmp_path, capsys, argv, values, name):
+    """(exit code, stderr, outputs): outputs is None when no output directory
+    exists, else the bytes of every output file but the manifest, and stdout
+    without its `wrote` lines."""
+    out = str(tmp_path / name)
+    code = main([*argv, "--config", write(tmp_path, _config_text(values), f"{name}.cfg"),
+                 "--out", out])
+    captured = capsys.readouterr()
+    if not os.path.exists(out):
+        return code, captured.err, None
+    files = {f: open(os.path.join(out, f), "rb").read()
+             for f in sorted(os.listdir(out)) if f != "manifest.json"}
+    stdout = [line for line in captured.out.splitlines() if not line.startswith("wrote ")]
+    return code, captured.err, (files, stdout)
+
+
+def test_alternates_cover_every_key_off_its_default():
+    for name, cls in cfgmod._SECTION_TYPES.items():
+        assert set(ALTERNATES[name]) == {f.name for f in fields(cls)}
+        for f in fields(cls):
+            parse = cfgmod._SCHEMA[name][f.name]
+            small = [parse(SMALL[name, f.name])] if (name, f.name) in SMALL else []
+            assert parse(ALTERNATES[name][f.name]) not in [f.default, *small], f.name
+
+
+@pytest.mark.parametrize("label,argv,choice", CONTRACT_BRANCHES,
+                         ids=[f"{label}{''.join(f' {k}={v}' for (_, k), v in choice.items())}"
+                              for label, _, choice in CONTRACT_BRANCHES])
+def test_every_accepted_key_has_an_effect(tmp_path, monkeypatch, capsys, label, argv, choice):
+    # each key the branch does not choose, set to its alternate, either
+    # changes an output's bytes or stdout, or is rejected by name before any
+    # output directory exists
+    monkeypatch.chdir(tmp_path)
+    with open("prices.csv", "w") as fh:
+        fh.write("path,price\n" + "".join(f"{i},{0.9 + 0.001 * i!r}\n" for i in range(50)))
+    row = cfgmod.READS[re.sub(r" --(status|sweep) \w+", "", label)]
+    base = {key: value for key, value in SMALL.items() if key in row} | choice
+    failures, baselines = [], {}
+    for section, alternates in ALTERNATES.items():
+        for key, alternate in alternates.items():
+            if (section, key) in choice or (label, section, key) in CONTRACT_EXEMPT:
+                continue
+            scenario = base | BITING_SCENARIOS.get((label, (section, key)), {})
+            held = frozenset(scenario.items())
+            if held not in baselines:
+                code, err, baselines[held] = _run_outputs(tmp_path, capsys, argv, scenario,
+                                                          f"base{len(baselines)}")
+                assert code == 0, err
+            before = baselines[held]
+            code, err, after = _run_outputs(tmp_path, capsys, argv,
+                                            scenario | {(section, key): alternate}, key)
+            # the key itself, or a value the branch chose that the key leaves inert
+            named = [f"error: [{s}] {k}" for s, k in [(section, key), *choice]]
+            if code == 1 and after is None and err.startswith(tuple(named)):
+                continue
+            if code == 0 and after != before:
+                continue
+            failures.append(f"[{section}] {key} = {alternate}: exit {code} {err.strip()}")
+    assert failures == [], "\n".join(failures)
