@@ -25,10 +25,11 @@ from .experiments import (ExperimentConfig, kde, kde_grid, run_price_distributio
                           sample_skewness, sweep, write_kde_csv, write_prices_csv,
                           write_sweep_csv)
 from .manifest import write_manifest
-from .pide import CoefficientProvider, PideInstabilityError, PricingKernelSolver, StateGrid
+from .pide import (CoefficientProvider, PideInstabilityError, PricingKernelSolver, StateGrid,
+                   kernel_transform)
 from .pricing import (DeterministicRecovery, IntensityLinkedRecovery, price_after_default,
                       price_defaultable_zcb, theta_quadrature)
-from .rates import adjudicate_vasicek_formula, constant_rate_discount, zcb_price
+from .rates import adjudicate_vasicek_formula, constant_rate_discount, zcb_closed_form
 from .term_structure import (simulate_density_paths, simulate_intensity_paths,
                              simulate_intensity_values, simulate_survival_values)
 
@@ -113,14 +114,27 @@ def _solver_from(cfg: cfgmod.Config) -> PricingKernelSolver:
                                rates_correlated=cfg.rates.rates_correlated)
 
 
+def _kernel_priced(cfg: cfgmod.Config, alive: bool) -> bool:
+    """Whether `lab price` reads the kernels' transform: with intensity-linked
+    recovery, or alive with correlated rates.  Otherwise the closed forms
+    hold: B(t, T) (1 - (1-R) int_t^T alpha / int_t^inf alpha) alive, and
+    R B(t, T) after default, when the intensity coefficients have vanished."""
+    return cfg.pricing.recovery_type != "deterministic" or (alive and cfg.rates.rates_correlated)
+
+
 def _discount_from(cfg: cfgmod.Config, t: float, T: float) -> float:
-    """B(t, T) of the configured [rates] mode.  Kernel-priced runs do not read
-    [rates] vasicek_formula, so there it is the standard bond, e^{A - B r0}
-    of the kernels' transform."""
+    """B(t, T) of the configured [rates] mode: e^{-r (T - t)} at the constant
+    r, else the Vasicek bond from r0.  A closed-form run (which reads no
+    rates_correlated) takes the standard closed form; a kernel-priced one
+    the kernels' e^{A - B r0} at theta = t, where every intensity
+    coefficient vanishes and so does C, which holds the rate's jumps too."""
     if cfg.rates.mode == "constant":
         return constant_rate_discount(cfg.rates.r, t, T)
-    return zcb_price(cfgmod.build_rate_spec(cfg), t, T, cfg.rates.r0,
-                     formula=cfg.rates.vasicek_formula)
+    rs = cfgmod.build_rate_spec(cfg)
+    if not _kernel_priced(cfg, alive=True):
+        return zcb_closed_form(rs, t, T, rs.r0)
+    a, b, _ = kernel_transform(_coefficients_from(cfg)(t), t, T)
+    return float(np.exp(a - b * rs.r0))
 
 
 def _tau_from(args, t: float) -> float | None:
@@ -138,10 +152,7 @@ def _tau_from(args, t: float) -> float | None:
 def cmd_price(args) -> int:
     cfg = _load(args)
     tau = _tau_from(args, cfg.experiment.t)
-    # a deterministic recovery R after default is worth R B(t, T) in both
-    # regimes: at tau <= t the intensity coefficients have vanished
-    kernel_priced = (cfg.pricing.recovery_type != "deterministic"
-                     or (cfg.pricing.regime == "correlated" and tau is None))
+    kernel_priced = _kernel_priced(cfg, alive=tau is None)
     cfgmod.reject_unread(cfg, "price (kernels)" if kernel_priced else "price (closed form)",
                          defaulted=tau is not None)
     ec = cfgmod.experiment_config(cfg)
@@ -207,6 +218,11 @@ def cmd_pide(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _load(args)
     cfgmod.reject_unread(cfg, "experiment", sweep=args.sweep)
+    if args.sweep is not None:
+        try:
+            values = [cfgmod.real(v) for v in args.values.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--values {args.values!r}: {exc}") from exc
     ec = cfgmod.experiment_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -226,7 +242,6 @@ def cmd_experiment(args) -> int:
               f"flagged_fraction={sample.flagged_fraction:.4f} "
               f"mean={sample.prices.mean():.6f} skewness={sample_skewness(sample.prices):.3f}")
     else:
-        values = [float(v) for v in args.values.split(",")]
         rows = sweep(ec, args.sweep, values)
         sweep_file = os.path.join(args.out, f"sweep_{args.sweep}.csv")
         write_sweep_csv(sweep_file, rows)
@@ -284,14 +299,11 @@ def run_verification(cfg: cfgmod.Config, quick_paths: int = 2000) -> list[dict]:
 
     # bond-formula adjudication
     report = adjudicate_vasicek_formula()
-    configured = cfg.rates.vasicek_formula
     z = " ".join(f"z_{name}={c['z']:+.2f}" for name, c in report["candidates"].items())
     checks.append({"name": "vasicek_adjudication",
                    "passed": bool(report["selected"] == "standard"),
                    "detail": f"selected={report['selected']} mc={report['mc']:.8f} "
-                             f"se={report['se']:.1e} {z} configured={configured}"
-                             + (" (configured variant FAILED adjudication)"
-                                if configured != report["selected"] else "")})
+                             f"se={report['se']:.1e} {z}"})
 
     # density martingale (direct route, closed-form values at the three maturities)
     ec2 = replace(calibrated, n_paths=quick_paths)

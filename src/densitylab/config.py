@@ -6,8 +6,7 @@ means.  `reject_unread` is the one input contract: before any output it
 rejects, by name, a non-default value that has no effect on the command,
 whether its key is outside the command's `READS` row or the configured
 values leave it inert (`_inert`).  `serialize` writes a file that parses
-back to an identical configuration, and the LAB_SEED environment variable
-overrides the configured seed at load time.
+back to an identical configuration.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import configparser
 import io
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .experiments import ExperimentConfig
@@ -54,6 +53,13 @@ def _unit(x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError("value in [0, 1] required")
     return x
+
+
+def _grid_points(s) -> int:
+    n = int(s)
+    if n < 16:
+        raise ValueError("integer >= 16 required")
+    return n
 
 
 def _boolean(s: str) -> bool:
@@ -120,7 +126,6 @@ class RatesConfig:
     r0: float = 0.05
     rho0: float = 0.01
     phi0: float = 0.0
-    vasicek_formula: str = "standard"
     rates_correlated: bool = False
 
 
@@ -135,7 +140,6 @@ class PideConfig:
 
 @dataclass(frozen=True)
 class PricingConfig:
-    regime: str = "independent"
     recovery_type: str = "deterministic"
     R: float = 0.4
     w0: float = 0.3
@@ -191,18 +195,16 @@ _SCHEMA: dict[str, dict[str, Any]] = {
         "r0": real,
         "rho0": real,
         "phi0": real,
-        "vasicek_formula": _choice("standard", "paper_exact"),
         "rates_correlated": _boolean,
     },
     "pide": {
-        "nx": lambda s: int(_positive(int(s))),
-        "ny": lambda s: int(_positive(int(s))),
+        "nx": _grid_points,
+        "ny": _grid_points,
         "x_range": _pair,
         "y_range": _pair,
         "n_steps": lambda s: int(_positive(int(s))),
     },
     "pricing": {
-        "regime": _choice("independent", "correlated"),
         "recovery_type": _choice("deterministic", "intensity_linked"),
         "R": lambda s: _unit(real(s)),
         "w0": lambda s: _nonnegative(real(s)),
@@ -269,14 +271,7 @@ def parse_config(path: str | None) -> Config:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"[{name}] {key}: {exc}") from exc
         sections[name] = _SECTION_TYPES[name](**kwargs)
-    cfg = Config(**sections)
-    seed_env = os.environ.get("LAB_SEED")
-    if seed_env is not None:
-        try:
-            cfg = replace(cfg, experiment=replace(cfg.experiment, seed=int(seed_env)))
-        except ValueError as exc:
-            raise ConfigError(f"LAB_SEED: integer required ({exc})") from exc
-    return _cross_validate(cfg)
+    return _cross_validate(Config(**sections))
 
 
 def _shown(value) -> str:
@@ -312,25 +307,25 @@ _DENSITY = _keys(levy_measure="type zeta varpi", model="sigma b lambda_bar delta
                  experiment="t T seed")
 _EXPERIMENT = _DENSITY | _keys(model="jump_sign_convention", rates="r", pricing="R",
                                experiment="n_paths")
-_PRICE = _EXPERIMENT | _keys(rates="mode kappa delta r0 rho0", pricing="regime recovery_type")
+_PRICE = _EXPERIMENT | _keys(rates="mode kappa delta r0 rho0", pricing="recovery_type")
 
 # (section, key) pairs each command reads.  A read that hangs on --status or
 # on another key's value counts as a read.  `price` splits as `cmd_price`
-# does: closed form, or through the kernels' transform (correlated regime
-# alive, or intensity-linked recovery), whose LAMBDA_FLOOR fallback takes
-# the standard Vasicek bond, the transform's e^{A - B r}.  `pide` reads no
-# lambda_bar: it enters only lambda_0, which no operator coefficient reads.
+# does: through the kernels' transform with intensity-linked recovery, or
+# alive with rates_correlated = true, and in closed form otherwise.  `pide`
+# reads no lambda_bar: it enters only lambda_0, which no operator
+# coefficient reads.
 READS: dict[str, frozenset[tuple[str, str]]] = {
     "simulate --route density": _DENSITY | _keys(model="theta_max_rule jump_sign_convention"),
     "simulate --route intensity": _DENSITY | _keys(
         kernel="c0", levy_measure="z", model="theta_max_rule clamp_lambda_at_zero"),
     "experiment": _EXPERIMENT,
-    "verify": _keys(levy_measure="zeta", model="b lambda_bar", rates="r vasicek_formula",
-                    pricing="R", experiment="seed"),
+    "verify": _keys(levy_measure="zeta", model="b lambda_bar", rates="r", pricing="R",
+                    experiment="seed"),
     "pide": _keys(kernel="c0", levy_measure="type zeta varpi z quadrature_nodes", model="sigma b",
                   rates="mode r kappa delta r0 rho0 phi0 rates_correlated",
                   pide="nx ny x_range y_range n_steps", experiment="t T seed"),
-    "price (closed form)": _PRICE | _keys(rates="vasicek_formula"),
+    "price (closed form)": _PRICE,
     # the kernels' quadrature nodes are not on the delta_theta grid
     "price (kernels)": _PRICE - _keys(model="delta_theta") | _keys(
         levy_measure="quadrature_nodes", model="theta_max_rule", rates="phi0 rates_correlated",
@@ -344,30 +339,25 @@ def _inert(cfg: Config, command: str, defaulted: bool, sweep: str | None) -> lis
     setting.  A key outside the row is rejected before these are read.
     `build_rate_spec` drops [rates] keys by mode, and under mode = constant
     rho0 = phi0 = 0 zero rates_correlated's coupling terms; `price` holds
-    that rate at r, so kappa and vasicek_formula are inert there too (`pide`
-    reads kappa off its rate axis), and the two bond formulas agree at
-    kappa = 1.  w0, w1 and f shape only the intensity-linked recovery, which
-    reads no R.  After default a deterministic recovery is R B(t, T) in
-    either regime, and the linked one reads the kernels at tau <= t, where
-    gamma and sigma vanish, and no theta_max, which only the alive
-    quadrature reads.  A point mass has one mark, at z, read by no other
-    type; type = none has no marks, but the cells of `--sweep varpi` do.
+    that rate at r, so kappa is inert there too (`pide` reads kappa off its
+    rate axis).  w0, w1 and f shape only the intensity-linked recovery,
+    which reads no R.  After default the linked recovery reads the kernels
+    at tau <= t, where gamma and sigma vanish, and no theta_max, which only
+    the alive quadrature reads.  A point mass has one mark, at z, read by no
+    other type; type = none has no marks, but the cells of `--sweep varpi`
+    do.
     """
     mode, recovery, measure = cfg.rates.mode, cfg.pricing.recovery_type, cfg.levy_measure.type
-    price = command.startswith("price")
     dropped = {"constant": "delta r0 rho0 phi0 rates_correlated", "vasicek": "r phi0",
                "vasicek_jumps": "r"}[mode]
-    if price and mode == "constant":
-        dropped += " kappa vasicek_formula"
-    rules = [("rates", dropped, f"mode = {mode}")]
-    if price and cfg.rates.kappa == 1.0:
-        rules.append(("rates", "vasicek_formula", "kappa = 1.0"))
-    rules.append(("pricing", "w0 w1 f" if recovery == "deterministic" else "regime R",
-                  f"recovery_type = {recovery}"))
-    if defaulted:
+    if command.startswith("price") and mode == "constant":
+        dropped += " kappa"
+    rules = [("rates", dropped, f"mode = {mode}"),
+             ("pricing", "w0 w1 f" if recovery == "deterministic" else "R",
+              f"recovery_type = {recovery}")]
+    if defaulted and recovery != "deterministic":
         after = f"recovery_type = {recovery} with --status defaulted"
-        rules += ([("pricing", "regime", after)] if recovery == "deterministic" else
-                  [("levy_measure", "quadrature_nodes", after), ("model", "theta_max_rule", after)])
+        rules += [("levy_measure", "quadrature_nodes", after), ("model", "theta_max_rule", after)]
     if measure != "point_mass" or ("levy_measure", "z") in READS[command]:
         # the density route rejects the point mass itself, after these rules
         marks = {"exponential": "z", "point_mass": "zeta quadrature_nodes",
@@ -382,7 +372,8 @@ def reject_unread(cfg: Config, command: str, defaulted: bool = False,
     (`defaulted`: `price --status defaulted`; `sweep`: the `--sweep` axis
     of `experiment`), naming its key: first a key outside the command's
     `READS` row, then one the configured values leave inert (`_inert`),
-    then a point mass on the density route."""
+    then rate jumps on independent rates, then a point mass on the density
+    route."""
     row = READS[command]
     for name, cls in _SECTION_TYPES.items():
         for f in fields(cls):
@@ -401,6 +392,11 @@ def reject_unread(cfg: Config, command: str, defaulted: bool = False,
             if value != default:
                 raise ConfigError(f"[{name}] {key} = {_shown(value)} has no effect under "
                                   f"{setting}: leave it at {_shown(default)}")
+    # a key that reaches here is read: phi0 != 0 only under vasicek_jumps
+    if cfg.rates.phi0 != 0.0 and not cfg.rates.rates_correlated:
+        raise ConfigError(f"[rates] phi0 = {_shown(cfg.rates.phi0)} needs rates_correlated = "
+                          "true: the rate jumps on the field's marks, which an independent "
+                          "rate does not share")
     # the density route simulates exponential marks: only rows that read z read a point mass
     if cfg.levy_measure.type == "point_mass" and ("levy_measure", "z") not in row:
         raise ConfigError("[levy_measure] type = point_mass is not used by the density "

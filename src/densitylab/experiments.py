@@ -311,10 +311,7 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
         n = sample.prices.size
         se = float(sample.prices.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         rows.append({"value": float(value), "mean": float(sample.prices.mean()),
-                     "se": se, "flagged_fraction": sample.flagged_fraction,
-                     "n_rejected": sample.n_rejected, "n": n,
-                     "skewness": sample_skewness(sample.prices) if n > 2 else 0.0,
-                     "max": float(sample.prices.max()) if n else float("nan")})
+                     "se": se, "flagged_fraction": sample.flagged_fraction})
     return rows
 
 

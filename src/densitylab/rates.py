@@ -19,7 +19,8 @@ a11(u) ((1 - e^{-kappa(T-u)}) / kappa)^2 while the `paper_exact` variant
 divides by kappa^2 inside the square.  They coincide at kappa = 1;
 `adjudicate_vasicek_formula` settles the choice empirically against an
 exact-in-distribution Monte Carlo oracle and the selection is recorded,
-not assumed.
+not assumed.  Every price reads `standard`; `paper_exact` stays only as
+the rejected candidate of that evidence.
 
 The oracle steps (r, int r) through their exact bivariate normal per
 step and averages e^{-I} + e^{-m}(I - m) over paths, I = int_t^T r ds,
@@ -32,7 +33,6 @@ of the formula under test.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,13 +192,3 @@ def adjudicate_vasicek_formula(kappa: float = 2.0, delta: float = 0.05,
     report["selected"] = inside[0] if len(inside) == 1 else "inconclusive"
     return report
 
-
-def zcb_price(spec: VasicekSpec, t: float, T: float, r: float,
-              formula: str = "standard") -> float:
-    """Bond price under the configured variant, warning if it failed adjudication."""
-    value = zcb_closed_form(spec, t, T, r, formula=formula)
-    if formula == "paper_exact" and spec.kappa != 1.0:
-        warnings.warn("paper_exact bond formula selected; it fails the Monte Carlo "
-                      "adjudication at kappa != 1 (see adjudicate_vasicek_formula)",
-                      stacklevel=2)
-    return value

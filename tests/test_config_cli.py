@@ -127,6 +127,15 @@ def test_cli_pide_rejects_a_non_finite_theta(tmp_path, capsys, value):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("values", ["nan,0.001", "0,inf", "0.001,-inf"])
+def test_cli_sweep_rejects_non_finite_values(tmp_path, capsys, values):
+    out = str(tmp_path / "rejected")
+    assert main(["experiment", "section7", "--sweep", "varpi", "--values", values,
+                 "--config", write(tmp_path, TINY), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: --values {values!r}: finite real required\n"
+    assert not os.path.exists(out)
+
+
 def test_unknown_key_named(tmp_path):
     path = write(tmp_path, "[model]\nsigmaa = 0.01\n")
     with pytest.raises(cfgmod.ConfigError, match="\\[model\\] unknown key 'sigmaa'"):
@@ -156,11 +165,11 @@ def test_round_trip(tmp_path):
     assert cfgmod.parse_config(path2) == cfg
 
 
-def test_lab_seed_env_override(tmp_path, monkeypatch):
-    path = write(tmp_path, TINY)
-    monkeypatch.setenv("LAB_SEED", "4242")
-    cfg = cfgmod.parse_config(path)
-    assert cfg.experiment.seed == 4242
+def test_cli_seed_flag_overrides_the_configured_seed(tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["experiment", "section7", "--config", write(tmp_path, TINY), "--out", out,
+                 "--seed", "4242"]) == 0
+    assert read_manifest(out)["seed"] == 4242
 
 
 def test_empty_config_runs_with_defaults():
@@ -424,7 +433,7 @@ def test_cli_rejects_pide_values_where_unread(tmp_path, monkeypatch, capsys, arg
         raise AssertionError("kernel solver built")
 
     monkeypatch.setattr(cli, "PricingKernelSolver", refuse)
-    cfg = write(tmp_path, tiny_for(argv[0]) + "[pricing]\nregime = correlated\n\n[pide]\n" + extra)
+    cfg = write(tmp_path, tiny_for(argv[0]) + "[pide]\n" + extra)
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message} is read only by pide")
@@ -483,6 +492,23 @@ def test_cli_pide_rejects_ridge_eps(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("text,message", [
+    (TINY_PIDE.replace("nx = 16", "nx = 8"), "error: [pide] nx: integer >= 16 required\n"),
+    (TINY_PIDE.replace("ny = 16", "ny = 15"), "error: [pide] ny: integer >= 16 required\n"),
+    (TINY_PIDE + "\n[rates]\nmode = vasicek_jumps\nphi0 = 0.5\n",
+     "error: [rates] phi0 = 0.5 needs rates_correlated = true: the rate jumps on the field's "
+     "marks, which an independent rate does not share\n"),
+], ids=["nx", "ny", "phi0"])
+def test_cli_pide_names_the_key_the_solver_would_refuse(tmp_path, monkeypatch, capsys, text,
+                                                        message):
+    # StateGrid needs 16 points an axis, and independent rates share no jump marks
+    monkeypatch.setattr(cli, "_solver_from", lambda *a, **k: 1 / 0)
+    out = str(tmp_path / "rejected")
+    assert main(["pide", "--config", write(tmp_path, text), "--out", out]) == 1
+    assert capsys.readouterr().err == message
+    assert not os.path.exists(out)
+
+
 def test_k_breve_routes_avoid_the_2d_solve(tmp_path, monkeypatch):
     # both kernels, k_tilde (recovery f = identity) included, take the 1-D route
     import densitylab.oracles as oracles
@@ -507,9 +533,9 @@ def test_k_breve_routes_avoid_the_2d_solve(tmp_path, monkeypatch):
 def test_cli_price_reads_the_vasicek_bond_when_independent(tmp_path):
     # independent rates, deterministic recovery: both statuses discount with
     # the configured [rates] mode's bond, here Vasicek at r0 = delta = 0.10
-    from densitylab.rates import zcb_price
+    from densitylab.rates import zcb_closed_form
     cfg = write(tmp_path, TINY + "[rates]\nmode = vasicek\nr0 = 0.10\ndelta = 0.10\n")
-    bond = zcb_price(cfgmod.build_rate_spec(cfgmod.parse_config(cfg)), 0.5, 1.0, 0.10)
+    bond = zcb_closed_form(cfgmod.build_rate_spec(cfgmod.parse_config(cfg)), 0.5, 1.0, 0.10)
     assert abs(bond - np.exp(-0.05 * 0.5)) > 1e-2          # the constant [rates] r = 0.05
     prices = {}
     for status in ("alive", "defaulted"):
@@ -586,10 +612,10 @@ def test_cli_price_defaulted_reads_the_values_engine(tmp_path, monkeypatch):
 def test_cli_price_defaulted_deterministic_recovery_is_the_recovered_bond(tmp_path,
                                                                         monkeypatch):
     # at tau <= t the intensity coefficients have vanished, so a defaulted
-    # price is R B(t, T) on every path, in either regime: nothing is
-    # simulated and no kernel is solved (the correlated regime, which would
-    # change nothing, is rejected; see the test below)
-    from densitylab.rates import zcb_price
+    # price is R B(t, T) on every path, with or without correlated rates:
+    # nothing is simulated and no kernel is solved (rates_correlated, which
+    # would change nothing, is rejected; see the test below)
+    from densitylab.rates import zcb_closed_form
 
     def refuse(*args, **kwargs):
         raise AssertionError("simulated or solved")
@@ -597,32 +623,31 @@ def test_cli_price_defaulted_deterministic_recovery_is_the_recovered_bond(tmp_pa
     for name in ("simulate_density_paths", "simulate_survival_values",
                  "run_price_distribution", "_solver_from"):
         monkeypatch.setattr(cli, name, refuse)
-    cfg = write(tmp_path, NOISY_CORRELATED.replace("rates_correlated = true\n", "")
-                .replace("regime = correlated\n", ""))
+    cfg = write(tmp_path, NOISY_CORRELATED.replace("rates_correlated = true\n", ""))
     out = str(tmp_path / "dead")
     assert main(["price", "--status", "defaulted", "--tau", "0.23", "--config", cfg,
                  "--out", out]) == 0
     prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
-    bond = zcb_price(cfgmod.build_rate_spec(cfgmod.parse_config(cfg)), 0.5, 1.0, 0.05)
+    bond = zcb_closed_form(cfgmod.build_rate_spec(cfgmod.parse_config(cfg)), 0.5, 1.0, 0.05)
     assert prices == [0.4 * bond] * 20
 
 
 @pytest.mark.parametrize("tau", [[], ["--tau", "0.1"]], ids=["default_tau", "tau"])
 def test_cli_price_rejects_regime_after_default_under_deterministic_recovery(
         tmp_path, monkeypatch, capsys, tau):
-    # R B(t, T) after default in either regime: the correlated regime wrote
-    # the independent regime's prices.csv byte for byte
+    # R B(t, T) after default whether or not the rates are correlated: the
+    # switch of that regime, rates_correlated, is read only alive
     def refuse(*args, **kwargs):
         raise AssertionError("priced")
 
     for name in ("simulate_survival_values", "run_price_distribution", "_solver_from"):
         monkeypatch.setattr(cli, name, refuse)
-    cfg = write(tmp_path, NOISY_CORRELATED.replace("rates_correlated = true\n", ""))
+    cfg = write(tmp_path, NOISY_CORRELATED)
     out = str(tmp_path / "rejected")
     assert main(["price", "--config", cfg, "--out", out, "--status", "defaulted", *tau]) == 1
-    assert capsys.readouterr().err == ("error: [pricing] regime = correlated has no effect "
-                                       "under recovery_type = deterministic with --status "
-                                       "defaulted: leave it at independent\n")
+    assert capsys.readouterr().err == ("error: [rates] rates_correlated = true is read only by "
+                                       "pide and price (kernels), not by price (closed form): "
+                                       "leave it at false\n")
     assert not os.path.exists(out)
 
 
@@ -773,19 +798,16 @@ def test_cli_simulate_curves(tmp_path):
                                                   rel=1e-9, abs=1e-12)
 
 
-def test_verification_records_paper_exact_adjudication(tmp_path):
-    path = write(tmp_path, "[rates]\nvasicek_formula = paper_exact\n")
-    cfg = cfgmod.parse_config(path)
-    checks = run_verification(cfg, quick_paths=400)
+def test_verification_records_paper_exact_adjudication():
+    # both candidates' z-values; no configuration chooses the bond
+    checks = run_verification(cfgmod.parse_config(None), quick_paths=400)
     adj = next(c for c in checks if c["name"] == "vasicek_adjudication")
-    assert adj["passed"]                       # the oracle still selects `standard`
-    assert "configured=paper_exact" in adj["detail"]
-    assert "FAILED adjudication" in adj["detail"]
+    assert adj["passed"]                       # the oracle selects `standard`
+    assert re.search(r" z_standard=\S+ z_paper_exact=-\d+\.\d\d$", adj["detail"]), adj["detail"]
 
 
 CORRELATED = TINY_KERNELS + """
 [pricing]
-regime = correlated
 R = 0.4
 
 [rates]
@@ -806,8 +828,7 @@ def _noisy(text: str) -> str:
 
 NOISY_PIDE = _noisy(TINY_PIDE)
 NOISY_CORRELATED = _noisy(CORRELATED)
-NOISY_LINKED = NOISY_CORRELATED.replace(
-    "regime = correlated\nR = 0.4", "recovery_type = intensity_linked\nf = identity")
+NOISY_LINKED = NOISY_CORRELATED.replace("R = 0.4", "recovery_type = intensity_linked\nf = identity")
 
 
 def test_cli_price_correlated_zero_noise_matches_independent(tmp_path):
@@ -862,8 +883,7 @@ def test_cli_price_intensity_linked_zero_noise_closed_form(tmp_path, monkeypatch
 
     monkeypatch.setattr(pricing, "kernel_transform", counted)
     cfg = write(tmp_path, CORRELATED.replace(
-        "regime = correlated\nR = 0.4",
-        "recovery_type = intensity_linked\nf = identity\nw0 = 0.3\nw1 = 0.3"))
+        "R = 0.4", "recovery_type = intensity_linked\nf = identity\nw0 = 0.3\nw1 = 0.3"))
     out = str(tmp_path / "linked")
     assert main(["price", "--config", cfg, "--out", out]) == 0
     rows = list(csv.DictReader(open(os.path.join(out, "prices.csv"))))
@@ -997,7 +1017,7 @@ def test_cli_price_quadrature_nodes_are_converged(tmp_path, monkeypatch, run):
 def test_cli_price_defaulted_linked_is_the_bond_times_the_recovery(tmp_path):
     # at tau <= t the kernels' C vanishes and e^{A - B r0} is the Vasicek
     # bond: each path's price is P(t, T; r0) (w0 + w1 e^{-lambda_t(tau)})
-    from densitylab.rates import zcb_price
+    from densitylab.rates import zcb_closed_form
     from densitylab.term_structure import simulate_survival_values
     cfg = write(tmp_path, NOISY_LINKED.replace("f = identity", "f = identity\nw0 = 0.2\nw1 = 0.5"))
     parsed = cfgmod.parse_config(cfg)
@@ -1010,47 +1030,88 @@ def test_cli_price_defaulted_linked_is_the_bond_times_the_recovery(tmp_path):
     res = simulate_survival_values(ec.spec(), ec.measure(), np.array([0.25]), ec.t, ec.delta_t,
                                    ec.n_paths, ec.seed)
     lam = res["alpha"][:, 0] / res["survival"][:, 0]
-    bond = zcb_price(cfgmod.build_rate_spec(parsed), ec.t, ec.T, parsed.rates.r0,
-                     formula="standard")
+    bond = zcb_closed_form(cfgmod.build_rate_spec(parsed), ec.t, ec.T, parsed.rates.r0)
     assert np.abs(prices - bond * (0.2 + 0.5 * np.exp(-lam))).max() <= 1e-12
     assert np.ptp(lam) > 1e-4
+
+
+JUMP_RATES = """
+[rates]
+mode = vasicek_jumps
+phi0 = 0.5
+rates_correlated = true
+
+[experiment]
+n_paths = 20
+"""
+
+
+def test_cli_price_correlated_jump_rates_read_the_transform_bond(tmp_path):
+    # correlated rates with jumps price through the kernels, and their bond
+    # is the kernels' e^{A - B r0} at theta = t, where C = 0.  The kernel
+    # Monte Carlo at theta = t keeps lambda at lambda_0, so
+    # E[lambda_T e^{-int r}] / lambda_0 is the bond; at varpi = 0.5 the
+    # jump-free bond lies 31 SE from it
+    from dataclasses import replace
+    from densitylab.oracles import simulate_kernel_expectation
+    from densitylab.rates import zcb_closed_form
+    cfg = write(tmp_path, JUMP_RATES)
+    out = str(tmp_path / "jumps")
+    assert main(["price", "--config", cfg, "--out", out]) == 0
+    prices = [float(r["price"]) for r in csv.DictReader(open(os.path.join(out, "prices.csv")))]
+    assert len(prices) == 20 and all(0.0 < p < 1.0 for p in prices)
+    for marks in ("", "[levy_measure]\nvarpi = 0.5\n"):
+        parsed = cfgmod.parse_config(write(tmp_path, marks + JUMP_RATES, "marks.cfg"))
+        rs = cfgmod.build_rate_spec(parsed)
+        mc, se = simulate_kernel_expectation(
+            cfgmod.build_model_spec(parsed), rs, cfgmod.build_kernel(parsed),
+            cfgmod.build_measure(parsed), 0.5, 0.5, 1.0, rs.r0, 0.1, 100_000, 99)
+        mc, se = mc / 0.1, se / 0.1
+        assert abs(cli._discount_from(parsed, 0.5, 1.0) - mc) < 3 * se
+    assert abs(zcb_closed_form(replace(rs, phi0=0.0), 0.5, 1.0, rs.r0) - mc) > 10 * se
 
 
 # ------------------------------------------------- the inputs each command reads
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 KDE_ARGV = ["kde", "--prices", "unread.csv"]
-UNREAD_BY_PIDE_AND_KDE = [("[pricing]\nregime = correlated\n", "[pricing] regime = correlated"),
-                          ("[rates]\nvasicek_formula = paper_exact\n",
-                           "[rates] vasicek_formula = paper_exact"),
-                          ("[model]\ntheta_max_rule = 30\n", "[model] theta_max_rule = 30")]
+READ_ONLY_BY = "is read only by "
+# the two removed switches: the kernels' e^{A - B r} is the standard bond,
+# and rates_correlated alone decides the rate-intensity regime
+UNKNOWN_REGIME = ("[pricing]\nregime = correlated\n", "[pricing] unknown key 'regime'")
+UNKNOWN_FORMULA = ("[rates]\nvasicek_formula = paper_exact\n",
+                   "[rates] unknown key 'vasicek_formula'")
+UNREAD_BY_PIDE_AND_KDE = [UNKNOWN_REGIME, UNKNOWN_FORMULA,
+                          ("[model]\ntheta_max_rule = 30\n",
+                           f"[model] theta_max_rule = 30 {READ_ONLY_BY}")]
 
 
 @pytest.mark.parametrize("argv,text,message", [
-    (["experiment", "section7"], "[pricing]\nregime = correlated\n",
-     "[pricing] regime = correlated"),
+    (["experiment", "section7"], *UNKNOWN_REGIME),
     (["experiment", "section7"], "[pricing]\nrecovery_type = intensity_linked\n",
-     "[pricing] recovery_type = intensity_linked"),
-    (["experiment", "section7"], "[model]\ntheta_max_rule = 30\n", "[model] theta_max_rule = 30"),
+     f"[pricing] recovery_type = intensity_linked {READ_ONLY_BY}"),
+    (["experiment", "section7"], "[model]\ntheta_max_rule = 30\n",
+     f"[model] theta_max_rule = 30 {READ_ONLY_BY}"),
     (["verify"], "[model]\njump_sign_convention = section3\n",
-     "[model] jump_sign_convention = section3"),
-    (["verify"], "[experiment]\nn_paths = 7\n", "[experiment] n_paths = 7"),
-    (["verify"], "[model]\ntheta_max_rule = 30\n", "[model] theta_max_rule = 30"),
-    (["simulate", "--paths", "2"], "[experiment]\nn_paths = 50\n", "[experiment] n_paths = 50"),
-    (["simulate", "--paths", "2"], "[rates]\nr = 0.2\n", "[rates] r = 0.2"),
-    (["simulate", "--paths", "2"], "[pricing]\nR = 0.9\n", "[pricing] R = 0.9"),
+     f"[model] jump_sign_convention = section3 {READ_ONLY_BY}"),
+    (["verify"], "[experiment]\nn_paths = 7\n", f"[experiment] n_paths = 7 {READ_ONLY_BY}"),
+    (["verify"], "[model]\ntheta_max_rule = 30\n", f"[model] theta_max_rule = 30 {READ_ONLY_BY}"),
+    (["simulate", "--paths", "2"], "[experiment]\nn_paths = 50\n",
+     f"[experiment] n_paths = 50 {READ_ONLY_BY}"),
+    (["simulate", "--paths", "2"], "[rates]\nr = 0.2\n", f"[rates] r = 0.2 {READ_ONLY_BY}"),
+    (["simulate", "--paths", "2"], "[pricing]\nR = 0.9\n", f"[pricing] R = 0.9 {READ_ONLY_BY}"),
     *((["pide"], text, message) for text, message in UNREAD_BY_PIDE_AND_KDE),
     *((KDE_ARGV, text, message) for text, message in UNREAD_BY_PIDE_AND_KDE),
-    # the kernels' e^{A - B r} is the standard bond whatever the formula
     (["price"], CORRELATED.replace("kappa = 1.0", "kappa = 2.0")
-     + "vasicek_formula = paper_exact\n", "[rates] vasicek_formula = paper_exact"),
+     + "vasicek_formula = paper_exact\n", UNKNOWN_FORMULA[1]),
     (["price"], CORRELATED.replace("type = none", "type = none\nz = 2.0"),
-     "[levy_measure] z = 2.0"),
+     f"[levy_measure] z = 2.0 {READ_ONLY_BY}"),
     # R B(t, T) after default reads no kernel
-    (["price", "--status", "defaulted"], CORRELATED, "[rates] rates_correlated = true"),
+    (["price", "--status", "defaulted"], CORRELATED,
+     f"[rates] rates_correlated = true {READ_ONLY_BY}"),
     # the kernels' quadrature nodes are not on the delta_theta grid
     (["price"], CORRELATED.replace("b = 0.0", "b = 0.0\ndelta_theta = 0.02"),
-     "[model] delta_theta = 0.02"),
+     f"[model] delta_theta = 0.02 {READ_ONLY_BY}"),
 ], ids=["experiment-regime", "experiment-recovery_type", "experiment-theta_max_rule",
         "verify-jump_sign_convention", "verify-n_paths", "verify-theta_max_rule",
         "simulate-n_paths", "simulate-r", "simulate-R",
@@ -1061,7 +1122,7 @@ UNREAD_BY_PIDE_AND_KDE = [("[pricing]\nregime = correlated\n", "[pricing] regime
 def test_cli_rejects_unread_inputs_by_name(tmp_path, capsys, argv, text, message):
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", write(tmp_path, text), "--out", out]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message} is read only by ")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not os.path.exists(out)
 
 
@@ -1080,7 +1141,9 @@ def test_cli_rejects_rates_keys_the_mode_drops(tmp_path, monkeypatch, capsys, ar
 
     for name in ("simulate_survival_values", "run_price_distribution", "_solver_from"):
         monkeypatch.setattr(cli, name, refuse)
-    text = (TINY_PIDE if argv == ["pide"] else TINY_KERNELS + "[pricing]\nregime = correlated\n")
+    # intensity-linked recovery: lab price reads the kernels, and so phi0
+    text = (TINY_PIDE if argv == ["pide"]
+            else TINY_KERNELS + "[pricing]\nrecovery_type = intensity_linked\n")
     text += f"\n[rates]\nmode = {mode}\n{key} = {value}\n"
     out = str(tmp_path / "rejected")
     assert main([*argv, "--config", write(tmp_path, text), "--out", out]) == 1
@@ -1097,7 +1160,7 @@ def test_cli_price_rejects_kappa_under_constant_rates(tmp_path, monkeypatch, cap
     out = str(tmp_path / "rejected")
     with monkeypatch.context() as m:
         m.setattr(cli, "simulate_survival_values", lambda *a, **k: 1 / 0)
-        price_cfg = write(tmp_path, TINY_KERNELS + "[pricing]\nregime = correlated\n" + rates)
+        price_cfg = write(tmp_path, TINY_KERNELS + rates)
         assert main(["price", "--config", price_cfg, "--out", out]) == 1
     assert capsys.readouterr().err == ("error: [rates] kappa = 2.0 has no effect under "
                                        "mode = constant: leave it at 1.0\n")
@@ -1113,13 +1176,12 @@ def test_cli_price_rejects_kappa_under_constant_rates(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("argv", [[], ["--status", "defaulted"]], ids=["alive", "defaulted"])
 def test_cli_price_rejects_vasicek_formula_under_constant_rates(tmp_path, monkeypatch, capsys,
                                                                 argv):
-    # mode = constant discounts with e^{-r (T - t)}, which no Vasicek formula reaches
+    # every price discounts with the standard bond, so no key chooses a formula
     monkeypatch.setattr(cli, "run_price_distribution", lambda *a, **k: 1 / 0)
     cfg = write(tmp_path, TINY_KERNELS + "\n[rates]\nvasicek_formula = paper_exact\n")
     out = str(tmp_path / "rejected")
     assert main(["price", "--config", cfg, "--out", out, *argv]) == 1
-    assert capsys.readouterr().err == ("error: [rates] vasicek_formula = paper_exact has no "
-                                       "effect under mode = constant: leave it at standard\n")
+    assert capsys.readouterr().err == "error: [rates] unknown key 'vasicek_formula'\n"
     assert not os.path.exists(out)
 
 
@@ -1157,13 +1219,12 @@ def test_cli_price_rejects_recovery_weights_under_deterministic_recovery(
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("key,value,default", [("regime", "correlated", "independent"),
-                                               ("R", "0.5", "0.4")], ids=["regime", "R"])
+@pytest.mark.parametrize("key,value,default", [("R", "0.5", "0.4")], ids=["R"])
 @pytest.mark.parametrize("argv", [[], ["--status", "defaulted"]], ids=["alive", "defaulted"])
 def test_cli_price_rejects_regime_under_intensity_linked_recovery(tmp_path, monkeypatch, capsys,
                                                                   argv, key, value, default):
     # intensity-linked recovery reads no R and prices through the kernels
-    # in either regime
+    # with or without correlated rates
     monkeypatch.setattr(cli, "simulate_survival_values", lambda *a, **k: 1 / 0)
     cfg = write(tmp_path, NOISY_LINKED.replace("[pricing]\n", f"[pricing]\n{key} = {value}\n"))
     out = str(tmp_path / "rejected")
@@ -1189,25 +1250,6 @@ def test_cli_pide_rejects_mark_keys_the_measure_type_leaves_inert(tmp_path, monk
     assert capsys.readouterr().err == (f"error: [levy_measure] {key} = {value} has no effect "
                                        f"under type = {measure}: leave it at {default}\n")
     assert not os.path.exists(out)
-
-
-@pytest.mark.filterwarnings("ignore:paper_exact bond formula selected")
-@pytest.mark.parametrize("argv", [[], ["--status", "defaulted"]], ids=["alive", "defaulted"])
-def test_cli_price_reads_vasicek_formula_only_off_unit_kappa(tmp_path, capsys, argv):
-    # the formulas divide the variance term by kappa^2 and kappa^4, which agree at kappa = 1
-    rates = "[rates]\nmode = vasicek\nvasicek_formula = paper_exact\n"
-    out = str(tmp_path / "rejected")
-    assert main(["price", "--config", write(tmp_path, TINY + rates), "--out", out, *argv]) == 1
-    assert capsys.readouterr().err == ("error: [rates] vasicek_formula = paper_exact has no "
-                                       "effect under kappa = 1.0: leave it at standard\n")
-    assert not os.path.exists(out)
-    prices = []
-    for name, formula in (("standard", ""), ("paper_exact", "vasicek_formula = paper_exact\n")):
-        cfg = write(tmp_path, TINY + "[rates]\nmode = vasicek\nkappa = 1.7\n" + formula,
-                    f"{name}.cfg")
-        assert main(["price", "--config", cfg, "--out", str(tmp_path / name), *argv]) == 0
-        prices.append(open(tmp_path / name / "prices.csv", "rb").read())
-    assert prices[0] != prices[1]
 
 
 def test_cli_closed_form_price_reads_delta_theta(tmp_path, capsys):
@@ -1267,6 +1309,22 @@ def test_readme_table_names_the_keys_each_command_reads():
     assert {(command, *key) for command, keys in exempt.items() for key in keys} == CONTRACT_EXEMPT
 
 
+def test_docs_name_only_schema_keys():
+    # a removed key cannot linger in the README's `[section] key` mentions
+    # or in the spelled-out config
+    named = re.findall(r"\[(\w+)\] (\w+)", open(README).read())
+    assert ("acceptance", "PASS") in named
+    named = [pair for pair in named if pair[0] in cfgmod._SCHEMA]
+    section = None
+    for line in open(SECTION7_CFG).read().splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif " = " in line:
+            named.append((section, line.split(" = ")[0]))
+    assert len(named) > 30
+    assert [pair for pair in named if pair[1] not in cfgmod._SCHEMA[pair[0]]] == []
+
+
 # --------------------------------------------------------- the input contract
 
 # one valid non-default value per key; no power of two, whose scaling is exact
@@ -1278,11 +1336,10 @@ ALTERNATES = {
               "delta_t": "0.02", "theta_max_rule": "30", "clamp_lambda_at_zero": "true",
               "jump_sign_convention": "section3"},
     "rates": {"mode": "vasicek", "r": "0.037", "kappa": "1.7", "delta": "0.037", "r0": "0.037",
-              "rho0": "0.037", "phi0": "0.37", "vasicek_formula": "paper_exact",
-              "rates_correlated": "true"},
+              "rho0": "0.037", "phi0": "0.37", "rates_correlated": "true"},
     "pide": {"nx": "20", "ny": "20", "x_range": "-0.07,0.17", "y_range": "0.0,0.37",
              "n_steps": "7"},
-    "pricing": {"regime": "correlated", "recovery_type": "intensity_linked", "R": "0.37",
+    "pricing": {"recovery_type": "intensity_linked", "R": "0.37",
                 "w0": "0.37", "w1": "0.37", "f": "none"},
     "experiment": {"t": "0.37", "T": "1.7", "n_paths": "13", "seed": "7"},
 }
@@ -1304,7 +1361,7 @@ CONTRACT_BRANCHES = [
     ("price (closed form)", ["price"], {}),
     ("price (closed form)", ["price"], VASICEK),
     ("price (closed form) --status defaulted", ["price", "--status", "defaulted"], {}),
-    ("price (kernels)", ["price"], {("pricing", "regime"): "correlated", **VASICEK}),
+    ("price (kernels)", ["price"], {("rates", "rates_correlated"): "true", **VASICEK}),
     ("price (kernels)", ["price"], LINKED),
     *(("price (kernels) --status defaulted", ["price", "--status", "defaulted"], LINKED | rates)
       for rates in ({}, VASICEK)),

@@ -67,16 +67,13 @@ PRICE = """
 mode = vasicek
 rates_correlated = true
 
-[pricing]
-regime = correlated
-
 [experiment]
 n_paths = 4
 """
 
 # the same with intensity-linked recovery, which reads the recovery kernel
-LINKED = PRICE.replace("regime = correlated\n",
-                       "recovery_type = intensity_linked\nf = identity\n")
+LINKED = PRICE.replace("[experiment]\n",
+                       "[pricing]\nrecovery_type = intensity_linked\nf = identity\n\n[experiment]\n")
 
 
 # The names the benchmark's traced run (perfbench/tracing.py) hooks: its
@@ -153,7 +150,6 @@ def test_benchmark_tracer_wraps_the_oracles():
 def _probe(argv: list[str]) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    env.pop("LAB_SEED", None)
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -182,8 +178,7 @@ def test_commands_import_nothing_after_the_cli(tmp_path, command):
                   "pide": (["pide", "--theta", "2.0"], PIDE),
                   "price_alive": (["price"], PRICE),
                   "price_defaulted": (["price", "--status", "defaulted"],
-                                      PRICE.replace("rates_correlated = true\n", "")
-                                      .replace("regime = correlated\n", "")),
+                                      PRICE.replace("rates_correlated = true\n", "")),
                   "price_linked_alive": (["price"], LINKED),
                   "price_linked_defaulted": (["price", "--status", "defaulted"],
                                              LINKED)}[command]

@@ -12,7 +12,7 @@ from densitylab.pide import (HV_THETA, CoefficientProvider, GridFunction,
                              PricingKernelSolver, StateGrid, _AffineSplit, _check_pivots,
                              _coefficient_table, _thomas_factor, _thomas_solve,
                              compute_coefficients, kernel_transform, solve_cauchy_affine)
-from densitylab.rates import VasicekSpec, zcb_closed_form, zcb_price
+from densitylab.rates import VasicekSpec, zcb_closed_form
 from densitylab.term_structure import CoefficientSpec
 
 
@@ -719,7 +719,7 @@ def test_transform_before_t_is_the_vasicek_bond(correlated):
     a, b, c = kernel_transform(prov, 0.5, 1.0, 0)
     assert np.all(c == 0.0)
     for r in (-0.01, 0.04, 0.1):
-        bond = zcb_price(rates, 0.5, 1.0, r, formula="standard")
+        bond = zcb_closed_form(rates, 0.5, 1.0, r)
         assert np.abs(np.exp(a - b * r) / bond - 1.0).max() < 1e-14
 
 

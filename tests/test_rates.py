@@ -5,7 +5,7 @@ import pytest
 
 from densitylab import rates
 from densitylab.rates import (VasicekSpec, adjudicate_vasicek_formula, constant_rate_discount,
-                              ou_gaussian_loading, zcb_closed_form, zcb_mc_oracle, zcb_price)
+                              ou_gaussian_loading, zcb_closed_form, zcb_mc_oracle)
 
 
 def test_constant_rate_discount_values():
@@ -115,12 +115,6 @@ def test_adjudication_at_the_verify_path_count_separates_the_variants():
     assert report["selected"] == "standard"
     assert abs(z["standard"]) < 3
     assert abs(z["paper_exact"]) >= 20
-
-
-def test_paper_exact_variant_warns_off_kappa_one():
-    spec = VasicekSpec(kappa=2.0, delta=0.05, r0=0.03, rho0=0.1)
-    with pytest.warns(UserWarning, match="adjudication"):
-        zcb_price(spec, 0.0, 1.0, 0.03, formula="paper_exact")
 
 
 def test_zcb_pde_residual_below_tolerance():
